@@ -16,7 +16,6 @@ from .geometry import (
     evaluate_functional,
     rational,
     rational_str,
-    segment_first_hit,
     side_of_hyperplane,
 )
 from .lattice import (

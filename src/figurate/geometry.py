@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
 Point = tuple[Fraction, ...]
 Vector = tuple[Fraction, ...]
 LinearFunctional = tuple[Fraction, ...]
-
-BEFORE_Y = "before_y"
-AT_OR_AFTER_Y = "at_or_after_y"
-MISSES = "misses"
 
 
 class GeometryError(ValueError):
@@ -216,63 +213,28 @@ def hyperplane_through(points: Sequence[Point]) -> Hyperplane:
     return Hyperplane(normal_f, vdot(normal_f, p0))
 
 
-def segment_first_hit(x: Point, y: Point, simplex: Sequence[Point]) -> str:
-    """Classify the first meeting of the ray from x through y with a closed simplex.
+# ---------------------------------------------------------------------------
+# Integer side tests. A point scaled once to integer homogeneous coordinates,
+# and a hyperplane kept as an integer vector, reduce side_of_hyperplane to the
+# sign of one integer dot product.
 
-    The ray is p(t) = x + t (y - x) for t >= 0, with y at t = 1. Returns
-    BEFORE_Y when the first hit has t < 1, AT_OR_AFTER_Y when t >= 1, and
-    MISSES when the ray never meets the simplex. All arithmetic is exact; the
-    simplex vertices must be affinely independent.
-    """
-    if x == y:
-        raise GeometryError("ray through coincident points is undefined")
-    pts = [point(p) for p in simplex]
-    if not affinely_independent(pts):
-        raise GeometryError("degenerate simplex")
-    d = len(x)
-    k = len(pts)
-    u = vsub(y, x)
-    # Unknowns: barycentric weights l_0..l_{k-1}, then t.
-    rows = [[pts[i][j] for i in range(k)] + [-u[j]] for j in range(d)]
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = list(x) + [Fraction(1)]
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return MISSES
-    base, basis = sol
-    if not basis:
-        lams, t = base[:k], base[k]
-        if t >= 0 and all(l >= 0 for l in lams):
-            return BEFORE_Y if t < 1 else AT_OR_AFTER_Y
-        return MISSES
-    # One-parameter family: the ray lies inside the simplex's affine hull.
-    # Constraints l_i(s) >= 0 and t(s) >= 0 cut out an interval in s.
-    direction = basis[0]
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for i in range(k + 1):
-        a, b = base[i], direction[i]
-        if b == 0:
-            if a < 0:
-                return MISSES
-        else:
-            bound = -a / b
-            if b > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        return MISSES
-    t0, tdir = base[k], direction[k]
-    if tdir == 0:
-        t_min = t0
-    elif tdir > 0:
-        assert lo is not None  # t >= 0 bounds s from below
-        t_min = t0 + tdir * lo
-    else:
-        assert hi is not None
-        t_min = t0 + tdir * hi
-    return BEFORE_Y if t_min < 1 else AT_OR_AFTER_Y
+def homogenize(p: Point) -> tuple[int, ...]:
+    """(D, D p_1, ..., D p_n) with D > 0 the lcm of the denominators of p."""
+    den = lcm(*(c.denominator for c in p))
+    return (den,) + tuple(c.numerator * (den // c.denominator) for c in p)
+
+
+def integer_plane(h: Hyperplane) -> tuple[int, ...]:
+    """(-L offset, L normal_1, ..., L normal_n), L the lcm of all their denominators."""
+    return homogenize((-h.offset,) + h.normal)[1:]
+
+
+def integer_side(plane: Sequence[int], hp: Sequence[int]) -> int:
+    """side_of_hyperplane(h, p) from integer_plane(h) and homogenize(p): -1, 0 or +1."""
+    if len(plane) != len(hp):
+        raise GeometryError(f"hyperplane in dimension {len(plane) - 1} tested against point of length {len(hp) - 1}")
+    v = sum(map(mul, plane, hp))
+    return (v > 0) - (v < 0)
 
 
 def barycenter(points: Sequence[Point]) -> Point:

@@ -10,7 +10,12 @@ binomial transform of the f-vector.
 
 Visibility is implemented as an exact side test (x strictly opposite the
 vertex across the facet's hyperplane), which is equivalent to ray casting for
-simplices and never leaves rational arithmetic.
+simplices and never leaves exact arithmetic. Every facet hyperplane comes from
+the triangulation's ridge-plane table, built once as integer vectors, so each
+test is the sign of one integer dot product. Genericity is checked against
+the same ridge planes: in a pure complex every simplex with at most d
+vertices lies in a ridge, so a point off every ridge plane is off every
+lower affine hull as well.
 """
 from __future__ import annotations
 
@@ -23,8 +28,9 @@ from math import comb
 from .geometry import (
     Point,
     affine_hull_contains,
+    homogenize,
     hyperplane_through,
-    side_of_hyperplane,
+    integer_side,
 )
 from .triangulation import (
     Complex,
@@ -43,8 +49,11 @@ INTERIOR = "interior"
 class GenericPoint:
     """An interior point avoiding every lower-dimensional affine hull.
 
-    ``certificate`` lists the simplices whose affine hulls were checked (and
-    passed) exactly, so the genericity of the point is auditable.
+    ``certificate`` lists every simplex with at most d vertices; the point
+    lies on none of their affine hulls, so its genericity is auditable. In a
+    pure complex the ridges among them are checked exactly and the lower
+    simplices are covered by containment: each lies in a ridge, so its hull
+    lies in the ridge's hyperplane.
     """
 
     x: Point
@@ -76,6 +85,7 @@ class Partition:
     kind: str
     point: Point
     verified: bool = False
+    certificate: PartitionCertificate | None = None
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,14 @@ def generic_point(
 ) -> GenericPoint:
     """Deterministic search for a generic interior point.
 
-    Starts from the barycenter of the first maximal simplex and, while any
-    exact affine-hull membership check fails (or the candidate collides with
-    a point in ``avoid``), retries with seeded random barycentric weights of
-    growing size. Candidates always stay strictly inside one maximal simplex,
-    hence inside the polytope.
+    Starts from the barycenter of the first maximal simplex and, while the
+    candidate lies on a ridge hyperplane (or collides with a point in
+    ``avoid``), retries with seeded random barycentric weights of growing
+    size. Only ridges need checking: every other simplex with at most d
+    vertices lies inside a ridge, so its affine hull lies in the ridge's
+    hyperplane. A complex that is not pure, or whose ridges do not all span
+    hyperplanes, is checked simplex by simplex instead. Candidates always
+    stay strictly inside one maximal simplex, hence inside the polytope.
     """
     if tri.dim < 1:
         raise ValueError("generic points require a polytope of dimension >= 1")
@@ -119,7 +132,19 @@ def generic_point(
         (s for s in tri.simplices if s and len(s) <= tri.dim),
         key=lambda s: (len(s), tuple(sorted(s))),
     )
-    target_points = [[verts[i] for i in sorted(s)] for s in targets]
+    table = tri.ridge_planes
+    if table.complete:
+        planes = set(table.planes.values())
+
+        def off_every_hull(x):
+            hx = homogenize(x)
+            return all(integer_side(p, hx) for p in planes)
+    else:
+        target_points = [[verts[i] for i in sorted(s)] for s in targets]
+
+        def off_every_hull(x):
+            return not any(affine_hull_contains(pts, x) for pts in target_points)
+
     home = sorted(tri.maximal[0])
     corners = [verts[i] for i in home]
     rng = random.Random(seed)
@@ -131,9 +156,7 @@ def generic_point(
             sum((w * p[j] for w, p in zip(weights, corners)), Fraction(0)) / total
             for j in range(len(corners[0]))
         )
-        if x not in avoid and not any(
-            affine_hull_contains(pts, x) for pts in target_points
-        ):
+        if x not in avoid and off_every_hull(x):
             return GenericPoint(x, tuple(targets), seed)
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
@@ -147,15 +170,15 @@ def visible_facets(tri: PointedTriangulation, f: Simplex, x: Point) -> set[Simpl
     sides of the facet's hyperplane; when x is inside the simplex no facet is
     visible. x on a facet hyperplane violates genericity and raises.
     """
-    verts = tri.lattice.polytope.vertices
+    hx = homogenize(x)
     out: set[Simplex] = set()
-    for v in sorted(f):
-        g = f - {v}
-        h = hyperplane_through([verts[i] for i in sorted(g)])
-        sx = side_of_hyperplane(h, x)
+    for v, g, plane, v_side in tri.ridge_planes.facets[f]:
+        if plane is None:
+            hyperplane_through(tri.vertex_points(g))  # raises: g spans no hyperplane
+        sx = integer_side(plane, hx)
         if sx == 0:
             raise GenericityError(f"point lies on the affine hull of facet {sorted(g)}")
-        if sx * side_of_hyperplane(h, verts[v]) < 0:
+        if sx * v_side < 0:
             out.add(g)
     return out
 
@@ -174,7 +197,7 @@ def _partition(tri: PointedTriangulation, x, kind: str, target: set[Simplex]) ->
     cert = verify_partition(part, target)
     if not cert.ok:
         raise RuntimeError(f"{kind} intervals failed to partition their target: {cert}")
-    return replace(part, verified=True)
+    return replace(part, verified=True, certificate=cert)
 
 
 def exterior_partition(tri: PointedTriangulation, x) -> Partition:

@@ -14,11 +14,20 @@ index sets, with ``frozenset()`` standing for the empty simplex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .geometry import LinearFunctional, evaluate_functional
+from .geometry import (
+    GeometryError,
+    LinearFunctional,
+    evaluate_functional,
+    homogenize,
+    hyperplane_through,
+    integer_plane,
+    integer_side,
+)
 from .lattice import FaceLattice
 
 Simplex = frozenset[int]
@@ -38,16 +47,41 @@ class ApexAssignment:
 
 
 @dataclass(frozen=True)
+class RidgePlanes:
+    """The hyperplane of every facet of every maximal simplex, computed once.
+
+    ``planes`` maps each ridge to its canonical hyperplane as an integer
+    vector (``geometry.integer_plane``), or to None when the ridge's vertices
+    span no hyperplane. ``facets`` lists for each maximal simplex, by
+    increasing opposite vertex, (opposite vertex, ridge, plane, side of the
+    opposite vertex), the side 0 when the plane is missing. ``complete``
+    holds when every maximal simplex has dim + 1 vertices and every ridge is
+    a simplex of the complex with a plane: then every simplex with at most dim
+    vertices lies in a ridge, and its affine hull in that ridge's plane.
+    """
+
+    planes: dict[Simplex, tuple[int, ...] | None]
+    facets: dict[Simplex, tuple[tuple[int, Simplex, tuple[int, ...] | None, int], ...]]
+    complete: bool
+
+
+@dataclass(frozen=True)
 class PointedTriangulation:
     lattice: FaceLattice
     apexes: ApexAssignment
     simplices: Complex
     per_face: dict[int, Complex]
     maximal: tuple[Simplex, ...]
+    pointed: PointedCertificate | None = None  # set when construction verified pointedness
 
     @property
     def dim(self) -> int:
         return self.lattice.dim
+
+    @cached_property
+    def ridge_planes(self) -> RidgePlanes:
+        """Built on first use and kept with the triangulation, shared by all points."""
+        return _ridge_planes(self)
 
     @property
     def apex_vertex(self) -> int:
@@ -127,7 +161,8 @@ def build_pointed_triangulation(
     """Construct the pointed triangulation determined by an apex assignment.
 
     With ``verify`` (the debug profile, and the default) the three pointedness
-    conditions are checked after construction and a violation raises.
+    conditions are checked after construction and a violation raises; the
+    passing certificate is kept as ``pointed``.
     """
     chain: dict[int, set[Simplex]] = {}
     for f in lattice.faces[1:]:
@@ -149,11 +184,34 @@ def build_pointed_triangulation(
     top = per_face[lattice.top.id]
     maximal = tuple(sorted(maximal_simplices(top), key=_simplex_key))
     tri = PointedTriangulation(lattice, apexes, top, per_face, maximal)
-    if verify:
-        cert = verify_pointed(tri)
-        if not cert.ok:
-            raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
-    return tri
+    if not verify:
+        return tri
+    cert = verify_pointed(tri)
+    if not cert.ok:
+        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
+    return replace(tri, pointed=cert)
+
+
+def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
+    hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
+    planes: dict[Simplex, tuple[int, ...] | None] = {}
+    facets = {}
+    for f in tri.maximal:
+        entries = []
+        for v in sorted(f):
+            g = f - {v}
+            if g not in planes:
+                try:
+                    planes[g] = integer_plane(hyperplane_through(tri.vertex_points(g)))
+                except GeometryError:
+                    planes[g] = None
+            plane = planes[g]
+            entries.append((v, g, plane, 0 if plane is None else integer_side(plane, hv[v])))
+        facets[f] = tuple(entries)
+    complete = all(len(f) == tri.dim + 1 for f in tri.maximal) and all(
+        plane is not None and g in tri.simplices for g, plane in planes.items()
+    )
+    return RidgePlanes(planes, facets, complete)
 
 
 def _simplex_key(s: Simplex):

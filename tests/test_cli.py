@@ -139,3 +139,23 @@ def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["sequence", "--builtin", "cube:3", "--method", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_wrong_faces_square_exit_codes(tmp_path, capsys):
+    path = tmp_path / "sqdiag.json"
+    path.write_text(json.dumps({
+        "name": "sqdiag",
+        "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+        "faces": [[0, 3], [1, 2]],
+    }))
+    code, out, err = run(capsys, "pipeline", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "figurate: error: construction violated pointedness condition 3: "
+        "edge [0, 3] missing from triangulation of face [0, 3]\n"
+    )
+    code, out, _ = run(capsys, "pipeline", "--input", str(path), "--profile", "release")
+    assert code == 1
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["claim"] == "pipeline-stage"
+    assert record["counterexample"] == {"error": "could not find a generic point"}

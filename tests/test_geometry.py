@@ -1,25 +1,25 @@
-"""Exact predicates: functional evaluation, side tests, ranks, ray hits."""
+"""Exact predicates: functional evaluation, side tests, ranks, and the ray-hit oracle."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from figurate.geometry import (
-    AT_OR_AFTER_Y,
-    BEFORE_Y,
-    MISSES,
     GeometryError,
     Hyperplane,
     affine_hull_contains,
     affine_rank,
     evaluate_functional,
+    homogenize,
     hyperplane_through,
+    integer_plane,
+    integer_side,
     point,
     rational,
     rational_str,
-    segment_first_hit,
     side_of_hyperplane,
 )
+from oracles import AT_OR_AFTER_Y, BEFORE_Y, MISSES, segment_first_hit
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -72,6 +72,36 @@ def test_side_negates_with_hyperplane(normal, offset, coords):
     assert side_of_hyperplane(h, p) == -side_of_hyperplane(neg, p)
     # determinism: repeated evaluation is identical
     assert side_of_hyperplane(h, p) == side_of_hyperplane(h, p)
+
+
+def test_homogenize_and_integer_plane_examples():
+    assert homogenize(pt(Fraction(1, 2), Fraction(-2, 3), 4)) == (6, 3, -4, 24)
+    assert homogenize(pt(1, 2)) == (1, 1, 2)
+    h = Hyperplane(point(["1/2", "3"]), Fraction(5, 4))
+    assert integer_plane(h) == (-5, 2, 12)
+    assert integer_side(integer_plane(h), homogenize(pt(0, 0))) == -1
+    with pytest.raises(GeometryError):
+        integer_side(integer_plane(h), homogenize(pt(0, 0, 0)))
+
+
+@given(
+    normal=st.lists(rationals, min_size=2, max_size=4),
+    offset=rationals,
+    coords=st.lists(rationals, min_size=2, max_size=4),
+)
+def test_integer_side_matches_rational_side(normal, offset, coords):
+    n = min(len(normal), len(coords))
+    normal, coords = normal[:n], coords[:n]
+    if not any(normal):
+        normal[0] = Fraction(1)
+    h = Hyperplane(point(normal), offset)
+    p = point(coords)
+    assert integer_side(integer_plane(h), homogenize(p)) == side_of_hyperplane(h, p)
+    # a point placed on the plane tests 0
+    j = next(i for i, c in enumerate(normal) if c)
+    on = list(p)
+    on[j] += (offset - sum(a * b for a, b in zip(normal, p))) / normal[j]
+    assert integer_side(integer_plane(h), homogenize(tuple(on))) == 0
 
 
 def test_affine_rank_examples():

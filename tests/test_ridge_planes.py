@@ -1,0 +1,129 @@
+"""The ridge-plane table: ridge-only genericity and table-driven visibility.
+
+Both are checked against independent oracles kept in ``oracles.py``: the
+full-scan generic-point search, and ray casting for visibility.
+"""
+from collections import Counter
+
+import pytest
+
+import figurate.triangulation as triangulation
+from figurate.geometry import GeometryError, barycenter, point
+from figurate.lattice import Polytope, build_face_lattice, parse_builtin
+from figurate.partitions import (
+    exterior_partition,
+    generic_point,
+    interior_partition,
+    visible_facets,
+)
+from figurate.triangulation import (
+    GenericityError,
+    assign_apexes,
+    build_pointed_triangulation,
+    generic_functional,
+    split_boundary_interior,
+)
+from oracles import AT_OR_AFTER_Y, full_scan_generic_point, segment_first_hit
+
+SMALL_FAMILY = (
+    ["simplex:%d" % d for d in range(1, 5)]
+    + ["cube:%d" % d for d in range(1, 5)]
+    + ["cross:%d" % d for d in range(1, 5)]
+    + ["pyramid:square", "prism:triangle", "bipyramid:square", "pyramid:cube:3", "bipyramid:cross:3"]
+    # their first candidates lie on a ridge plane, so the search must reject them
+    + ["bipyramid:triangle", "bipyramid:simplex:3"]
+)
+
+
+def _tri(spec):
+    lat = parse_builtin(spec)
+    return build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+
+
+def _ridges(tri):
+    return {f - {v} for f in tri.maximal for v in f}
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILY)
+def test_ridge_only_search_matches_full_scan(spec):
+    tri = _tri(spec)
+    assert tri.ridge_planes.complete
+    for seed in range(4):
+        plain = generic_point(tri, seed=seed)
+        assert plain == full_scan_generic_point(tri, seed=seed)
+        # avoiding the first choice forces the seeded retries
+        avoid = (plain.x,)
+        assert generic_point(tri, seed=seed, avoid=avoid) == full_scan_generic_point(tri, seed=seed, avoid=avoid)
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
+def test_visibility_matches_ray_casting(family, spec):
+    b = family[spec]
+    verts = b.lattice.polytope.vertices
+    for gp in b.points:
+        for f in b.tri.maximal:
+            visible = visible_facets(b.tri, f, gp.x)
+            simplex = b.tri.vertex_points(f)
+            for v in f:
+                g = f - {v}
+                hit = segment_first_hit(gp.x, barycenter([verts[i] for i in sorted(g)]), simplex)
+                assert (g in visible) == (hit == AT_OR_AFTER_Y), (spec, sorted(f), v)
+
+
+def test_one_hyperplane_per_ridge(monkeypatch):
+    calls = Counter()
+    original = triangulation.hyperplane_through
+
+    def counted(points):
+        calls[frozenset(points)] += 1
+        return original(points)
+
+    monkeypatch.setattr(triangulation, "hyperplane_through", counted)
+    tri = _tri("cube:4")
+    split = split_boundary_interior(tri)
+    points = []
+    for i in range(3):
+        gp = generic_point(tri, seed=i, avoid=tuple(p.x for p in points))
+        points.append(gp)
+        exterior_partition(tri, gp)
+        interior_partition(tri, gp, split)
+    assert len(calls) == len(_ridges(tri)) == len(tri.ridge_planes.planes)
+    assert set(calls.values()) == {1}
+
+
+def test_table_sides_and_planes(cube3):
+    table = cube3.tri.ridge_planes
+    assert table is cube3.tri.ridge_planes  # built once per triangulation
+    assert set(table.planes) == _ridges(cube3.tri)
+    for f, entries in table.facets.items():
+        assert [v for v, *_ in entries] == sorted(f)
+        for v, g, plane, side in entries:
+            assert g == f - {v} and plane == table.planes[g]
+            assert side != 0  # the opposite vertex is off the facet's plane
+
+
+def _square_with_diagonal_faces():
+    square = Polytope("sqdiag", tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)]), 2)
+    return build_face_lattice(square, [frozenset({0, 3}), frozenset({1, 2})])
+
+
+def test_non_pure_complex_falls_back_to_full_scan():
+    lat = _square_with_diagonal_faces()
+    tri = build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)), verify=False)
+    assert not tri.ridge_planes.complete
+    # the diagonal is a maximal simplex, and every candidate lies on its line
+    with pytest.raises(RuntimeError, match="could not find a generic point"):
+        generic_point(tri)
+    with pytest.raises(RuntimeError, match="could not find a generic point"):
+        full_scan_generic_point(tri)
+    diagonal = min(tri.maximal, key=len)
+    with pytest.raises(GeometryError, match="affine dimension"):
+        visible_facets(tri, diagonal, point(["1/3", "1/4"]))
+
+
+def test_point_on_a_ridge_plane_raises(square):
+    f = square.tri.maximal[0]
+    verts = square.lattice.polytope.vertices
+    on_plane = barycenter([verts[i] for i in sorted(f)[:2]])
+    with pytest.raises(GenericityError):
+        visible_facets(square.tri, f, on_plane)

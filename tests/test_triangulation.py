@@ -102,6 +102,13 @@ def test_verify_pointed_passes_on_family(family):
         assert verify_pointed(b.tri).ok, b.spec
 
 
+def test_construction_keeps_its_pointedness_certificate():
+    cube = parse_builtin("cube:3")
+    apexes = assign_apexes(cube, generic_functional(cube))
+    assert build_pointed_triangulation(cube, apexes).pointed.ok
+    assert build_pointed_triangulation(cube, apexes, verify=False).pointed is None
+
+
 def test_verify_pointed_vacuous_on_a_point():
     pt = parse_builtin("simplex:0")
     tri = build_pointed_triangulation(pt, assign_apexes(pt, generic_functional(pt)))
