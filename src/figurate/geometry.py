@@ -1,10 +1,16 @@
 """Exact rational geometry: points, functionals, hyperplanes, predicates.
 
-Everything here works over arbitrary-precision rationals
-(``fractions.Fraction``); there are no floating-point tolerances anywhere in
+Everything here is exact; there are no floating-point tolerances anywhere in
 the package. Points, normals and functionals are plain tuples of ``Fraction``,
 so equality is structural and results are safe to hash, cache and share
 between threads.
+
+Ranks, hyperplanes and side tests run on integers: a point enters as
+``homogenize(p)`` = (D, D p), D the lcm of its denominators, and callers
+homogenize each point once and reuse the row. The one elimination routine,
+``_rref``, is fraction-free Gauss-Jordan over ``int`` (E. H. Bareiss, 1968),
+whose divisions are all exact; the plane through homogenized points is read
+off its integer kernel.
 """
 from __future__ import annotations
 
@@ -80,25 +86,33 @@ def side_of_hyperplane(h: Hyperplane, p: Point) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra kernel (Gaussian elimination over Fraction).
+# Exact linear algebra over int. A rational row is first scaled by the lcm of
+# its denominators, which keeps rank and solutions.
 
-def _rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
-    """Reduced row echelon form in place; returns (rank, pivot columns, rows)."""
+def _rref(rows: list[list[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan (Bareiss) on a list of integer rows, in place.
+
+    Returns (rank, pivot columns, rows): D times the reduced row echelon form,
+    D the last pivot. Rows are replaced, never mutated; each division is exact.
+    """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
+            if i != r:
+                # rows with a 0 in column c are still scaled by p / prev
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == m:
@@ -106,8 +120,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fractio
     return r, pivots, rows
 
 
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    return _rref(list(rows))[0]
+
+
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return _rref([list(r) for r in rows])[0]
+    return integer_rank([homogenize(r)[1:] for r in rows])
 
 
 def solve_linear(
@@ -118,33 +136,22 @@ def solve_linear(
     Returns (particular solution, nullspace basis), or None when the system is
     inconsistent. Free variables are set to zero in the particular solution.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rank, pivots, rows = _rref(aug)
+    n = len(a[0]) if a else 0
+    rank, pivots, rows = _rref([homogenize(tuple(row) + (rhs,))[1:] for row, rhs in zip(a, b)])
     if n in pivots:
         return None
+    den = rows[0][pivots[0]] if pivots else 1
     sol = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        sol[c] = rows[r][n]
-    free = [c for c in range(n) if c not in pivots]
+        sol[c] = Fraction(rows[r][n], den)
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+            v[c] = Fraction(-rows[r][f], den)
         basis.append(v)
     return sol, basis
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of {x in Q^n : rows . x = 0}."""
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    sol = solve_linear(rows, [Fraction(0)] * len(rows))
-    assert sol is not None
-    return sol[1]
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +161,7 @@ def affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of the points (0 for a single point)."""
     if not points:
         raise GeometryError("affine_rank of an empty point list")
-    p0 = points[0]
-    return matrix_rank([vsub(p, p0) for p in points[1:]])
-
-
-def affinely_independent(points: Sequence[Point]) -> bool:
-    return affine_rank(points) == len(points) - 1
+    return integer_rank([homogenize(p) for p in points]) - 1
 
 
 def affine_hull_contains(points: Sequence[Point], q: Point) -> bool:
@@ -168,30 +170,30 @@ def affine_hull_contains(points: Sequence[Point], q: Point) -> bool:
         raise GeometryError("affine hull of an empty point list")
     if any(len(p) != len(q) for p in points):
         raise GeometryError("dimension mismatch between hull points and query point")
-    p0 = points[0]
-    diffs = [vsub(p, p0) for p in points[1:]]
-    base = matrix_rank(diffs)
-    return matrix_rank(diffs + [vsub(q, p0)]) == base
+    hp = [homogenize(p) for p in points]
+    return integer_rank(hp + [homogenize(q)]) == integer_rank(hp)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale a rational vector to a primitive integer vector with positive lead.
+def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """integer_plane(hyperplane_through(points)), computed from homogenized points.
 
-    Returns (integer vector, sign applied), where sign makes the first nonzero
-    entry positive.
+    This is the primitive integer v with v . hp = 0 for every point, signed so
+    that its first nonzero normal entry (after v[0]) is positive. None when
+    the points span no hyperplane.
     """
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    sign = -1 if lead < 0 else 1
-    return [sign * x for x in ints], sign
+    n = len(hpoints[0])
+    rank, pivots, rows = _rref(list(hpoints))
+    if rank != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    v = [0] * n
+    v[free] = rows[0][pivots[0]]
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][free]
+    g = gcd(*v)
+    if next(x for x in v[1:] if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def hyperplane_through(points: Sequence[Point]) -> Hyperplane:
@@ -202,15 +204,17 @@ def hyperplane_through(points: Sequence[Point]) -> Hyperplane:
     """
     if not points:
         raise GeometryError("hyperplane through an empty point list")
-    n = len(points[0])
-    p0 = points[0]
-    diffs = [list(vsub(p, p0)) for p in points[1:]]
-    kernel = nullspace(diffs, n)
-    if len(kernel) != 1:
-        raise GeometryError(f"points span affine dimension {n - len(kernel)}, expected {n - 1}")
-    normal, sign = _primitive(kernel[0])
-    normal_f = tuple(Fraction(x) for x in normal)
-    return Hyperplane(normal_f, vdot(normal_f, p0))
+    hp = [homogenize(p) for p in points]
+    plane = integer_plane_through(hp)
+    if plane is None:
+        raise GeometryError(f"points span affine dimension {integer_rank(hp) - 1}, expected {len(points[0]) - 1}")
+    return plane_to_hyperplane(plane)
+
+
+def plane_to_hyperplane(plane: Sequence[int]) -> Hyperplane:
+    """The Hyperplane of an integer plane from integer_plane_through (its inverse map)."""
+    g = gcd(*plane[1:])
+    return Hyperplane(tuple(Fraction(x // g) for x in plane[1:]), Fraction(-plane[0], g))
 
 
 # ---------------------------------------------------------------------------

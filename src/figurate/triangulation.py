@@ -20,12 +20,10 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import (
-    GeometryError,
     LinearFunctional,
     evaluate_functional,
     homogenize,
-    hyperplane_through,
-    integer_plane,
+    integer_plane_through,
     integer_side,
 )
 from .lattice import FaceLattice
@@ -51,8 +49,8 @@ class RidgePlanes:
     """The hyperplane of every facet of every maximal simplex, computed once.
 
     ``planes`` maps each ridge to its canonical hyperplane as an integer
-    vector (``geometry.integer_plane``), or to None when the ridge's vertices
-    span no hyperplane. ``facets`` lists for each maximal simplex, by
+    vector (``geometry.integer_plane_through``), or to None when the ridge's
+    vertices span no hyperplane. ``facets`` lists for each maximal simplex, by
     increasing opposite vertex, (opposite vertex, ridge, plane, side of the
     opposite vertex), the side 0 when the plane is missing. ``complete``
     holds when every maximal simplex has dim + 1 vertices and every ridge is
@@ -201,10 +199,7 @@ def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
         for v in sorted(f):
             g = f - {v}
             if g not in planes:
-                try:
-                    planes[g] = integer_plane(hyperplane_through(tri.vertex_points(g)))
-                except GeometryError:
-                    planes[g] = None
+                planes[g] = integer_plane_through([hv[i] for i in g])
             plane = planes[g]
             entries.append((v, g, plane, 0 if plane is None else integer_side(plane, hv[v])))
         facets[f] = tuple(entries)

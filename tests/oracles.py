@@ -1,5 +1,10 @@
 """Independent reference implementations that the tests check the package against.
 
+``reference_rref`` is Gauss-Jordan elimination over ``Fraction``, the
+reference for the package's fraction-free integer kernel; the other oracles
+here use it rather than the kernel they check. ``reference_hyperplane_through``
+is the canonical hyperplane computed from a rational nullspace.
+
 ``segment_first_hit`` classifies a ray against a simplex by solving for the
 hit directly, so it is an oracle for the side-test visibility in
 ``figurate.partitions``. ``full_scan_generic_point`` is the generic-point
@@ -10,19 +15,106 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from figurate.geometry import (
     GeometryError,
+    Hyperplane,
     Point,
-    affine_hull_contains,
-    affinely_independent,
     point,
-    solve_linear,
+    vdot,
     vsub,
 )
 from figurate.partitions import GenericPoint
 from figurate.triangulation import PointedTriangulation
+
+
+def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
+    """Reduced row echelon form in place; returns (rank, pivot columns, rows)."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return r, pivots, rows
+
+
+def reference_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return reference_rref([[Fraction(x) for x in r] for r in rows])[0]
+
+
+def reference_solve_linear(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Solve A x = b: (particular solution, nullspace basis), or None if inconsistent."""
+    n = len(a[0]) if a else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    rank, pivots, rows = reference_rref(aug)
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][n]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(v)
+    return sol, basis
+
+
+def affinely_independent(points: Sequence[Point]) -> bool:
+    p0 = points[0]
+    return reference_rank([vsub(p, p0) for p in points[1:]]) == len(points) - 1
+
+
+def reference_hull_contains(points: Sequence[Point], q: Point) -> bool:
+    p0 = points[0]
+    diffs = [vsub(p, p0) for p in points[1:]]
+    return reference_rank(diffs + [vsub(q, p0)]) == reference_rank(diffs)
+
+
+def reference_hyperplane_through(points: Sequence[Point]) -> Hyperplane:
+    """The canonical hyperplane through the points from their rational nullspace.
+
+    The normal is primitive integer with a positive first nonzero entry;
+    raises GeometryError when the points span no hyperplane.
+    """
+    n = len(points[0])
+    p0 = points[0]
+    diffs = [vsub(p, p0) for p in points[1:]]
+    if diffs:
+        kernel = reference_solve_linear(diffs, [Fraction(0)] * len(diffs))[1]
+    else:
+        kernel = [[Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    if len(kernel) != 1:
+        raise GeometryError(f"points span affine dimension {n - len(kernel)}, expected {n - 1}")
+    den = 1
+    for x in kernel[0]:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in kernel[0]]
+    g = gcd(*ints)
+    lead = next(x for x in ints if x)
+    normal = tuple(Fraction(x // g if lead > 0 else -x // g) for x in ints)
+    return Hyperplane(normal, vdot(normal, p0))
+
 
 BEFORE_Y = "before_y"
 AT_OR_AFTER_Y = "at_or_after_y"
@@ -49,7 +141,7 @@ def segment_first_hit(x: Point, y: Point, simplex: Sequence[Point]) -> str:
     rows = [[pts[i][j] for i in range(k)] + [-u[j]] for j in range(d)]
     rows.append([Fraction(1)] * k + [Fraction(0)])
     rhs = list(x) + [Fraction(1)]
-    sol = solve_linear(rows, rhs)
+    sol = reference_solve_linear(rows, rhs)
     if sol is None:
         return MISSES
     base, basis = sol
@@ -108,7 +200,7 @@ def full_scan_generic_point(
             sum((w * p[j] for w, p in zip(weights, corners)), Fraction(0)) / total
             for j in range(len(corners[0]))
         )
-        if x not in avoid and not any(affine_hull_contains(pts, x) for pts in target_points):
+        if x not in avoid and not any(reference_hull_contains(pts, x) for pts in target_points):
             return GenericPoint(x, tuple(targets), seed)
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2

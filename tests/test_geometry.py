@@ -2,24 +2,36 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from figurate.geometry import (
     GeometryError,
     Hyperplane,
+    _rref,
     affine_hull_contains,
     affine_rank,
     evaluate_functional,
     homogenize,
     hyperplane_through,
     integer_plane,
+    integer_plane_through,
     integer_side,
+    matrix_rank,
     point,
     rational,
     rational_str,
     side_of_hyperplane,
+    solve_linear,
 )
-from oracles import AT_OR_AFTER_Y, BEFORE_Y, MISSES, segment_first_hit
+from oracles import (
+    AT_OR_AFTER_Y,
+    BEFORE_Y,
+    MISSES,
+    reference_hyperplane_through,
+    reference_rref,
+    reference_solve_linear,
+    segment_first_hit,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -157,6 +169,65 @@ def test_hyperplane_through_is_canonical():
     assert c.offset == 0
     with pytest.raises(GeometryError):
         hyperplane_through([pt(0, 0, 0), pt(1, 0, 0)])  # codimension 2 span
+
+
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+def _with_dependent_rows(draw, rows):
+    """Replace some rows by rational combinations of the rows before them."""
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(small, min_size=i, max_size=i))
+            rows[i] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(len(rows[i]))]
+    return rows
+
+
+@st.composite
+def rational_matrices(draw):
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    return _with_dependent_rows(draw, rows)
+
+
+@settings(max_examples=150)
+@given(a=rational_matrices(), data=st.data())
+def test_integer_kernel_matches_fraction_elimination(a, data):
+    rank, pivots, rows = _rref([homogenize(r)[1:] for r in a])
+    ref_rank, ref_pivots, ref_rows = reference_rref([list(r) for r in a])
+    assert (rank, pivots) == (ref_rank, ref_pivots)
+    den = rows[0][pivots[0]] if pivots else 1  # the kernel leaves D times the RREF
+    assert [[Fraction(x, den) for x in row] for row in rows] == ref_rows
+    assert matrix_rank(a) == ref_rank
+    b = data.draw(st.lists(small, min_size=len(a), max_size=len(a)))
+    assert solve_linear(a, b) == reference_solve_linear(a, b)
+
+
+@st.composite
+def point_sets(draw):
+    """1 to d + 1 points in Q^d, d <= 4, some affinely dependent or repeated."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, d + 1))
+    base = [draw(st.lists(small, min_size=d, max_size=d)) for _ in range(k)]
+    # affine dependence: a dependent difference row gives a dependent point
+    diffs = _with_dependent_rows(draw, [[c - b for c, b in zip(p, base[0])] for p in base[1:]])
+    return [point(base[0])] + [point(b + c for b, c in zip(base[0], row)) for row in diffs]
+
+
+@settings(max_examples=150)
+@given(pts=point_sets())
+def test_integer_plane_matches_reference_hyperplane(pts):
+    plane = integer_plane_through([homogenize(p) for p in pts])
+    try:
+        ref = reference_hyperplane_through(pts)
+    except GeometryError as exc:
+        assert plane is None
+        with pytest.raises(GeometryError) as got:
+            hyperplane_through(pts)
+        assert str(got.value) == str(exc)
+    else:
+        assert plane == integer_plane(ref)
+        assert hyperplane_through(pts) == ref
 
 
 TRI = [pt(0, 0), pt(2, 0), pt(0, 2)]

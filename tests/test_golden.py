@@ -1,9 +1,12 @@
-"""Golden reports: the exact bytes of two CLI reports, pinned by sha256.
+"""Golden reports: the exact bytes of CLI reports, pinned by sha256.
 
-Any change to claims, witnesses, generic points or sequence values changes
-these digests. Update them only for a deliberate change of the report.
+``sphere2_6.json`` gives six rational points on S^2 by coordinates only, so
+its report comes through the hull search. Any change to claims, witnesses,
+generic points or sequence values changes these digests. Update them only for
+a deliberate change of the report.
 """
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +17,14 @@ GOLDEN = {
         "daae3076cb6d2e5dce24b157f34954e1e83ddea8b800ea5b9b65cd7d7512b0bb",
     "sequence --builtin cube:3 --interior --method k --n 50":
         "8ee8669bca72c94e02a1ee3a6cced9e9c5d7607bf626fc28dd1248f2f3994821",
+    "pipeline --input sphere2_6.json --summary":
+        "3bc4cc5a99f3f67a3d90c020f9e540d1655d4d0dff3a13fb17ab0c294f4e3838",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_report_bytes_are_pinned(capsys, command):
+def test_report_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.chdir(Path(__file__).parent)
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]

@@ -72,13 +72,13 @@ def test_visibility_matches_ray_casting(family, spec):
 
 def test_one_hyperplane_per_ridge(monkeypatch):
     calls = Counter()
-    original = triangulation.hyperplane_through
+    original = triangulation.integer_plane_through
 
-    def counted(points):
-        calls[frozenset(points)] += 1
-        return original(points)
+    def counted(hpoints):
+        calls[frozenset(hpoints)] += 1
+        return original(hpoints)
 
-    monkeypatch.setattr(triangulation, "hyperplane_through", counted)
+    monkeypatch.setattr(triangulation, "integer_plane_through", counted)
     tri = _tri("cube:4")
     split = split_boundary_interior(tri)
     points = []

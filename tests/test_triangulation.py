@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figurate.geometry import affinely_independent, evaluate_functional
+from figurate.geometry import evaluate_functional
 from figurate.lattice import parse_builtin
 from figurate.partitions import f_vector
 from figurate.triangulation import (
@@ -24,6 +24,7 @@ from figurate.triangulation import (
     triangulation_to_json,
     verify_pointed,
 )
+from oracles import affinely_independent
 
 
 def test_generic_functional_on_cube_is_binary_weighting():
