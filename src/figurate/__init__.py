@@ -64,7 +64,6 @@ from .partitions import (
     visible_facets,
 )
 from .sequences import (
-    Decomposition,
     SequenceResult,
     cross_number,
     eulerian_number,

@@ -22,10 +22,10 @@ from .partitions import (
     k_from_partition,
 )
 from .sequences import (
+    face_number_sequences,
     polytope_number_from_h,
     interior_from_h_reversed,
     interior_from_k,
-    polytope_number_recursive,
     polytope_number_simplex_sum,
 )
 from .triangulation import (
@@ -217,8 +217,10 @@ def run_pipeline(
         )
     )
 
-    # Sequence methods must agree exactly, exterior and interior.
-    rec_ext = polytope_number_recursive(lattice, apexes, n_max).values
+    # Sequence methods must agree exactly, exterior and interior; one recursion
+    # gives both recursive sequences of the polytope.
+    face_ext, face_int = face_number_sequences(lattice, apexes, n_max)
+    rec_ext = face_ext[lattice.top.id]
     sum_ext = polytope_number_simplex_sum(tri, n_max, split=split).values
     h_ext = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
     mism = next(
@@ -237,7 +239,7 @@ def run_pipeline(
         )
     )
 
-    rec_int = polytope_number_recursive(lattice, apexes, n_max, interior=True).values
+    rec_int = face_int[lattice.top.id]
     sum_int = polytope_number_simplex_sum(tri, n_max, interior=True, split=split).values
     k_int = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
     hr_int = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))

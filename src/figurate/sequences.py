@@ -17,8 +17,10 @@ case of the definition, where it is 1 for every polytope.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, islice
 from math import comb
 
 from .lattice import FaceLattice
@@ -30,26 +32,12 @@ from .triangulation import (
 )
 from .partitions import e_vector, f_vector
 
-ALPHA_SHIFTED = "alpha_shifted"
-ALPHA_SHIFTED_INTERIOR = "alpha_shifted_interior"
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Coefficients of a sequence over shifted simplex sequences."""
-
-    dim: int
-    coeffs: tuple[int, ...]
-    basis: str
-
-
 @dataclass(frozen=True)
 class SequenceResult:
     polytope: str
     method: str
     interior: bool
     values: tuple[int, ...]
-    decomposition: Decomposition | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +99,11 @@ def face_number_sequences(
     F(n) = F(n-1) + sum of G(n)# over faces G of F missing F's apex; the
     interior values start 0, 0 and continue with F(n) minus the interior
     values of all proper faces. Every face is computed once, keyed by id.
+
+    Each face takes two column sums over all n at once, the step (faces
+    missing the apex) and the total (all proper faces); F is the running sum
+    of the steps from F(1) = 1. Only the order of the integer additions
+    differs from the term-by-term recursion.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -124,16 +117,13 @@ def face_number_sequences(
             continue
         sub = lattice.subface_ids(f.id)
         apex = apexes.apex[f.id]
-        away = [g for g in sub if apex not in lattice.faces[g].vertices]
-        e = [0] * (n_max + 1)
-        it = [0] * (n_max + 1)
-        if n_max >= 1:
-            e[1] = 1
-        for n in range(2, n_max + 1):
-            e[n] = e[n - 1] + sum(intr[g][n] for g in away)
-            it[n] = e[n] - sum(intr[g][n] for g in sub)
+        away = [intr[g] for g in sub if apex not in lattice.faces[g].vertices]
+        step = map(sum, zip(*away))
+        total = map(sum, zip(*(intr[g] for g in sub)))
+        # both lists are cut back to n_max + 1 terms when n_max < 2
+        e = [0, *accumulate(islice(step, 2, None), initial=1)][: n_max + 1]
         ext[f.id] = e
-        intr[f.id] = it
+        intr[f.id] = [0, 0, *map(operator.sub, islice(e, 2, None), islice(total, 2, None))][: n_max + 1]
     return ext, intr
 
 
@@ -204,17 +194,17 @@ def interior_from_h_reversed(h: tuple[int, ...], d: int, n: int) -> int:
 
 def sequence_from_h(name: str, h: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
     values = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "h", False, values, Decomposition(d, tuple(h), ALPHA_SHIFTED))
+    return SequenceResult(name, "h", False, values)
 
 
 def sequence_interior_from_k(name: str, k: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
     values = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "k", True, values, Decomposition(d, tuple(k), ALPHA_SHIFTED_INTERIOR))
+    return SequenceResult(name, "k", True, values)
 
 
 def sequence_interior_from_h(name: str, h: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
     values = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "h", True, values, Decomposition(d, tuple(h), ALPHA_SHIFTED))
+    return SequenceResult(name, "h", True, values)
 
 
 # ---------------------------------------------------------------------------

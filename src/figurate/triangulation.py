@@ -254,6 +254,14 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
        faces, they coincide.
     3. For each face F, every edge from the apex of F to another vertex of F
        belongs to F's triangulation.
+
+    Condition 2 is checked only on nested pairs: each proper subface G of F
+    that contains apex(F) must have apex(G) = apex(F). That is the pairwise
+    condition, since every apex lies in its face. A nested violation is a
+    pair whose intersection G holds both apexes. Conversely, if two distinct
+    apexes v1, v2 of faces f1, f2 lie in H = f1 & f2, then H is a face (the
+    lattice is closed under intersection) and apex(H) differs from some v_i;
+    so H is a proper subface of f_i containing apex(f_i) with another apex.
     """
     lattice = tri.lattice
     apex = tri.apexes.apex
@@ -265,14 +273,14 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
                 return PointedCertificate(
                     False, 1, f"maximal simplex {sorted(s)} of face {sorted(f.vertices)} misses apex {v}"
                 )
-    nonempty = lattice.faces[1:]
-    for f1, f2 in combinations(nonempty, 2):
-        shared = f1.vertices & f2.vertices
-        v1, v2 = apex[f1.id], apex[f2.id]
-        if v1 in shared and v2 in shared and v1 != v2:
-            return PointedCertificate(
-                False, 2, f"faces {sorted(f1.vertices)} and {sorted(f2.vertices)} share both apexes {v1}, {v2}"
-            )
+    for f in lattice.faces[1:]:
+        v = apex[f.id]
+        for gid in lattice.subface_ids(f.id):
+            g = lattice.faces[gid]
+            if v in g.vertices and apex[gid] != v:
+                return PointedCertificate(
+                    False, 2, f"faces {sorted(g.vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
+                )
     for f in lattice.faces[1:]:
         cf = tri.per_face[f.id]
         v = apex[f.id]

@@ -10,11 +10,18 @@ hit directly, so it is an oracle for the side-test visibility in
 ``figurate.partitions``. ``full_scan_generic_point`` is the generic-point
 search that checks the affine hull of every simplex with at most d vertices,
 an oracle for the ridge-only search.
+
+``reference_face_number_sequences`` is the recursion for the sequences of
+every face evaluated term by term, one n at a time, the reference for the
+column sums in ``figurate.sequences``. ``pairwise_apex_conflict`` checks
+pointedness condition 2 over every pair of faces, the reference for the check
+over face-subface pairs in ``verify_pointed``.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -26,8 +33,9 @@ from figurate.geometry import (
     vdot,
     vsub,
 )
+from figurate.lattice import FaceLattice
 from figurate.partitions import GenericPoint
-from figurate.triangulation import PointedTriangulation
+from figurate.triangulation import ApexAssignment, PointedTriangulation
 
 
 def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -205,3 +213,43 @@ def full_scan_generic_point(
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
     raise RuntimeError("could not find a generic point")
+
+
+def reference_face_number_sequences(
+    lattice: FaceLattice, apexes: ApexAssignment, n_max: int
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Sequences and interior sequences of every nonempty face, one n at a time."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    ext: dict[int, list[int]] = {}
+    intr: dict[int, list[int]] = {}
+    for f in lattice.faces[1:]:
+        if f.dim == 0:
+            seq = [0] + [1] * n_max
+            ext[f.id] = seq
+            intr[f.id] = list(seq)
+            continue
+        sub = lattice.subface_ids(f.id)
+        apex = apexes.apex[f.id]
+        away = [g for g in sub if apex not in lattice.faces[g].vertices]
+        e = [0] * (n_max + 1)
+        it = [0] * (n_max + 1)
+        if n_max >= 1:
+            e[1] = 1
+        for n in range(2, n_max + 1):
+            e[n] = e[n - 1] + sum(intr[g][n] for g in away)
+            it[n] = e[n] - sum(intr[g][n] for g in sub)
+        ext[f.id] = e
+        intr[f.id] = it
+    return ext, intr
+
+
+def pairwise_apex_conflict(lattice: FaceLattice, apex: dict[int, int]) -> tuple[int, int] | None:
+    """The first pair of face ids whose apexes differ and both lie in the
+    intersection of the two faces, or None (pointedness condition 2)."""
+    for f1, f2 in combinations(lattice.faces[1:], 2):
+        shared = f1.vertices & f2.vertices
+        v1, v2 = apex[f1.id], apex[f2.id]
+        if v1 in shared and v2 in shared and v1 != v2:
+            return f1.id, f2.id
+    return None

@@ -19,6 +19,12 @@ GOLDEN = {
         "8ee8669bca72c94e02a1ee3a6cced9e9c5d7607bf626fc28dd1248f2f3994821",
     "pipeline --input sphere2_6.json --summary":
         "3bc4cc5a99f3f67a3d90c020f9e540d1655d4d0dff3a13fb17ab0c294f4e3838",
+    "sequence --builtin cross:4 --method recursive --n 300":
+        "83f6d42fad46c76294a0bbdbb55b015a7088b0d19f9b39f8cf597998cfdf5a3b",
+    "sequence --builtin cross:4 --method recursive --n 300 --interior":
+        "ff937f4ae0147bc978f8e4d8fc9119614a4ee4c5d35b7fb2964fbe952dff3ca9",
+    "pipeline --builtin simplex:6 --builtin pyramid:simplex:5 --points 1 --summary":
+        "6e685b6a33113d867a116922d013e69fc25c4135b171e87e01fa5da3f0ff0e55",
 }
 
 

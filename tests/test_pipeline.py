@@ -1,10 +1,11 @@
-"""The claim pipeline runs each certificate once and reuses it."""
+"""The claim pipeline runs each certificate and the recursion once, and reuses them."""
 from collections import Counter
 
 import pytest
 
 import figurate.partitions as partitions
 import figurate.pipeline as pipeline
+import figurate.sequences as sequences
 import figurate.triangulation as triangulation
 from figurate.lattice import parse_builtin
 from figurate.pipeline import DEBUG, RELEASE, all_passed, run_pipeline
@@ -26,12 +27,14 @@ def test_each_certificate_is_computed_once(monkeypatch, profile):
     calls = Counter()
     _count(monkeypatch, calls, "verify_pointed", triangulation, pipeline)
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
+    _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
     records = run_pipeline(parse_builtin("cube:3"), n_max=5, points=3, profile=profile)
     assert all_passed(records)
-    assert calls == {"verify_pointed": 1, "verify_partition": 2 * 3}
+    assert calls == {"verify_pointed": 1, "verify_partition": 2 * 3, "face_number_sequences": 1}
 
 
 def test_partitions_carry_their_certificates(cube3):
     for part in cube3.exterior + cube3.interior:
         assert part.verified and part.certificate.ok
         assert not part.certificate.foreign
+

@@ -140,8 +140,7 @@ def test_interior_from_k_examples():
 def test_sequence_from_h_record():
     res = sequence_from_h("cube:3", (1, 4, 1, 0, 0), 3, 5)
     assert res.values == (0, 1, 8, 27, 64, 125)
-    assert res.decomposition.coeffs == (1, 4, 1, 0, 0)
-    assert res.decomposition.basis == "alpha_shifted"
+    assert (res.polytope, res.method, res.interior) == ("cube:3", "h", False)
 
 
 def test_closed_forms_match_recursion():

@@ -1,4 +1,7 @@
 """Pointed triangulation construction, verification, splits, stars and links."""
+import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +12,7 @@ from figurate.geometry import evaluate_functional
 from figurate.lattice import parse_builtin
 from figurate.partitions import f_vector
 from figurate.triangulation import (
+    ApexAssignment,
     GenericityError,
     PointedTriangulation,
     assign_apexes,
@@ -24,7 +28,7 @@ from figurate.triangulation import (
     triangulation_to_json,
     verify_pointed,
 )
-from oracles import affinely_independent
+from oracles import affinely_independent, pairwise_apex_conflict
 
 
 def test_generic_functional_on_cube_is_binary_weighting():
@@ -101,6 +105,60 @@ def test_simplex_triangulates_itself():
 def test_verify_pointed_passes_on_family(family):
     for b in family.values():
         assert verify_pointed(b.tri).ok, b.spec
+        assert pairwise_apex_conflict(b.lattice, b.apexes.apex) is None, b.spec
+
+
+def _with_apexes(tri, apex):
+    """The triangulation under another apex map, each face carrying only its
+    own vertex set: condition 1 holds for any apex inside its face, so
+    condition 2 decides whether verification passes the first two checks."""
+    per_face = {f.id: frozenset({f.vertices}) for f in tri.lattice.faces[1:]}
+    return replace(tri, apexes=ApexAssignment(tri.apexes.functional, apex), per_face=per_face)
+
+
+def _condition_2_detail_is_a_pairwise_violation(detail):
+    faces, apexes = detail.split(" share both apexes ")
+    f1, f2 = (frozenset(map(int, re.findall(r"\d+", part))) for part in faces.split("] and ["))
+    v1, v2 = map(int, apexes.split(", "))
+    return v1 != v2 and {v1, v2} <= f1 & f2
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle"])
+def test_condition_2_catches_corrupted_apexes_like_the_pairwise_check(family, spec):
+    b = family[spec]
+    faces = b.lattice.faces[1:]
+    rng = random.Random(spec)
+    verdicts = []
+    for trial in range(40):
+        # move the apexes of a few faces to other vertices of the same face
+        apex = dict(b.apexes.apex)
+        for f in rng.sample(faces, 1 + trial % 3):
+            apex[f.id] = rng.choice(sorted(f.vertices))
+        cert = verify_pointed(_with_apexes(b.tri, apex))
+        conflict = pairwise_apex_conflict(b.lattice, apex)
+        assert (cert.condition == 2) == (conflict is not None), (spec, apex)
+        if conflict is not None:
+            assert _condition_2_detail_is_a_pairwise_violation(cert.detail), cert.detail
+        verdicts.append(conflict is not None)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_condition_2_names_the_nested_pair(cube3):
+    # the cube takes its highest vertex as apex; the first edge through that
+    # vertex keeps its lower end as apex, and is reported with the cube
+    lattice = cube3.lattice
+    value = {v: evaluate_functional(cube3.apexes.functional, p) for v, p in enumerate(lattice.polytope.vertices)}
+    top = lattice.top
+    highest = max(top.vertices, key=value.get)
+    apex = dict(cube3.apexes.apex)
+    apex[top.id] = highest
+    edge = next(g for g in lattice.faces if g.dim == 1 and highest in g.vertices)
+    cert = verify_pointed(_with_apexes(cube3.tri, apex))
+    assert (cert.ok, cert.condition) == (False, 2)
+    assert cert.detail == (
+        f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
+    )
+    assert pairwise_apex_conflict(lattice, apex) is not None
 
 
 def test_construction_keeps_its_pointedness_certificate():
