@@ -39,7 +39,6 @@ from .triangulation import (
     build_pointed_triangulation,
     generic_functional,
     link,
-    maximal_simplices,
     split_boundary_interior,
     star,
     verify_pointed,

@@ -32,7 +32,6 @@ from .triangulation import (
     assign_apexes,
     build_pointed_triangulation,
     generic_functional,
-    is_pure,
     is_simplicial_complex,
     link,
     pseudomanifold_certificate,
@@ -84,7 +83,7 @@ def run_pipeline(
     )
 
     closed = is_simplicial_complex(tri.simplices)
-    pure = is_pure(tri.simplices, d)
+    pure = all(len(s) == d + 1 for s in tri.maximal)
     records.append(
         _record(
             "pure-simplicial-complex", name, params, closed and pure,

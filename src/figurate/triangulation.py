@@ -8,6 +8,13 @@ face, closed by the empty simplex. Chains are enumerated bottom-up over the
 lattice with one memoized simplex set per face, and duplicate simplices from
 different chains are merged by vertex set.
 
+Construction works on ``int`` vertex masks (bit i for vertex i): a chain
+grows by ``s | 1 << apex``, and each face's complex is a union of mask sets.
+Every distinct mask becomes one ``frozenset`` once, and all per-face
+complexes share those objects. Pointedness condition 1 needs one lookup per
+simplex missing the apex, s | {apex}, and runs the full maximality test only
+where that lookup fails.
+
 Complexes throughout the package are plain sets of ``frozenset[int]`` vertex
 index sets, with ``frozenset()`` standing for the empty simplex.
 """
@@ -162,25 +169,30 @@ def build_pointed_triangulation(
     conditions are checked after construction and a violation raises; the
     passing certificate is kept as ``pointed``.
     """
-    chain: dict[int, set[Simplex]] = {}
+    mask = {f.id: sum(1 << v for v in f.vertices) for f in lattice.faces[1:]}
+    chain: dict[int, set[int]] = {}
     for f in lattice.faces[1:]:
-        v = apexes.apex[f.id]
-        grown: set[Simplex] = {frozenset({v})}
+        bit = 1 << apexes.apex[f.id]
+        grown = {bit}
         for gid in lattice.subface_ids(f.id):
-            if v in lattice.faces[gid].vertices:
-                continue
-            for s in chain[gid]:
-                grown.add(s | {v})
+            if not mask[gid] & bit:
+                grown.update(map(bit.__or__, chain[gid]))
         chain[f.id] = grown
-    per_face: dict[int, Complex] = {}
+    complexes: dict[int, set[int]] = {}
     for f in lattice.faces[1:]:
-        acc: set[Simplex] = {frozenset()}
-        acc |= chain[f.id]
-        for gid in lattice.subface_ids(f.id):
-            acc |= chain[gid]
-        per_face[f.id] = frozenset(acc)
+        acc = {0}
+        acc.update(chain[f.id], *map(chain.__getitem__, lattice.subface_ids(f.id)))
+        complexes[f.id] = acc
+    simplex_of = _SimplexOf({0: frozenset()})  # shared by every complex holding a simplex
+    per_face: dict[int, Complex] = {
+        fid: frozenset(map(simplex_of.__getitem__, ms)) for fid, ms in complexes.items()
+    }
+    top_masks = complexes[lattice.top.id]
+    # a simplex is maximal when it is no facet of another simplex of the
+    # complex; the empty simplex is a facet of the top face's apex
+    facets = {m ^ (1 << v) for m in top_masks for v in simplex_of[m]}
     top = per_face[lattice.top.id]
-    maximal = tuple(sorted(maximal_simplices(top), key=_simplex_key))
+    maximal = tuple(sorted(map(simplex_of.__getitem__, top_masks - facets), key=_simplex_key))
     tri = PointedTriangulation(lattice, apexes, top, per_face, maximal)
     if not verify:
         return tri
@@ -213,14 +225,15 @@ def _simplex_key(s: Simplex):
     return (len(s), tuple(sorted(s)))
 
 
-def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:
-    """Simplices with no proper superset in the complex (the empty simplex never counts)."""
-    members = set(complex_)
-    pool = set().union(*members) if members else set()
-    return [
-        s for s in members
-        if s and not any((s | {v}) in members for v in pool - s)
-    ]
+class _SimplexOf(dict):
+    """Vertex mask -> its simplex, each built once: the simplex of the mask
+    less its lowest bit, plus that bit's vertex."""
+
+    def __missing__(self, mask: int) -> Simplex:
+        rest = mask & (mask - 1)
+        s = self[rest] | {(mask ^ rest).bit_length() - 1}
+        self[mask] = s
+        return s
 
 
 def is_simplicial_complex(complex_: Complex | set[Simplex], exhaustive: bool = False) -> bool:
@@ -241,10 +254,6 @@ def is_simplicial_complex(complex_: Complex | set[Simplex], exhaustive: bool = F
     return True
 
 
-def is_pure(complex_: Complex | set[Simplex], dim: int) -> bool:
-    return all(len(s) == dim + 1 for s in maximal_simplices(complex_))
-
-
 def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
     """Check the three pointedness conditions; reports the first violation.
 
@@ -254,6 +263,13 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
        faces, they coincide.
     3. For each face F, every edge from the apex of F to another vertex of F
        belongs to F's triangulation.
+
+    Condition 1 needs the maximality test only for a simplex s missing the
+    apex v whose extension s | {v} is not in the complex: when it is, s is
+    not maximal. On a pointed triangulation every simplex missing v lies in a
+    maximal simplex holding v, so that lookup settles every simplex. Of the
+    violating simplices of the first violating face, the smallest by (size,
+    sorted vertices) is reported.
 
     Condition 2 is checked only on nested pairs: each proper subface G of F
     that contains apex(F) must have apex(G) = apex(F). That is the pairwise
@@ -268,11 +284,17 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
     for f in lattice.faces[1:]:
         cf = tri.per_face[f.id]
         v = apex[f.id]
-        for s in maximal_simplices(cf):
-            if v not in s:
-                return PointedCertificate(
-                    False, 1, f"maximal simplex {sorted(s)} of face {sorted(f.vertices)} misses apex {v}"
-                )
+        with_v = frozenset((v,))
+        unsure = [s for s in cf if s and v not in s and s | with_v not in cf]
+        if not unsure:
+            continue
+        pool = frozenset().union(*cf)
+        missed = [s for s in unsure if not any(s | {w} in cf for w in pool - s)]
+        if missed:
+            s = min(missed, key=_simplex_key)
+            return PointedCertificate(
+                False, 1, f"maximal simplex {sorted(s)} of face {sorted(f.vertices)} misses apex {v}"
+            )
     for f in lattice.faces[1:]:
         v = apex[f.id]
         for gid in lattice.subface_ids(f.id):

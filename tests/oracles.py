@@ -16,6 +16,13 @@ every face evaluated term by term, one n at a time, the reference for the
 column sums in ``figurate.sequences``. ``pairwise_apex_conflict`` checks
 pointedness condition 2 over every pair of faces, the reference for the check
 over face-subface pairs in ``verify_pointed``.
+
+``reference_pointed_complexes`` builds the chains and the per-face complexes
+of a pointed triangulation by ``frozenset`` unions, the reference for the
+construction on vertex masks in ``build_pointed_triangulation``.
+``maximal_simplices`` scans every simplex against every vertex of the
+complex; ``reference_condition_1`` runs it on the complex of every face, the
+reference for the one-lookup check of pointedness condition 1.
 """
 from __future__ import annotations
 
@@ -35,7 +42,7 @@ from figurate.geometry import (
 )
 from figurate.lattice import FaceLattice
 from figurate.partitions import GenericPoint
-from figurate.triangulation import ApexAssignment, PointedTriangulation
+from figurate.triangulation import ApexAssignment, Complex, PointedTriangulation, Simplex
 
 
 def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -252,4 +259,58 @@ def pairwise_apex_conflict(lattice: FaceLattice, apex: dict[int, int]) -> tuple[
         v1, v2 = apex[f1.id], apex[f2.id]
         if v1 in shared and v2 in shared and v1 != v2:
             return f1.id, f2.id
+    return None
+
+
+def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:
+    """Simplices with no proper superset in the complex (the empty simplex never counts)."""
+    members = set(complex_)
+    pool = set().union(*members) if members else set()
+    return [
+        s for s in members
+        if s and not any((s | {v}) in members for v in pool - s)
+    ]
+
+
+def is_pure(complex_: Complex | set[Simplex], dim: int) -> bool:
+    return all(len(s) == dim + 1 for s in maximal_simplices(complex_))
+
+
+def _simplex_key(s: Simplex):
+    return (len(s), tuple(sorted(s)))
+
+
+def reference_pointed_complexes(
+    lattice: FaceLattice, apexes: ApexAssignment
+) -> tuple[dict[int, Complex], Complex, tuple[Simplex, ...]]:
+    """(per-face complexes, the polytope's complex, its sorted maximal simplices)."""
+    chain: dict[int, set[Simplex]] = {}
+    for f in lattice.faces[1:]:
+        v = apexes.apex[f.id]
+        grown: set[Simplex] = {frozenset({v})}
+        for gid in lattice.subface_ids(f.id):
+            if v in lattice.faces[gid].vertices:
+                continue
+            for s in chain[gid]:
+                grown.add(s | {v})
+        chain[f.id] = grown
+    per_face: dict[int, Complex] = {}
+    for f in lattice.faces[1:]:
+        acc: set[Simplex] = {frozenset()}
+        acc |= chain[f.id]
+        for gid in lattice.subface_ids(f.id):
+            acc |= chain[gid]
+        per_face[f.id] = frozenset(acc)
+    top = per_face[lattice.top.id]
+    return per_face, top, tuple(sorted(maximal_simplices(top), key=_simplex_key))
+
+
+def reference_condition_1(tri: PointedTriangulation) -> tuple[int, list[Simplex]] | None:
+    """The first face, in face order, with maximal simplices missing its apex,
+    and those simplices sorted by (size, sorted vertices); or None."""
+    for f in tri.lattice.faces[1:]:
+        v = tri.apexes.apex[f.id]
+        missed = [s for s in maximal_simplices(tri.per_face[f.id]) if v not in s]
+        if missed:
+            return f.id, sorted(missed, key=_simplex_key)
     return None

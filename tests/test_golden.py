@@ -1,7 +1,8 @@
 """Golden reports: the exact bytes of CLI reports, pinned by sha256.
 
 ``sphere2_6.json`` gives six rational points on S^2 by coordinates only, so
-its report comes through the hull search. Any change to claims, witnesses,
+its report comes through the hull search. cube:4 and bipyramid:cross:3 are
+4-polytopes with 24 and 8 maximal simplices. Any change to claims, witnesses,
 generic points or sequence values changes these digests. Update them only for
 a deliberate change of the report.
 """
@@ -25,6 +26,8 @@ GOLDEN = {
         "ff937f4ae0147bc978f8e4d8fc9119614a4ee4c5d35b7fb2964fbe952dff3ca9",
     "pipeline --builtin simplex:6 --builtin pyramid:simplex:5 --points 1 --summary":
         "6e685b6a33113d867a116922d013e69fc25c4135b171e87e01fa5da3f0ff0e55",
+    "pipeline --builtin cube:4 --builtin bipyramid:cross:3 --points 1 --summary":
+        "f5dcc36f09fda706ef4d90a68d2e6e67f466a5e960c3dcfdc7af89630fdd953b",
 }
 
 

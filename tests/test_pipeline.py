@@ -1,4 +1,8 @@
-"""The claim pipeline runs each certificate and the recursion once, and reuses them."""
+"""The claim pipeline runs each certificate and the recursion once, and reuses them.
+
+The maximal simplices come from construction: no scan of the complex for
+them runs in the pipeline.
+"""
 from collections import Counter
 
 import pytest
@@ -9,6 +13,7 @@ import figurate.sequences as sequences
 import figurate.triangulation as triangulation
 from figurate.lattice import parse_builtin
 from figurate.pipeline import DEBUG, RELEASE, all_passed, run_pipeline
+import oracles
 
 
 def _count(monkeypatch, calls, name, *modules):
@@ -28,9 +33,11 @@ def test_each_certificate_is_computed_once(monkeypatch, profile):
     _count(monkeypatch, calls, "verify_pointed", triangulation, pipeline)
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
     _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
+    _count(monkeypatch, calls, "maximal_simplices", oracles, triangulation, pipeline)
     records = run_pipeline(parse_builtin("cube:3"), n_max=5, points=3, profile=profile)
     assert all_passed(records)
     assert calls == {"verify_pointed": 1, "verify_partition": 2 * 3, "face_number_sequences": 1}
+    assert calls["maximal_simplices"] == 0
 
 
 def test_partitions_carry_their_certificates(cube3):

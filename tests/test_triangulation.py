@@ -18,17 +18,15 @@ from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
     generic_functional,
-    is_pure,
     is_simplicial_complex,
     link,
-    maximal_simplices,
     pseudomanifold_certificate,
     split_boundary_interior,
     star,
     triangulation_to_json,
     verify_pointed,
 )
-from oracles import affinely_independent, pairwise_apex_conflict
+from oracles import affinely_independent, is_pure, maximal_simplices, pairwise_apex_conflict
 
 
 def test_generic_functional_on_cube_is_binary_weighting():
