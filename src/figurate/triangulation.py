@@ -9,9 +9,10 @@ lattice with one memoized simplex set per face, and duplicate simplices from
 different chains are merged by vertex set.
 
 Construction works on ``int`` vertex masks (bit i for vertex i): a chain
-grows by ``s | 1 << apex``, and each face's complex is a union of mask sets.
-Every distinct mask becomes one ``frozenset`` once, and all per-face
-complexes share those objects. Pointedness condition 1 needs one lookup per
+grows by ``s | 1 << apex``, and each face's complex is its own chains united
+with the complexes of its covers (its maximal proper subfaces). Every
+distinct mask becomes one ``frozenset`` once, and all per-face complexes
+share those objects. Pointedness condition 1 needs one lookup per
 simplex missing the apex, s | {apex}, and runs the full maximality test only
 where that lookup fails.
 
@@ -178,14 +179,14 @@ def build_pointed_triangulation(
             if not mask[gid] & bit:
                 grown.update(map(bit.__or__, chain[gid]))
         chain[f.id] = grown
-    complexes: dict[int, set[int]] = {}
+    # every proper subface lies in a cover, so the covers' complexes hold
+    # every chain below the face
+    complexes: dict[int, set[int]] = {lattice.empty.id: {0}}
     for f in lattice.faces[1:]:
-        acc = {0}
-        acc.update(chain[f.id], *map(chain.__getitem__, lattice.subface_ids(f.id)))
-        complexes[f.id] = acc
+        complexes[f.id] = chain[f.id].union(*map(complexes.__getitem__, lattice.cover_ids(f.id)))
     simplex_of = _SimplexOf({0: frozenset()})  # shared by every complex holding a simplex
     per_face: dict[int, Complex] = {
-        fid: frozenset(map(simplex_of.__getitem__, ms)) for fid, ms in complexes.items()
+        f.id: frozenset(map(simplex_of.__getitem__, complexes[f.id])) for f in lattice.faces[1:]
     }
     top_masks = complexes[lattice.top.id]
     # a simplex is maximal when it is no facet of another simplex of the

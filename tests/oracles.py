@@ -23,6 +23,12 @@ construction on vertex masks in ``build_pointed_triangulation``.
 ``maximal_simplices`` scans every simplex against every vertex of the
 complex; ``reference_condition_1`` runs it on the complex of every face, the
 reference for the one-lookup check of pointedness condition 1.
+
+``reference_face_lattice`` is the original lattice construction: pairwise
+intersection closure of ``frozenset`` vertex sets, one rank per face for its
+dimension, and a pairwise scan for subfaces and maximal proper subfaces. It
+is the reference for the closure on masks, the grading and the covers of
+``FaceLattice``, and it builds a lattice from any sets, face lattice or not.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ from figurate.geometry import (
     vdot,
     vsub,
 )
-from figurate.lattice import FaceLattice
+from figurate.lattice import Face, FaceLattice, Polytope
 from figurate.partitions import GenericPoint
 from figurate.triangulation import ApexAssignment, Complex, PointedTriangulation, Simplex
 
@@ -314,3 +320,52 @@ def reference_condition_1(tri: PointedTriangulation) -> tuple[int, list[Simplex]
         if missed:
             return f.id, sorted(missed, key=_simplex_key)
     return None
+
+
+def _close_under_intersection(sets: set[frozenset[int]]) -> set[frozenset[int]]:
+    closed = set(sets)
+    queue = list(closed)
+    while queue:
+        s = queue.pop()
+        for t in list(closed):
+            u = s & t
+            if u and u not in closed:
+                closed.add(u)
+                queue.append(u)
+    return closed
+
+
+class _ReferenceLattice(FaceLattice):
+    def __init__(self, polytope: Polytope, face_sets):
+        self.polytope = polytope
+        self.dim = polytope.dim
+        sets = _close_under_intersection({frozenset(s) for s in face_sets})
+        sets.add(frozenset(range(len(polytope.vertices))))
+        sets.discard(frozenset())
+        hv = [(Fraction(1),) + tuple(v) for v in polytope.vertices]
+        dims = {s: reference_rank([hv[i] for i in s]) - 1 for s in sets}
+        ordered = sorted(sets, key=lambda s: (dims[s], tuple(sorted(s))))
+        faces = [Face(0, frozenset(), -1)]
+        faces += [Face(i + 1, s, dims[s]) for i, s in enumerate(ordered)]
+        self.faces = tuple(faces)
+        self._id_by_vertices = {f.vertices: f.id for f in self.faces}
+        by_dim: dict[int, list[int]] = {}
+        for f in self.faces:
+            by_dim.setdefault(f.dim, []).append(f.id)
+        self.by_dim = {d: tuple(ids) for d, ids in by_dim.items()}
+        self._subfaces = tuple(
+            tuple(g.id for g in self.faces if g.vertices < f.vertices) for f in self.faces
+        )
+        below = [set(ids) for ids in self._subfaces]
+        covers = []
+        for ids in self._subfaces:
+            under = set().union(*(below[h] for h in ids))  # subfaces of subfaces
+            covers.append(tuple(g for g in ids if g not in under))
+        self._covers = tuple(covers)
+
+
+def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
+    """The lattice of the intersection closure of ``face_sets``, the polytope
+    and the empty face, with dimensions from ranks and subfaces and covers
+    (maximal proper subfaces) from pairwise scans."""
+    return _ReferenceLattice(polytope, face_sets)

@@ -141,21 +141,39 @@ def test_argparse_usage_exits_2():
     assert exc.value.code == 2
 
 
+_SQUARE = [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+
+
+def _square_with_faces(tmp_path, name, faces):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "vertices": _SQUARE, "faces": faces}))
+    return str(path)
+
+
 def test_wrong_faces_square_exit_codes(tmp_path, capsys):
-    path = tmp_path / "sqdiag.json"
-    path.write_text(json.dumps({
-        "name": "sqdiag",
-        "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
-        "faces": [[0, 3], [1, 2]],
-    }))
-    code, out, err = run(capsys, "pipeline", "--input", str(path))
+    # the diagonals as faces, and a triangle as a face: rejected at load
+    # under both profiles, naming the face
+    wrong = {
+        "sqdiag": ([[0, 3], [1, 2]], "face [0, 3] has dimension 1, but the faces inside it grade it as 0"),
+        "sqtri": ([[0, 1, 3]], "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0"),
+    }
+    for name, (faces, detail) in wrong.items():
+        path = _square_with_faces(tmp_path, name, faces)
+        for profile in ("debug", "release"):
+            code, out, err = run(capsys, "pipeline", "--input", path, "--profile", profile)
+            assert code == 2 and out == ""
+            assert err == f"figurate: error: faces of {name!r} are not a face lattice: {detail}\n"
+
+
+def test_face_index_out_of_range_exits_2(tmp_path, capsys):
+    path = _square_with_faces(tmp_path, "sqbig", [[0, 1], [1, 5]])
+    code, out, err = run(capsys, "pipeline", "--input", path)
     assert code == 2 and out == ""
-    assert err == (
-        "figurate: error: construction violated pointedness condition 3: "
-        "edge [0, 3] missing from triangulation of face [0, 3]\n"
-    )
-    code, out, _ = run(capsys, "pipeline", "--input", str(path), "--profile", "release")
-    assert code == 1
-    (record,) = [json.loads(line) for line in out.splitlines()]
-    assert record["claim"] == "pipeline-stage"
-    assert record["counterexample"] == {"error": "could not find a generic point"}
+    assert err == "figurate: error: face [1, 5] of 'sqbig' must list vertex indices in [0, 3]\n"
+
+
+def test_negative_face_index_exits_2(tmp_path, capsys):
+    path = _square_with_faces(tmp_path, "sqneg", [[0, -1]])
+    code, out, err = run(capsys, "pipeline", "--input", path)
+    assert code == 2 and out == ""
+    assert err == "figurate: error: face [0, -1] of 'sqneg' must list vertex indices in [0, 3]\n"

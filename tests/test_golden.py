@@ -2,9 +2,11 @@
 
 ``sphere2_6.json`` gives six rational points on S^2 by coordinates only, so
 its report comes through the hull search. cube:4 and bipyramid:cross:3 are
-4-polytopes with 24 and 8 maximal simplices. Any change to claims, witnesses,
-generic points or sequence values changes these digests. Update them only for
-a deliberate change of the report.
+4-polytopes with 24 and 8 maximal simplices. cube:5 + cross:5 and simplex:9 +
+pyramid:simplex:8 are the ``verify-dense`` and ``verify-highdim`` benchmark
+invocations, and ``gen cross 5`` pins the face order of ``polytope_to_json``.
+Any change to claims, witnesses, generic points, sequence values or face order
+changes these digests. Update them only for a deliberate change of the report.
 """
 import hashlib
 from pathlib import Path
@@ -28,6 +30,12 @@ GOLDEN = {
         "6e685b6a33113d867a116922d013e69fc25c4135b171e87e01fa5da3f0ff0e55",
     "pipeline --builtin cube:4 --builtin bipyramid:cross:3 --points 1 --summary":
         "f5dcc36f09fda706ef4d90a68d2e6e67f466a5e960c3dcfdc7af89630fdd953b",
+    "pipeline --builtin cube:5 --builtin cross:5 --summary":
+        "80fc8bbfcd186f50e5574ff664107c2fd7b9aba4fc827355afd583a2bfb557d7",
+    "pipeline --builtin simplex:9 --builtin pyramid:simplex:8 --points 1 --summary":
+        "e3f7d1afbe558b093b30fbaafaa45f94fa61af1a5d6cb360a8a63f5e6733455c",
+    "gen cross 5":
+        "f8dcde399c6cd4d4e963dedd89851e8f8c913a9b0927f0dc480852e498a3ae5f",
 }
 
 

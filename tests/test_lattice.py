@@ -157,3 +157,9 @@ def test_invalid_inputs_rejected():
         polytope_from_vertices("empty", [])
     with pytest.raises(ValueError):
         polytope_from_json({"name": "nothing"})
+    with pytest.raises(ValueError, match="'faces' must be a list"):
+        polytope_from_json({"vertices": [[0], [1]], "faces": 5})
+    with pytest.raises(GeometryError, match="must list vertex indices"):
+        polytope_from_json({"vertices": [[0], [1]], "faces": [[0, "1"]]})
+    with pytest.raises(GeometryError, match="must list vertex indices"):
+        polytope_from_json({"vertices": [[0], [1]], "faces": [0]})

@@ -2,8 +2,9 @@
 
 ``build_pointed_triangulation`` must give the per-face complexes, the
 polytope's complex and its maximal simplices of the frozenset construction in
-``oracles.py`` on every builtin of dimension at most 5, on a polytope given
-only by rational coordinates, and on lattices from wrong ``faces``.
+``oracles.py`` on every builtin of dimension at most 5 and on a polytope
+given only by rational coordinates. Wrong ``faces`` are rejected when the
+lattice is built, with a message that names the face.
 ``verify_pointed`` must give the verdict of the maximal-simplex scan of
 condition 1 on corrupted per-face complexes, and name the smallest violating
 simplex.
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from figurate.geometry import point
+from figurate.geometry import GeometryError, point
 from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polytope_from_json
 from figurate.triangulation import (
     ApexAssignment,
@@ -30,23 +31,34 @@ from test_recursion import BUILTINS
 
 _SQUARE = tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)])
 WRONG_FACES = {
-    # the diagonals as faces
-    "sqdiag": [frozenset({0, 3}), frozenset({1, 2})],
-    # a triangle as a face: it sorts after the square, so the last face is
-    # not the whole polytope and holds only some of the simplices
-    "sqtri": [frozenset({0, 1, 3})],
+    # the diagonals as faces: each grades as a vertex, but spans a line
+    "sqdiag": (
+        [frozenset({0, 3}), frozenset({1, 2})],
+        "face [0, 3] has dimension 1, but the faces inside it grade it as 0",
+    ),
+    # a triangle as a face: it grades as a vertex, but spans the square's plane
+    "sqtri": (
+        [frozenset({0, 1, 3})],
+        "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0",
+    ),
 }
 
 
 def _lattice(spec):
     if spec == "sphere2_6.json":
         return polytope_from_json(json.loads((Path(__file__).parent / spec).read_text()))
-    if spec in WRONG_FACES:
-        return build_face_lattice(Polytope(spec, _SQUARE, 2), WRONG_FACES[spec])
     return parse_builtin(spec)
 
 
-@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + sorted(WRONG_FACES))
+@pytest.mark.parametrize("spec", sorted(WRONG_FACES))
+def test_wrong_faces_are_rejected(spec):
+    faces, detail = WRONG_FACES[spec]
+    with pytest.raises(GeometryError) as caught:
+        build_face_lattice(Polytope(spec, _SQUARE, 2), faces)
+    assert str(caught.value) == f"faces of {spec!r} are not a face lattice: {detail}"
+
+
+@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"])
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, generic_functional(lattice))

@@ -9,7 +9,7 @@ import pytest
 
 import figurate.triangulation as triangulation
 from figurate.geometry import GeometryError, barycenter, point
-from figurate.lattice import Polytope, build_face_lattice, parse_builtin
+from figurate.lattice import Polytope, parse_builtin
 from figurate.partitions import (
     exterior_partition,
     generic_point,
@@ -23,7 +23,7 @@ from figurate.triangulation import (
     generic_functional,
     split_boundary_interior,
 )
-from oracles import AT_OR_AFTER_Y, full_scan_generic_point, segment_first_hit
+from oracles import AT_OR_AFTER_Y, full_scan_generic_point, reference_face_lattice, segment_first_hit
 
 SMALL_FAMILY = (
     ["simplex:%d" % d for d in range(1, 5)]
@@ -103,8 +103,10 @@ def test_table_sides_and_planes(cube3):
 
 
 def _square_with_diagonal_faces():
+    # rejected at load, so it comes from the reference construction, which
+    # takes any sets
     square = Polytope("sqdiag", tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)]), 2)
-    return build_face_lattice(square, [frozenset({0, 3}), frozenset({1, 2})])
+    return reference_face_lattice(square, [frozenset({0, 3}), frozenset({1, 2})])
 
 
 def test_non_pure_complex_falls_back_to_full_scan():
