@@ -7,11 +7,19 @@ face is an intersection of facets, so the lattice is built from the facets'
 vertex sets alone (V. Kaibel, M. E. Pfetsch, "Computing the face lattice of a
 polytope from its vertex-facet incidences", Comput. Geom. 23, 2002): closure
 under intersection on ``int`` masks, dimensions from the grading, and
-subfaces and covers from each face's intersections with the facets.
+subfaces and covers from each face's intersections with the facets. Subfaces,
+covers and the faces holding each vertex are kept as face-id masks, so the
+triangulation grows its chains over covers, checks pointedness condition 2
+with one mask test per face, and the recursion splits each face's subfaces
+by apex with one AND.
 
 The builtin families (simplex, cube, cross, pyramid, prism, bipyramid) list
 their facets combinatorially. Supplied ``faces`` generate the lattice the
-same way, and each face's grading is checked against its affine rank.
+same way, and are checked to be a face lattice when loaded: each face's
+grading against its affine rank, each facet against a supporting hyperplane,
+each ridge against its two facets, each generator against the facets
+containing it, each vertex as a 0-face, and every interval of length two
+against its two middle faces.
 Coordinate inputs go through brute-force supporting-hyperplane enumeration
 over integer homogeneous coordinates: C(n, d) candidate planes, each tested
 against all n vertices. It is exact, and takes under a second for 40 points
@@ -20,10 +28,11 @@ in dimension 3, 24 in dimension 4 or 16 in dimension 5 on one core of a
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, compress, product
+from typing import Iterable, Sequence, TypeVar
 
 from .geometry import (
     GeometryError,
@@ -41,6 +50,9 @@ from .geometry import (
     solve_linear,
     vsub,
 )
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class Polytope:
@@ -84,10 +96,13 @@ class FaceLattice:
       position in that order, so face ids are deterministic. Id 0 is always
       the empty face and the last id is the full vertex set, since a child
       has a smaller dimension than its face.
-    - Subfaces are face-id masks OR-ed bottom up over the children. The
-      covers of a face are its maximal proper subfaces: the children under
-      no other child, which on a face lattice are the children one
-      dimension down.
+    - ``below[i]`` is the face-id mask (bit j for face j) of the proper
+      subfaces of face i, the empty face included, OR-ed bottom up over the
+      children. ``covers[i]`` masks its maximal proper subfaces: the children
+      under no other child, which on a face lattice are the children one
+      dimension down. ``with_vertex[v]`` masks the faces that hold vertex v.
+      Consumers AND these masks and read out only the ids they need
+      (``pick``); ``subface_ids`` and ``cover_ids`` are such readouts.
     """
 
     def __init__(self, polytope: Polytope, generators: Iterable[int]):
@@ -109,7 +124,7 @@ class FaceLattice:
         dims = {0: -1}
         for f in sorted(children, key=int.bit_count)[1:]:
             dims[f] = 1 + max(map(dims.__getitem__, children[f]))
-        verts = {f: _bits(f, range(len(polytope.vertices))) for f in children}
+        verts = {f: pick(f, range(len(polytope.vertices))) for f in children}
         order = sorted(children, key=lambda f: (dims[f], verts[f]))
         ids = tuple(range(len(order)))
         self.faces: tuple[Face, ...] = tuple(
@@ -121,18 +136,21 @@ class FaceLattice:
             by_dim.setdefault(f.dim, []).append(f.id)
         self.by_dim = {d: tuple(ids) for d, ids in by_dim.items()}
         id_of = dict(zip(order, ids))
-        below = [0] * len(order)  # proper subfaces of each face, as a face-id mask
-        subfaces, covers = [], []
-        for i, f in enumerate(order):
+        below, covers = [], []
+        for f in order:
             kids = under = 0
             for k in map(id_of.__getitem__, children[f]):
                 kids |= 1 << k
                 under |= below[k]
-            below[i] = kids | under
-            subfaces.append(_bits(below[i], ids))
-            covers.append(_bits(kids & ~under, ids))
-        self._subfaces = tuple(subfaces)
-        self._covers = tuple(covers)
+            below.append(kids | under)
+            covers.append(kids & ~under)
+        self.below: tuple[int, ...] = tuple(below)
+        self.covers: tuple[int, ...] = tuple(covers)
+        with_vertex = [0] * len(polytope.vertices)
+        for i, f in enumerate(order):
+            for v in verts[f]:
+                with_vertex[v] |= 1 << i
+        self.with_vertex: tuple[int, ...] = tuple(with_vertex)
 
     @property
     def empty(self) -> Face:
@@ -145,26 +163,17 @@ class FaceLattice:
     def face_id(self, vertices: frozenset[int]) -> int:
         return self._id_by_vertices[frozenset(vertices)]
 
-    def is_face(self, vertices: frozenset[int]) -> bool:
-        return frozenset(vertices) in self._id_by_vertices
-
     def subface_ids(self, fid: int, include_empty: bool = False) -> tuple[int, ...]:
-        """Ids of the proper subfaces of face ``fid`` (excluding ``fid`` itself)."""
-        ids = self._subfaces[fid]
-        return ids if include_empty else ids[1:]
+        """Ids of the proper subfaces of face ``fid`` (excluding ``fid`` itself),
+        read out of ``below``."""
+        return pick(self.below[fid] if include_empty else self.below[fid] & ~1, range(len(self)))
 
     def cover_ids(self, fid: int) -> tuple[int, ...]:
         """Ids of the maximal proper subfaces of face ``fid``; (0,) for a vertex."""
-        return self._covers[fid]
-
-    def faces_of_dim(self, d: int) -> tuple[Face, ...]:
-        return tuple(self.faces[i] for i in self.by_dim.get(d, ()))
+        return pick(self.covers[fid], range(len(self)))
 
     def facet_ids(self) -> tuple[int, ...]:
         return self.by_dim.get(self.dim - 1, ())
-
-    def proper_face_vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(f.vertices for f in self.faces[:-1])
 
     def face_counts(self) -> dict[int, int]:
         return {d: len(ids) for d, ids in self.by_dim.items()}
@@ -173,19 +182,12 @@ class FaceLattice:
         return len(self.faces)
 
 
-def _bits(mask: int, names: Sequence[int]) -> tuple[int, ...]:
-    """``names[i]`` for each set bit i of ``mask``, ascending.
+def pick(mask: int, items: Sequence[T]) -> tuple[T, ...]:
+    """``items[i]`` for each set bit i of ``mask``, ascending."""
+    return tuple(compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
-    Taking the ints from ``names`` shares one object per id among all the
-    tuples, where each new int would take 28 bytes.
-    """
-    digits = bin(mask)[:1:-1]  # bit i at position i
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(names[i])
-        i = digits.find("1", i + 1)
-    return tuple(out)
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit string as 0/1 selectors
 
 
 def _mask(vertices) -> int:
@@ -258,23 +260,16 @@ def build_face_lattice(
 
     When ``face_sets`` is given (maximal faces per dimension, or the full
     list), hyperplane enumeration is skipped and the given sets generate the
-    lattice. Each must list vertex indices, and each face of the closure must
-    have the affine dimension its grading gives it; otherwise the sets are
-    not a face lattice, and a GeometryError names the face. Without
-    ``face_sets``, the enumerated facets generate the lattice, and every
-    vertex is checked to be extremal (its active facet normals must span the
-    full dimension).
+    lattice. Each must list vertex indices, and their closure must pass
+    ``_check_face_lattice``; otherwise a GeometryError names the bad face or
+    vertex. Without ``face_sets``, the enumerated facets generate the lattice,
+    and every vertex is checked to be extremal (its active facet normals must
+    span the full dimension).
     """
     if face_sets is not None:
-        lattice = FaceLattice(p, [_face_mask(p, face) for face in face_sets])
-        hv = [homogenize(v) for v in p.vertices]
-        for f in lattice.faces[1:]:
-            rank = integer_rank([hv[i] for i in f.vertices])
-            if rank - 1 != f.dim:
-                raise GeometryError(
-                    f"faces of {p.name!r} are not a face lattice: face {sorted(f.vertices)} has "
-                    f"dimension {rank - 1}, but the faces inside it grade it as {f.dim}"
-                )
+        generators = [_face_mask(p, face) for face in face_sets]
+        lattice = FaceLattice(p, generators)
+        _check_face_lattice(lattice, generators)
         return lattice
     facets = enumerate_facets(p)
     d = p.dim
@@ -284,6 +279,81 @@ def build_face_lattice(
             if matrix_rank(active) != d:
                 raise GeometryError(f"vertex {i} of {p.name!r} is not extremal")
     return FaceLattice(p, [_mask(vs) for _, vs in facets])
+
+
+def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
+    """Raise GeometryError unless the closure of ``generators`` is the
+    polytope's face lattice.
+
+    In this order: every face spans the affine dimension its grading gives
+    it; every facet has a hyperplane through its vertices with all vertices
+    weakly on one side, holding exactly that facet; every ridge lies in
+    exactly two facets; every generator is the intersection of the facets
+    containing it; every vertex is a 0-face; and between any two faces two
+    dimensions apart below the polytope lie exactly two faces.
+
+    Then every face is a face of the polytope, and every face of the
+    polytope is in the lattice: by induction on dimension, each facet's
+    faces are all there, so each ridge is, and the two facets through it
+    are; the facets are connected through ridges. The ridge check alone
+    misses a facet whose neighbours pin its vertices: the octahedron without
+    one facet passes it. On the full face lattice each face's subfaces
+    missing a vertex lie in its covers missing that vertex.
+    """
+    p = lattice.polytope
+
+    def fail(detail: str):
+        raise GeometryError(f"faces of {p.name!r} are not a face lattice: {detail}")
+
+    hv = [homogenize(v) for v in p.vertices]
+    for f in lattice.faces[1:]:
+        rank = integer_rank([hv[i] for i in f.vertices])
+        if rank - 1 != f.dim:
+            fail(f"face {sorted(f.vertices)} has dimension {rank - 1}, but the faces inside it grade it as {f.dim}")
+    if p.dim == 0:
+        return
+    facets = [lattice.faces[i].vertices for i in lattice.facet_ids()]
+    for facet in facets:
+        plane = integer_plane_through([hv[i] for i in sorted(facet)])  # the facet spans dim - 1
+        sides = [integer_side(plane, h) for h in hv]
+        if min(sides) < 0 < max(sides):
+            fail(f"facet {sorted(facet)} has vertices on both sides of its hyperplane")
+        held = {i for i, side in enumerate(sides) if side == 0}
+        if held != facet:
+            fail(f"the hyperplane of facet {sorted(facet)} also holds vertex {min(held - facet)}")
+    in_facets = [0] * len(lattice)
+    for fid in lattice.facet_ids():
+        for rid in lattice.cover_ids(fid):
+            in_facets[rid] += 1
+    for rid in lattice.by_dim.get(p.dim - 2, ()):
+        if in_facets[rid] != 2:
+            fail(f"ridge {sorted(lattice.faces[rid].vertices)} lies in {in_facets[rid]} facets, expected 2")
+    facet_masks = [_mask(facet) for facet in facets]
+    for g in generators:
+        meet = (1 << len(p.vertices)) - 1
+        for m in facet_masks:
+            if not g & ~m:
+                meet &= m
+        if meet != g:
+            fail(f"face {list(pick(g, range(len(p.vertices))))} is not the intersection of the facets containing it")
+    vertex_faces = {lattice.faces[i].vertices for i in lattice.by_dim[0]}
+    for v in range(len(p.vertices)):
+        if frozenset((v,)) not in vertex_faces:
+            fail(f"vertex {v} is not a 0-face")
+    # below the polytope, as the ridges do above: two faces between faces two dimensions apart
+    ids = range(len(lattice))
+    of_dim = {d: sum(1 << i for i in fids) for d, fids in lattice.by_dim.items()}
+    for f in lattice.faces[1:-1]:
+        between = Counter()
+        for c in pick(lattice.below[f.id] & of_dim.get(f.dim - 1, 0), ids):
+            for g in pick(lattice.below[c] & of_dim.get(f.dim - 2, 0), ids):
+                between[g] += 1
+        for g in pick(lattice.below[f.id] & of_dim.get(f.dim - 2, 0), ids):
+            if between[g] != 2:
+                fail(
+                    f"{between[g]} faces lie between face {sorted(lattice.faces[g].vertices)} "
+                    f"and face {sorted(f.vertices)}, expected 2"
+                )
 
 
 def _face_mask(p: Polytope, face) -> int:

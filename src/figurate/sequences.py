@@ -23,7 +23,7 @@ from functools import cache
 from itertools import accumulate, islice
 from math import comb
 
-from .lattice import FaceLattice
+from .lattice import FaceLattice, pick
 from .triangulation import (
     ApexAssignment,
     ComplexSplit,
@@ -100,31 +100,31 @@ def face_number_sequences(
     interior values start 0, 0 and continue with F(n) minus the interior
     values of all proper faces. Every face is computed once, keyed by id.
 
-    Each face takes two column sums over all n at once, the step (faces
-    missing the apex) and the total (all proper faces); F is the running sum
-    of the steps from F(1) = 1. Only the order of the integer additions
-    differs from the term-by-term recursion.
+    Each face splits its proper subfaces into those missing the apex and
+    those holding it, with one AND of face-id masks, and sums each part's
+    rows once over all n: the step is the first sum, the total both. F is the
+    running sum of the steps from F(1) = 1. Only the order of the integer
+    additions differs from the term-by-term recursion.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    rows: list[list[int] | None] = [None]  # interior sequence of each face, in face order
     ext: dict[int, list[int]] = {}
-    intr: dict[int, list[int]] = {}
     for f in lattice.faces[1:]:
         if f.dim == 0:
             seq = [0] + [1] * n_max
             ext[f.id] = seq
-            intr[f.id] = list(seq)
+            rows.append(list(seq))
             continue
-        sub = lattice.subface_ids(f.id)
-        apex = apexes.apex[f.id]
-        away = [intr[g] for g in sub if apex not in lattice.faces[g].vertices]
-        step = map(sum, zip(*away))
-        total = map(sum, zip(*(intr[g] for g in sub)))
+        sub = lattice.below[f.id] & ~1
+        near = sub & lattice.with_vertex[apexes.apex[f.id]]
+        step = list(map(sum, zip(*pick(sub ^ near, rows))))
+        total = map(operator.add, step, map(sum, zip(*pick(near, rows))))
         # both lists are cut back to n_max + 1 terms when n_max < 2
         e = [0, *accumulate(islice(step, 2, None), initial=1)][: n_max + 1]
         ext[f.id] = e
-        intr[f.id] = [0, 0, *map(operator.sub, islice(e, 2, None), islice(total, 2, None))][: n_max + 1]
-    return ext, intr
+        rows.append([0, 0, *map(operator.sub, islice(e, 2, None), islice(total, 2, None))][: n_max + 1])
+    return ext, dict(zip(ext, rows[1:]))
 
 
 def polytope_number_recursive(

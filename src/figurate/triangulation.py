@@ -9,8 +9,11 @@ lattice with one memoized simplex set per face, and duplicate simplices from
 different chains are merged by vertex set.
 
 Construction works on ``int`` vertex masks (bit i for vertex i): a chain
-grows by ``s | 1 << apex``, and each face's complex is its own chains united
-with the complexes of its covers (its maximal proper subfaces). Every
+grows by ``s | 1 << apex`` over the complexes of the face's covers (its
+maximal proper subfaces) that miss the apex, and each face's complex is its
+own chains united with the complexes of all its covers. On a face lattice
+every subface missing the apex lies in a cover missing it, since each face
+is the intersection of the facets containing it. Every
 distinct mask becomes one ``frozenset`` once, and all per-face complexes
 share those objects. Pointedness condition 1 needs one lookup per
 simplex missing the apex, s | {apex}, and runs the full maximality test only
@@ -25,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .geometry import (
     LinearFunctional,
@@ -34,7 +37,7 @@ from .geometry import (
     integer_plane_through,
     integer_side,
 )
-from .lattice import FaceLattice
+from .lattice import FaceLattice, pick
 
 Simplex = frozenset[int]
 Complex = frozenset[Simplex]
@@ -147,17 +150,34 @@ def _separates(c: LinearFunctional, verts) -> bool:
 
 
 def assign_apexes(lattice: FaceLattice, c: LinearFunctional) -> ApexAssignment:
-    """Apex of every nonempty face: the strict argmin of the functional."""
+    """Apex of every nonempty face: the strict argmin of the functional.
+
+    The vertices are ranked once by (value, index). Going down that ranking,
+    each vertex is the apex of the faces holding it that no earlier vertex
+    took: one AND of face-id masks per vertex. A face ties when it also holds
+    a later vertex of its apex's value; the first such face in face order
+    raises.
+    """
     verts = lattice.polytope.vertices
-    value = {i: evaluate_functional(c, v) for i, v in enumerate(verts)}
-    apex: dict[int, int] = {}
-    for f in lattice.faces[1:]:
-        best = min(f.vertices, key=lambda i: (value[i], i))
-        if sum(1 for i in f.vertices if value[i] == value[best]) > 1:
-            raise GenericityError(
-                f"functional is not generic: duplicate minimum on face {sorted(f.vertices)}"
-            )
-        apex[f.id] = best
+    value = [evaluate_functional(c, v) for v in verts]
+    ranked = sorted(range(len(verts)), key=lambda i: (value[i], i))
+    apex: dict[int, int] = dict.fromkeys(range(1, len(lattice)))  # keys in face order
+    left = (1 << len(lattice)) - 2  # the nonempty faces without an apex yet
+    tied = 0
+    for _, twins in groupby(ranked, key=value.__getitem__):
+        twins = list(twins)
+        for k, v in enumerate(twins):
+            mine = lattice.with_vertex[v] & left
+            left ^= mine
+            for fid in pick(mine, range(len(lattice))):
+                apex[fid] = v
+            for w in twins[k + 1:]:
+                tied |= mine & lattice.with_vertex[w]
+    if tied:
+        first = lattice.faces[(tied & -tied).bit_length() - 1]
+        raise GenericityError(
+            f"functional is not generic: duplicate minimum on face {sorted(first.vertices)}"
+        )
     return ApexAssignment(c, apex)
 
 
@@ -170,20 +190,16 @@ def build_pointed_triangulation(
     conditions are checked after construction and a violation raises; the
     passing certificate is kept as ``pointed``.
     """
-    mask = {f.id: sum(1 << v for v in f.vertices) for f in lattice.faces[1:]}
-    chain: dict[int, set[int]] = {}
+    # complexes[i]: the vertex masks of face i's complex, in face order
+    complexes: list[set[int]] = [{0}]
     for f in lattice.faces[1:]:
-        bit = 1 << apexes.apex[f.id]
-        grown = {bit}
-        for gid in lattice.subface_ids(f.id):
-            if not mask[gid] & bit:
-                grown.update(map(bit.__or__, chain[gid]))
-        chain[f.id] = grown
-    # every proper subface lies in a cover, so the covers' complexes hold
-    # every chain below the face
-    complexes: dict[int, set[int]] = {lattice.empty.id: {0}}
-    for f in lattice.faces[1:]:
-        complexes[f.id] = chain[f.id].union(*map(complexes.__getitem__, lattice.cover_ids(f.id)))
+        v = apexes.apex[f.id]
+        bit = 1 << v
+        covers = lattice.covers[f.id]
+        chain = {bit}
+        for c in pick(covers & ~lattice.with_vertex[v], complexes):
+            chain.update(map(bit.__or__, c))
+        complexes.append(chain.union(*pick(covers, complexes)))
     simplex_of = _SimplexOf({0: frozenset()})  # shared by every complex holding a simplex
     per_face: dict[int, Complex] = {
         f.id: frozenset(map(simplex_of.__getitem__, complexes[f.id])) for f in lattice.faces[1:]
@@ -273,8 +289,10 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
     sorted vertices) is reported.
 
     Condition 2 is checked only on nested pairs: each proper subface G of F
-    that contains apex(F) must have apex(G) = apex(F). That is the pairwise
-    condition, since every apex lies in its face. A nested violation is a
+    that contains apex(F) must have apex(G) = apex(F). Per face that is one
+    AND of face-id masks, the subfaces of F holding apex(F) less the faces
+    apexed there, and the lowest set bit is the G reported. The nested check
+    is the pairwise condition, since every apex lies in its face. A nested violation is a
     pair whose intersection G holds both apexes. Conversely, if two distinct
     apexes v1, v2 of faces f1, f2 lie in H = f1 & f2, then H is a face (the
     lattice is closed under intersection) and apex(H) differs from some v_i;
@@ -296,14 +314,17 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
             return PointedCertificate(
                 False, 1, f"maximal simplex {sorted(s)} of face {sorted(f.vertices)} misses apex {v}"
             )
+    apexed = [0] * len(lattice.polytope.vertices)  # face-id mask of the faces apexed at each vertex
+    for fid, v in apex.items():
+        apexed[v] |= 1 << fid
     for f in lattice.faces[1:]:
         v = apex[f.id]
-        for gid in lattice.subface_ids(f.id):
-            g = lattice.faces[gid]
-            if v in g.vertices and apex[gid] != v:
-                return PointedCertificate(
-                    False, 2, f"faces {sorted(g.vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
-                )
+        wrong = lattice.below[f.id] & lattice.with_vertex[v] & ~apexed[v]
+        if wrong:
+            gid = (wrong & -wrong).bit_length() - 1
+            return PointedCertificate(
+                False, 2, f"faces {sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
+            )
     for f in lattice.faces[1:]:
         cf = tri.per_face[f.id]
         v = apex[f.id]

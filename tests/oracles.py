@@ -14,8 +14,11 @@ an oracle for the ridge-only search.
 ``reference_face_number_sequences`` is the recursion for the sequences of
 every face evaluated term by term, one n at a time, the reference for the
 column sums in ``figurate.sequences``. ``pairwise_apex_conflict`` checks
-pointedness condition 2 over every pair of faces, the reference for the check
-over face-subface pairs in ``verify_pointed``.
+pointedness condition 2 over every pair of faces, and
+``reference_condition_2`` over every face-subface pair by subface ids: the
+references for the one mask test per face in ``verify_pointed``.
+``reference_assign_apexes`` takes each apex by a ``min`` over the face's
+vertices, the reference for the one vertex ranking of ``assign_apexes``.
 
 ``reference_pointed_complexes`` builds the chains and the per-face complexes
 of a pointed triangulation by ``frozenset`` unions, the reference for the
@@ -42,13 +45,20 @@ from figurate.geometry import (
     GeometryError,
     Hyperplane,
     Point,
+    evaluate_functional,
     point,
     vdot,
     vsub,
 )
 from figurate.lattice import Face, FaceLattice, Polytope
 from figurate.partitions import GenericPoint
-from figurate.triangulation import ApexAssignment, Complex, PointedTriangulation, Simplex
+from figurate.triangulation import (
+    ApexAssignment,
+    Complex,
+    GenericityError,
+    PointedTriangulation,
+    Simplex,
+)
 
 
 def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -268,6 +278,34 @@ def pairwise_apex_conflict(lattice: FaceLattice, apex: dict[int, int]) -> tuple[
     return None
 
 
+def reference_condition_2(lattice: FaceLattice, apex: dict[int, int]) -> str | None:
+    """The nested-pair scan of pointedness condition 2 over each face's
+    subface ids: the detail of the first face, and its first subface, whose
+    apexes differ while the subface holds the face's apex; or None."""
+    for f in lattice.faces[1:]:
+        v = apex[f.id]
+        for gid in lattice.subface_ids(f.id):
+            g = lattice.faces[gid]
+            if v in g.vertices and apex[gid] != v:
+                return f"faces {sorted(g.vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
+    return None
+
+
+def reference_assign_apexes(lattice: FaceLattice, c) -> ApexAssignment:
+    """Apexes by a ``min`` over each face's vertices, and a count of the
+    vertices at that minimum, face by face."""
+    value = {i: evaluate_functional(c, v) for i, v in enumerate(lattice.polytope.vertices)}
+    apex: dict[int, int] = {}
+    for f in lattice.faces[1:]:
+        best = min(f.vertices, key=lambda i: (value[i], i))
+        if sum(1 for i in f.vertices if value[i] == value[best]) > 1:
+            raise GenericityError(
+                f"functional is not generic: duplicate minimum on face {sorted(f.vertices)}"
+            )
+        apex[f.id] = best
+    return ApexAssignment(c, apex)
+
+
 def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:
     """Simplices with no proper superset in the complex (the empty simplex never counts)."""
     members = set(complex_)
@@ -362,10 +400,23 @@ class _ReferenceLattice(FaceLattice):
             under = set().union(*(below[h] for h in ids))  # subfaces of subfaces
             covers.append(tuple(g for g in ids if g not in under))
         self._covers = tuple(covers)
+        self.below = tuple(sum(1 << g for g in ids) for ids in self._subfaces)
+        self.covers = tuple(sum(1 << g for g in ids) for ids in self._covers)
+        self.with_vertex = tuple(
+            sum(1 << f.id for f in self.faces if v in f.vertices) for v in range(len(polytope.vertices))
+        )
+
+    def subface_ids(self, fid: int, include_empty: bool = False) -> tuple[int, ...]:
+        ids = self._subfaces[fid]
+        return ids if include_empty else ids[1:]
+
+    def cover_ids(self, fid: int) -> tuple[int, ...]:
+        return self._covers[fid]
 
 
 def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
     """The lattice of the intersection closure of ``face_sets``, the polytope
-    and the empty face, with dimensions from ranks and subfaces and covers
-    (maximal proper subfaces) from pairwise scans."""
+    and the empty face, with dimensions from ranks, and subfaces, covers
+    (maximal proper subfaces) and the faces holding each vertex from pairwise
+    scans, kept both as tuples and as face-id masks."""
     return _ReferenceLattice(polytope, face_sets)

@@ -1,5 +1,6 @@
 """CLI surface: generation, pipelines, sequences, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,19 @@ def test_wrong_faces_square_exit_codes(tmp_path, capsys):
             code, out, err = run(capsys, "pipeline", "--input", path, "--profile", profile)
             assert code == 2 and out == ""
             assert err == f"figurate: error: faces of {name!r} are not a face lattice: {detail}\n"
+
+
+def test_square_with_diagonals_and_vertices_exits_2(capsys):
+    # graded right, but a diagonal has vertices of the square on both sides;
+    # CI runs the installed console script on the same file
+    path = str(Path(__file__).parent / "square_diagonals_and_vertices.json")
+    for profile in ("debug", "release"):
+        code, out, err = run(capsys, "pipeline", "--input", path, "--profile", profile)
+        assert code == 2 and out == ""
+        assert err == (
+            "figurate: error: faces of 'square-diagonals' are not a face lattice: "
+            "facet [0, 3] has vertices on both sides of its hyperplane\n"
+        )
 
 
 def test_face_index_out_of_range_exits_2(tmp_path, capsys):

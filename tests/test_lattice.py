@@ -73,10 +73,10 @@ def test_builtin_examples():
     assert len(cube.faces) == 28
     cross = parse_builtin("cross:3")
     assert len(cross.polytope.vertices) == 6
-    assert len(cross.faces_of_dim(2)) == 8
+    assert len(cross.by_dim[2]) == 8
     pyr = parse_builtin("pyramid:square")
     assert len(pyr.polytope.vertices) == 5
-    two_faces = pyr.faces_of_dim(2)
+    two_faces = [pyr.faces[i] for i in pyr.by_dim[2]]
     assert len(two_faces) == 5  # 4 triangles and the square base
     assert sorted(len(f.vertices) for f in two_faces) == [3, 3, 3, 3, 4]
 

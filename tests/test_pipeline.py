@@ -1,7 +1,8 @@
 """The claim pipeline runs each certificate and the recursion once, and reuses them.
 
 The maximal simplices come from construction: no scan of the complex for
-them runs in the pipeline.
+them runs in the pipeline. Subfaces are read as face-id masks: no subface id
+tuple is read out in the pipeline.
 """
 from collections import Counter
 
@@ -11,7 +12,7 @@ import figurate.partitions as partitions
 import figurate.pipeline as pipeline
 import figurate.sequences as sequences
 import figurate.triangulation as triangulation
-from figurate.lattice import parse_builtin
+from figurate.lattice import FaceLattice, parse_builtin
 from figurate.pipeline import DEBUG, RELEASE, all_passed, run_pipeline
 import oracles
 
@@ -34,10 +35,12 @@ def test_each_certificate_is_computed_once(monkeypatch, profile):
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
     _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
     _count(monkeypatch, calls, "maximal_simplices", oracles, triangulation, pipeline)
+    _count(monkeypatch, calls, "subface_ids", FaceLattice)
     records = run_pipeline(parse_builtin("cube:3"), n_max=5, points=3, profile=profile)
     assert all_passed(records)
     assert calls == {"verify_pointed": 1, "verify_partition": 2 * 3, "face_number_sequences": 1}
     assert calls["maximal_simplices"] == 0
+    assert calls["subface_ids"] == 0
 
 
 def test_partitions_carry_their_certificates(cube3):

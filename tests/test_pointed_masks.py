@@ -3,8 +3,10 @@
 ``build_pointed_triangulation`` must give the per-face complexes, the
 polytope's complex and its maximal simplices of the frozenset construction in
 ``oracles.py`` on every builtin of dimension at most 5 and on a polytope
-given only by rational coordinates. Wrong ``faces`` are rejected when the
-lattice is built, with a message that names the face.
+given only by rational coordinates, and on simplex:9, pyramid:simplex:8,
+cube:6, cross:6 and prism:cube:5. Wrong ``faces`` are rejected when the
+lattice is built, with a message that names the face or vertex: each check
+of the load-time face-lattice test has a case.
 ``verify_pointed`` must give the verdict of the maximal-simplex scan of
 condition 1 on corrupted per-face complexes, and name the smallest violating
 simplex.
@@ -27,19 +29,78 @@ from figurate.triangulation import (
     verify_pointed,
 )
 from oracles import reference_condition_1, reference_pointed_complexes
+from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
 
 _SQUARE = tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)])
+_CENTER = point(("1/2", "1/2"))
+_MIDPOINT = point(("1/2", "0"))
+
+
+def _facets_of(spec):
+    lattice = parse_builtin(spec)
+    return lattice.polytope.vertices, [sorted(lattice.faces[i].vertices) for i in lattice.facet_ids()]
+
+
+_CUBE3, _CUBE3_FACETS = _facets_of("cube:3")
+_CUBE4, _CUBE4_FACETS = _facets_of("cube:4")
+_OCTAHEDRON, _OCTAHEDRON_FACETS = _facets_of("cross:3")
 WRONG_FACES = {
     # the diagonals as faces: each grades as a vertex, but spans a line
     "sqdiag": (
-        [frozenset({0, 3}), frozenset({1, 2})],
+        _SQUARE,
+        [[0, 3], [1, 2]],
         "face [0, 3] has dimension 1, but the faces inside it grade it as 0",
     ),
     # a triangle as a face: it grades as a vertex, but spans the square's plane
     "sqtri": (
-        [frozenset({0, 1, 3})],
+        _SQUARE,
+        [[0, 1, 3]],
         "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0",
+    ),
+    # the diagonals plus the vertices grade right, but a diagonal supports nothing
+    "sqdiagv": (
+        _SQUARE,
+        [[0], [1], [2], [3], [0, 3], [1, 2]],
+        "facet [0, 3] has vertices on both sides of its hyperplane",
+    ),
+    # a vertex in the middle of an edge lies on that edge's hyperplane
+    "sqmid": (
+        _SQUARE + (_MIDPOINT,),
+        [[0, 1], [0, 2], [1, 3], [2, 3]],
+        "the hyperplane of facet [0, 1] also holds vertex 4",
+    ),
+    # a long diagonal of the cube grades as an edge that no facet holds
+    "cubediag": (
+        _CUBE3,
+        _CUBE3_FACETS + [[0, 7]],
+        "ridge [0, 7] lies in 0 facets, expected 2",
+    ),
+    # in the 4-cube the long diagonal is no ridge, and no facet holds it
+    "cube4diag": (
+        _CUBE4,
+        _CUBE4_FACETS + [[0, 15]],
+        "face [0, 15] is not the intersection of the facets containing it",
+    ),
+    # with the edge [2, 3] missing, vertices 2 and 3 are no 0-faces
+    "sqopen": (
+        _SQUARE,
+        [[0, 1], [0, 2], [1, 3]],
+        "vertex 2 is not a 0-face",
+    ),
+    # a point inside the square, listed as a vertex
+    "sqcenter": (
+        _SQUARE + (_CENTER,),
+        [[0, 1], [0, 2], [1, 3], [2, 3]],
+        "vertex 4 is not a 0-face",
+    ),
+    # the octahedron without its facet [0, 2, 4]: the other facets still pin
+    # every vertex, and the edges of the missing facet lie in one facet each
+    # but are no faces, so only the faces inside the facets show the gap
+    "octa7": (
+        _OCTAHEDRON,
+        _OCTAHEDRON_FACETS[1:],
+        "1 faces lie between face [0] and face [0, 2, 5], expected 2",
     ),
 }
 
@@ -52,13 +113,13 @@ def _lattice(spec):
 
 @pytest.mark.parametrize("spec", sorted(WRONG_FACES))
 def test_wrong_faces_are_rejected(spec):
-    faces, detail = WRONG_FACES[spec]
+    vertices, faces, detail = WRONG_FACES[spec]
     with pytest.raises(GeometryError) as caught:
-        build_face_lattice(Polytope(spec, _SQUARE, 2), faces)
+        build_face_lattice(Polytope(spec, vertices, len(vertices[0])), faces)
     assert str(caught.value) == f"faces of {spec!r} are not a face lattice: {detail}"
 
 
-@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"])
+@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + LARGE)
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, generic_functional(lattice))

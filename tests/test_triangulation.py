@@ -26,7 +26,16 @@ from figurate.triangulation import (
     triangulation_to_json,
     verify_pointed,
 )
-from oracles import affinely_independent, is_pure, maximal_simplices, pairwise_apex_conflict
+from oracles import (
+    affinely_independent,
+    is_pure,
+    maximal_simplices,
+    pairwise_apex_conflict,
+    reference_assign_apexes,
+    reference_condition_2,
+)
+from test_lattice_oracle import LARGE
+from test_recursion import BUILTINS
 
 
 def test_generic_functional_on_cube_is_binary_weighting():
@@ -79,6 +88,40 @@ def test_assign_apexes_rejects_non_generic_functional():
     # duplicate values on vertices sharing no face are harmless
     apexes = assign_apexes(cube, (Fraction(1), Fraction(-1)))
     assert len(apexes.apex) == len(cube.faces) - 1
+
+
+@pytest.mark.parametrize("spec", BUILTINS + LARGE)
+def test_ranked_apexes_equal_the_per_face_scan(spec):
+    lattice = parse_builtin(spec)
+    c = generic_functional(lattice)
+    ranked, scanned = assign_apexes(lattice, c), reference_assign_apexes(lattice, c)
+    assert ranked == scanned
+    assert list(ranked.apex) == list(scanned.apex)
+
+
+@pytest.mark.parametrize(
+    "spec, c",
+    [("cube:2", (1, 0)), ("cube:2", (0, 1)), ("cube:2", (0, 0)), ("cube:2", (-1, 0)),
+     ("cube:3", (0, 1, 1)), ("cross:3", (1, 1, 0)), ("prism:triangle", (1, 1, 0))],
+)
+def test_ties_raise_like_the_per_face_scan(spec, c):
+    # each of these is constant along some face at its minimum
+    lattice = parse_builtin(spec)
+    c = tuple(map(Fraction, c))
+    with pytest.raises(GenericityError) as ranked:
+        assign_apexes(lattice, c)
+    with pytest.raises(GenericityError) as scanned:
+        reference_assign_apexes(lattice, c)
+    assert str(ranked.value) == str(scanned.value)
+
+
+@pytest.mark.parametrize("c", [(1, 1), (1, -1), (-1, -1)])
+def test_ties_off_every_face_are_harmless_like_the_per_face_scan(c):
+    # the tied vertices are opposite corners, which share only the square
+    # and are not its minimum
+    cube = parse_builtin("cube:2")
+    c = tuple(map(Fraction, c))
+    assert assign_apexes(cube, c) == reference_assign_apexes(cube, c)
 
 
 def test_square_triangulation_shape(square):
@@ -137,6 +180,7 @@ def test_condition_2_catches_corrupted_apexes_like_the_pairwise_check(family, sp
         assert (cert.condition == 2) == (conflict is not None), (spec, apex)
         if conflict is not None:
             assert _condition_2_detail_is_a_pairwise_violation(cert.detail), cert.detail
+            assert cert.detail == reference_condition_2(b.lattice, apex)
         verdicts.append(conflict is not None)
     assert any(verdicts) and not all(verdicts)
 
@@ -157,6 +201,7 @@ def test_condition_2_names_the_nested_pair(cube3):
         f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
     )
     assert pairwise_apex_conflict(lattice, apex) is not None
+    assert cert.detail == reference_condition_2(lattice, apex)
 
 
 def test_construction_keeps_its_pointedness_certificate():
