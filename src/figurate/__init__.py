@@ -11,7 +11,6 @@ from .geometry import (
     Hyperplane,
     Point,
     Rational,
-    affine_hull_contains,
     affine_rank,
     evaluate_functional,
     rational,
@@ -40,19 +39,15 @@ from .triangulation import (
     generic_functional,
     link,
     split_boundary_interior,
-    star,
     verify_pointed,
 )
 from .partitions import (
     GenericPoint,
     Interval,
     Partition,
-    VectorSet,
-    compute_vectors,
     e_vector,
     euler_characteristic,
     exterior_partition,
-    f_from_h,
     f_vector,
     generic_point,
     h_from_f,
@@ -64,19 +59,14 @@ from .partitions import (
 )
 from .sequences import (
     SequenceResult,
-    cross_number,
-    eulerian_number,
-    facet_cut_check,
     interior_from_h_reversed,
     interior_from_k,
-    measure_number,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
     simplex_interior,
     simplex_number,
-    vandermonde_check,
 )
-from .pipeline import run_pipeline
+from .pipeline import Analysis, run_pipeline
 
 __version__ = "0.1.0"

@@ -20,12 +20,7 @@ from .lattice import (
     polytope_from_json,
     polytope_to_json,
 )
-from .partitions import (
-    compute_vectors,
-    h_from_f,
-    f_vector,
-)
-from .pipeline import all_passed, run_pipeline, summary_record
+from .pipeline import Analysis, all_passed, run_pipeline, summary_record, vector_claims
 from .sequences import (
     polytope_number_recursive,
     polytope_number_simplex_sum,
@@ -33,11 +28,6 @@ from .sequences import (
     sequence_interior_from_h,
     sequence_interior_from_k,
     sequence_to_json,
-)
-from .triangulation import (
-    assign_apexes,
-    build_pointed_triangulation,
-    generic_functional,
 )
 
 N_MAX_GUARD = 10000
@@ -89,9 +79,7 @@ def _cmd_pipeline(args) -> int:
     records = []
     for lattice in lattices:
         try:
-            recs = run_pipeline(
-                lattice, seed=args.seed, n_max=args.n, points=args.points, profile=args.profile
-            )
+            recs = run_pipeline(lattice, seed=args.seed, n_max=args.n, points=args.points)
         except ValueError:
             raise  # unusable configuration or input: a usage error, not a failed claim
         except Exception as exc:  # a stage failure becomes a failed claim record
@@ -116,31 +104,23 @@ def _cmd_sequence(args) -> int:
         raise ValueError(f"--n must lie in [0, {N_MAX_GUARD}]")
     if args.method == "k" and not args.interior:
         raise ValueError("--method k is an interior decomposition; add --interior")
-    lattice = _load_inputs(args)[0]
-    name = lattice.polytope.name
-    d = lattice.dim
-    functional = generic_functional(lattice, seed=args.seed)
-    apexes = assign_apexes(lattice, functional)
-    tri = build_pointed_triangulation(lattice, apexes)
-    if d >= 1:
-        vectors = compute_vectors(tri, point_seed=args.seed)
-        h, k = vectors.h, vectors.k
-    else:
-        h = h_from_f(f_vector(tri.simplices, 0), 0)
-        k = tuple(reversed(h))
+    a = Analysis(_load_inputs(args)[0], seed=args.seed)
+    failed = next((r for r in vector_claims(a) if not r["pass"]), None)
+    if failed is not None:
+        raise RuntimeError(f"claim {failed['claim']} failed: {json.dumps(failed['counterexample'])}")
     if args.method == "recursive":
-        result = polytope_number_recursive(lattice, apexes, args.n, interior=args.interior)
+        result = polytope_number_recursive(a.lattice, a.apexes, args.n, interior=args.interior)
     elif args.method == "simplex-sum":
-        result = polytope_number_simplex_sum(tri, args.n, interior=args.interior)
+        result = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior, split=a.split)
     elif args.method == "h":
         result = (
-            sequence_interior_from_h(name, h, d, args.n)
+            sequence_interior_from_h(a.name, a.h, a.dim, args.n)
             if args.interior
-            else sequence_from_h(name, h, d, args.n)
+            else sequence_from_h(a.name, a.h, a.dim, args.n)
         )
     else:
-        result = sequence_interior_from_k(name, k, d, args.n)
-    data = sequence_to_json(result, h=h, k=k)
+        result = sequence_interior_from_k(a.name, a.k, a.dim, args.n)
+    data = sequence_to_json(result, h=a.h, k=a.k)
     _dump(json.dumps(data, separators=(",", ":")), args.out)
     return 0
 
@@ -166,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--n", type=int, default=15, help="check sequences for n in [0, N]")
     pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--points", type=int, default=3, help="distinct generic points per polytope")
-    pipe.add_argument("--profile", choices=["debug", "release"], default="debug")
     pipe.add_argument("--summary", action="store_true", help="append an aggregate record")
     pipe.add_argument("--out", help="output file (default: stdout)")
     pipe.set_defaults(fn=_cmd_pipeline)
@@ -191,6 +170,9 @@ def main(argv=None) -> int:
     except (ValueError, GeometryError, OSError, json.JSONDecodeError) as exc:
         print(f"figurate: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed stage of ``sequence``
+        print(f"figurate: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,7 +37,10 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise GeometryError(f"cannot interpret {value!r} as a rational")
 
 
@@ -164,22 +167,13 @@ def affine_rank(points: Sequence[Point]) -> int:
     return integer_rank([homogenize(p) for p in points]) - 1
 
 
-def affine_hull_contains(points: Sequence[Point], q: Point) -> bool:
-    """True iff q lies in the affine span of the points, decided exactly."""
-    if not points:
-        raise GeometryError("affine hull of an empty point list")
-    if any(len(p) != len(q) for p in points):
-        raise GeometryError("dimension mismatch between hull points and query point")
-    hp = [homogenize(p) for p in points]
-    return integer_rank(hp + [homogenize(q)]) == integer_rank(hp)
-
-
 def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """integer_plane(hyperplane_through(points)), computed from homogenized points.
+    """The canonical plane through homogenized points, as an integer vector.
 
     This is the primitive integer v with v . hp = 0 for every point, signed so
-    that its first nonzero normal entry (after v[0]) is positive. None when
-    the points span no hyperplane.
+    that its first nonzero normal entry (after v[0]) is positive: v[0] is
+    minus the offset and v[1:] the normal, so equal hyperplanes compare (and
+    hash) equal. None when the points span no hyperplane.
     """
     n = len(hpoints[0])
     rank, pivots, rows = _rref(list(hpoints))
@@ -194,21 +188,6 @@ def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] |
     if next(x for x in v[1:] if x) < 0:
         g = -g
     return tuple(x // g for x in v)
-
-
-def hyperplane_through(points: Sequence[Point]) -> Hyperplane:
-    """Canonical hyperplane through points spanning a codimension-1 affine hull.
-
-    The normal is scaled to a primitive integer vector whose first nonzero
-    coordinate is positive, so equal hyperplanes compare (and hash) equal.
-    """
-    if not points:
-        raise GeometryError("hyperplane through an empty point list")
-    hp = [homogenize(p) for p in points]
-    plane = integer_plane_through(hp)
-    if plane is None:
-        raise GeometryError(f"points span affine dimension {integer_rank(hp) - 1}, expected {len(points[0]) - 1}")
-    return plane_to_hyperplane(plane)
 
 
 def plane_to_hyperplane(plane: Sequence[int]) -> Hyperplane:
@@ -228,13 +207,8 @@ def homogenize(p: Point) -> tuple[int, ...]:
     return (den,) + tuple(c.numerator * (den // c.denominator) for c in p)
 
 
-def integer_plane(h: Hyperplane) -> tuple[int, ...]:
-    """(-L offset, L normal_1, ..., L normal_n), L the lcm of all their denominators."""
-    return homogenize((-h.offset,) + h.normal)[1:]
-
-
 def integer_side(plane: Sequence[int], hp: Sequence[int]) -> int:
-    """side_of_hyperplane(h, p) from integer_plane(h) and homogenize(p): -1, 0 or +1."""
+    """Side of a homogenized point hp against an integer plane: -1, 0 or +1."""
     if len(plane) != len(hp):
         raise GeometryError(f"hyperplane in dimension {len(plane) - 1} tested against point of length {len(hp) - 1}")
     v = sum(map(mul, plane, hp))

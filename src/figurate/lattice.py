@@ -82,12 +82,13 @@ class FaceLattice:
     """All faces of a polytope, ordered by inclusion of vertex sets.
 
     Built from generators (the facets, or the supplied faces) on ``int``
-    vertex masks, bit i for vertex i. Every face is an intersection of
-    generators, so the faces are closed under intersection top down from the
-    full vertex set: each face is ANDed once with each generator, and its
-    intersections with the generators not containing it, plus the empty face,
-    are its *children*. Every proper subface of a face lies in one of its
-    children.
+    vertex masks, bit i for vertex i. Only the maximal proper generators,
+    those in no other one, take part: on a face lattice they are the facets,
+    and every face is an intersection of facets. The faces are closed under
+    intersection top down from the full vertex set: each face is ANDed once
+    with each maximal generator, and its intersections with those not
+    containing it, plus the empty face, are its *children*. Every proper
+    subface of a face lies in one of its children.
 
     - A face's dimension comes from the grading: 1 + the largest dimension
       of its children, the empty face at -1. On a face lattice this is the
@@ -108,9 +109,13 @@ class FaceLattice:
     def __init__(self, polytope: Polytope, generators: Iterable[int]):
         self.polytope = polytope
         self.dim = polytope.dim
-        gens = set(generators)
+        full = (1 << len(polytope.vertices)) - 1
+        gens: list[int] = []
+        for g in sorted(set(generators) - {full}, key=int.bit_count, reverse=True):
+            if all(g & ~m for m in gens):  # a generator in another has fewer vertices
+                gens.append(g)
         children: dict[int, set[int]] = {}
-        todo = [(1 << len(polytope.vertices)) - 1]
+        todo = [full]
         while todo:
             f = todo.pop()
             if f in children:
@@ -473,6 +478,9 @@ def builtin(family: str, dim: int | None = None, base: FaceLattice | None = None
             raise ValueError(f"{family} requires a base polytope")
         if base.polytope.dim != base.polytope.ambient_dim:
             raise ValueError(f"{family} base must be full-dimensional in its coordinates")
+        if family == "bipyramid" and base.polytope.dim < 1:
+            # the base point would be the midpoint of the two tips, no vertex
+            raise ValueError(f"bipyramid base {base.polytope.name!r} must have dimension >= 1")
         return _COMPOUND_FAMILIES[family](base)
     raise ValueError(f"unknown builtin family {family!r}")
 

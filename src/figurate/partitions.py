@@ -25,13 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .geometry import (
-    Point,
-    affine_hull_contains,
-    homogenize,
-    hyperplane_through,
-    integer_side,
-)
+from .geometry import Point, homogenize, integer_side
 from .triangulation import (
     Complex,
     ComplexSplit,
@@ -50,10 +44,10 @@ class GenericPoint:
     """An interior point avoiding every lower-dimensional affine hull.
 
     ``certificate`` lists every simplex with at most d vertices; the point
-    lies on none of their affine hulls, so its genericity is auditable. In a
-    pure complex the ridges among them are checked exactly and the lower
-    simplices are covered by containment: each lies in a ridge, so its hull
-    lies in the ridge's hyperplane.
+    lies on none of their affine hulls, so its genericity is auditable. The
+    ridges among them are checked exactly and the lower simplices are covered
+    by containment: each lies in a ridge, so its hull lies in the ridge's
+    hyperplane.
     """
 
     x: Point
@@ -96,21 +90,6 @@ class PartitionCertificate:
     foreign: tuple[Simplex, ...] = ()
 
 
-@dataclass(frozen=True)
-class VectorSet:
-    """f/h/k/e vectors of one pointed triangulation, mutually consistent.
-
-    Index conventions: f[0] is the empty-face count f_{-1}; h and k run over
-    0..d+1; e runs over 0..d.
-    """
-
-    dim: int
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    k: tuple[int, ...]
-    e: tuple[int, ...]
-
-
 def generic_point(
     tri: PointedTriangulation, seed: int = 0, avoid: tuple[Point, ...] = ()
 ) -> GenericPoint:
@@ -121,29 +100,19 @@ def generic_point(
     ``avoid``), retries with seeded random barycentric weights of growing
     size. Only ridges need checking: every other simplex with at most d
     vertices lies inside a ridge, so its affine hull lies in the ridge's
-    hyperplane. A complex that is not pure, or whose ridges do not all span
-    hyperplanes, is checked simplex by simplex instead. Candidates always
-    stay strictly inside one maximal simplex, hence inside the polytope.
+    hyperplane. Candidates always stay strictly inside one maximal simplex,
+    hence inside the polytope.
     """
-    if tri.dim < 1:
-        raise ValueError("generic points require a polytope of dimension >= 1")
     verts = tri.lattice.polytope.vertices
     targets = sorted(
         (s for s in tri.simplices if s and len(s) <= tri.dim),
         key=lambda s: (len(s), tuple(sorted(s))),
     )
-    table = tri.ridge_planes
-    if table.complete:
-        planes = set(table.planes.values())
+    planes = set(tri.ridge_planes.planes.values())
 
-        def off_every_hull(x):
-            hx = homogenize(x)
-            return all(integer_side(p, hx) for p in planes)
-    else:
-        target_points = [[verts[i] for i in sorted(s)] for s in targets]
-
-        def off_every_hull(x):
-            return not any(affine_hull_contains(pts, x) for pts in target_points)
+    def off_every_hull(x):
+        hx = homogenize(x)
+        return all(integer_side(p, hx) for p in planes)
 
     home = sorted(tri.maximal[0])
     corners = [verts[i] for i in home]
@@ -173,8 +142,6 @@ def visible_facets(tri: PointedTriangulation, f: Simplex, x: Point) -> set[Simpl
     hx = homogenize(x)
     out: set[Simplex] = set()
     for v, g, plane, v_side in tri.ridge_planes.facets[f]:
-        if plane is None:
-            hyperplane_through(tri.vertex_points(g))  # raises: g spans no hyperplane
         sx = integer_side(plane, hx)
         if sx == 0:
             raise GenericityError(f"point lies on the affine hull of facet {sorted(g)}")
@@ -269,14 +236,6 @@ def h_from_f(f: tuple[int, ...], dim: int) -> tuple[int, ...]:
     )
 
 
-def f_from_h(h: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """Inverse of h_from_f; round-tripping is the identity."""
-    return tuple(
-        sum(h[j] * comb(dim + 1 - j, ii - j) for j in range(ii + 1))
-        for ii in range(dim + 2)
-    )
-
-
 def _histogram(partition: Partition) -> tuple[int, ...]:
     if not partition.verified:
         raise ValueError("partition has not been verified")
@@ -312,54 +271,3 @@ def interior_counts_from_k(k: tuple[int, ...], dim: int) -> tuple[int, ...]:
         sum(k[j] * comb(dim + 1 - j, i + 1 - j) for j in range(i + 2))
         for i in range(dim + 1)
     )
-
-
-def compute_vectors(
-    tri: PointedTriangulation,
-    point_seed: int = 0,
-    split: ComplexSplit | None = None,
-) -> VectorSet:
-    """All four vectors of a triangulation, with every dual route cross-checked.
-
-    The h-vector is computed both from the f-vector transform and as the
-    exterior partition histogram; the k-vector both as the interior partition
-    histogram and by reversing h; the e-vector both by counting and from k.
-    Any disagreement raises, since each equality is a proved identity.
-    """
-    d = tri.dim
-    if split is None:
-        split = split_boundary_interior(tri)
-    f = f_vector(tri.simplices, d)
-    h = h_from_f(f, d)
-    e = e_vector(split.interior, d)
-    if d >= 1:
-        gp = generic_point(tri, seed=point_seed)
-        h_part = h_from_partition(exterior_partition(tri, gp))
-        k = k_from_partition(interior_partition(tri, gp, split))
-    else:
-        h_part = h
-        k = tuple(reversed(h))
-    if h_part != h:
-        raise RuntimeError(f"partition h-vector {h_part} != transform h-vector {h}")
-    if k != tuple(reversed(h)):
-        raise RuntimeError(f"k-vector {k} is not the reversal of h-vector {h}")
-    if e != interior_counts_from_k(k, d):
-        raise RuntimeError(f"e-vector {e} disagrees with its k-vector expansion")
-    return VectorSet(d, f, h, k, e)
-
-
-def partition_to_json(partition: Partition) -> dict:
-    from .geometry import rational_str
-
-    data = {
-        "point": [rational_str(c) for c in partition.point],
-        "intervals": [
-            {"lower": sorted(iv.lower), "upper": sorted(iv.upper)}
-            for iv in sorted(partition.intervals, key=lambda iv: tuple(sorted(iv.upper)))
-        ],
-    }
-    if partition.kind == EXTERIOR:
-        data["h"] = list(h_from_partition(partition))
-    else:
-        data["k"] = list(k_from_partition(partition))
-    return data

@@ -1,15 +1,22 @@
 """End-to-end verification pipeline producing machine-readable claim records.
 
-One run triangulates a polytope, builds its visibility partitions from
-several distinct generic points, computes all vectors and sequences, and
-emits one record per verified claim. Records are plain dicts with a fixed key
-order so serialized reports are byte-identical across runs with the same
+``Analysis`` is the one place the paper's chain is assembled: one run
+triangulates a polytope, builds its visibility partitions from several
+distinct generic points, computes all vectors and sequences, and each claim
+reads those stages to emit one record. Records are plain dicts with a fixed
+key order so serialized reports are byte-identical across runs with the same
 configuration. A failed claim always carries its first counterexample.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
+from .geometry import LinearFunctional
 from .lattice import FaceLattice
 from .partitions import (
+    GenericPoint,
+    Partition,
     e_vector,
     euler_characteristic,
     exterior_partition,
@@ -29,6 +36,9 @@ from .sequences import (
     polytope_number_simplex_sum,
 )
 from .triangulation import (
+    ApexAssignment,
+    ComplexSplit,
+    PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
     generic_functional,
@@ -36,15 +46,111 @@ from .triangulation import (
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
-    verify_pointed,
 )
 
-DEBUG = "debug"
-RELEASE = "release"
+
+@dataclass(frozen=True)
+class Analysis:
+    """The chain for one polytope, each stage computed at most once, on first use.
+
+    functional -> apexes -> verified pointed triangulation -> boundary and
+    interior split -> ``points`` generic points, searched with seeds
+    ``seed``, ``seed + 1``, ... -> exterior and interior partition per point
+    -> f/h/e/k vectors -> the sequences of every face up to ``n_max``.
+    """
+
+    lattice: FaceLattice
+    seed: int = 0
+    points: int = 1
+    n_max: int = 15
+
+    def __post_init__(self):
+        if self.lattice.dim < 1:
+            raise ValueError("the verification pipeline needs a polytope of dimension >= 1")
+        if self.points < 1:
+            raise ValueError("the pipeline needs at least one generic point")
+
+    @property
+    def name(self) -> str:
+        return self.lattice.polytope.name
+
+    @property
+    def dim(self) -> int:
+        return self.lattice.dim
+
+    @cached_property
+    def functional(self) -> LinearFunctional:
+        return generic_functional(self.lattice, seed=self.seed)
+
+    @cached_property
+    def apexes(self) -> ApexAssignment:
+        return assign_apexes(self.lattice, self.functional)
+
+    @cached_property
+    def tri(self) -> PointedTriangulation:
+        return build_pointed_triangulation(self.lattice, self.apexes)
+
+    @cached_property
+    def split(self) -> ComplexSplit:
+        return split_boundary_interior(self.tri)
+
+    @cached_property
+    def generic_points(self) -> tuple[GenericPoint, ...]:
+        gps: list[GenericPoint] = []
+        for i in range(self.points):
+            gps.append(generic_point(self.tri, seed=self.seed + i, avoid=tuple(g.x for g in gps)))
+        return tuple(gps)
+
+    @cached_property
+    def exterior(self) -> tuple[Partition, ...]:
+        return tuple(exterior_partition(self.tri, gp) for gp in self.generic_points)
+
+    @cached_property
+    def interior(self) -> tuple[Partition, ...]:
+        return tuple(interior_partition(self.tri, gp, self.split) for gp in self.generic_points)
+
+    @cached_property
+    def f(self) -> tuple[int, ...]:
+        return f_vector(self.tri.simplices, self.dim)
+
+    @cached_property
+    def h(self) -> tuple[int, ...]:
+        return h_from_f(self.f, self.dim)
+
+    @cached_property
+    def e(self) -> tuple[int, ...]:
+        return e_vector(self.split.interior, self.dim)
+
+    @cached_property
+    def h_parts(self) -> tuple[tuple[int, ...], ...]:
+        """The h-vector of each point's exterior partition."""
+        return tuple(map(h_from_partition, self.exterior))
+
+    @cached_property
+    def k_parts(self) -> tuple[tuple[int, ...], ...]:
+        """The k-vector of each point's interior partition."""
+        return tuple(map(k_from_partition, self.interior))
+
+    @property
+    def k(self) -> tuple[int, ...]:
+        return self.k_parts[0]
+
+    @cached_property
+    def link_f(self) -> tuple[int, ...]:
+        """The f-vector of the link of the polytope's apex."""
+        return f_vector(link(self.tri.apex_vertex, self.tri.simplices), self.dim - 1)
+
+    @cached_property
+    def face_sequences(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        return face_number_sequences(self.lattice, self.apexes, self.n_max)
+
+    @property
+    def params(self) -> dict:
+        return {"d": self.dim, "seed": self.seed, "n_max": self.n_max}
 
 
-def _record(claim, polytope, params, ok, witness=None, counterexample=None):
-    rec = {"record": "claim", "claim": claim, "polytope": polytope, "params": params, "pass": bool(ok)}
+def _record(claim, a: Analysis, params, ok, witness=None, counterexample=None):
+    rec = {"record": "claim", "claim": claim, "polytope": a.name, "params": params, "pass": bool(ok)}
     if ok and witness is not None:
         rec["witness"] = witness
     if not ok:
@@ -52,217 +158,178 @@ def _record(claim, polytope, params, ok, witness=None, counterexample=None):
     return rec
 
 
-def run_pipeline(
-    lattice: FaceLattice,
-    seed: int = 0,
-    n_max: int = 15,
-    points: int = 3,
-    profile: str = DEBUG,
-) -> list[dict]:
+def _pointed(a: Analysis) -> dict:
+    tri, cert = a.tri, a.tri.pointed
+    return _record(
+        "pointed-triangulation", a, a.params, cert.ok,
+        witness={"apex_vertex": tri.apex_vertex, "maximal_simplices": len(tri.maximal)},
+        counterexample={"condition": cert.condition, "detail": cert.detail},
+    )
+
+
+def _pure_complex(a: Analysis) -> dict:
+    closed = is_simplicial_complex(a.tri.simplices)
+    pure = all(len(s) == a.dim + 1 for s in a.tri.maximal)
+    return _record(
+        "pure-simplicial-complex", a, a.params, closed and pure,
+        witness={"simplices": len(a.tri.simplices)},
+        counterexample={"closed_under_subsets": closed, "pure": pure},
+    )
+
+
+def _pseudomanifold(a: Analysis) -> dict:
+    ok, detail = pseudomanifold_certificate(a.tri, a.split)
+    return _record(
+        "pseudomanifold-boundary", a, a.params, ok,
+        witness={"boundary": len(a.split.boundary), "interior": len(a.split.interior)},
+        counterexample={"detail": detail},
+    )
+
+
+def _euler(a: Analysis) -> dict:
+    chi = {
+        "complex": euler_characteristic(a.f),
+        "link": euler_characteristic(a.link_f),
+        "boundary": euler_characteristic(f_vector(a.split.boundary, a.dim - 1)),
+    }
+    expected = {"complex": 1, "link": 1, "boundary": 1 + (-1) ** (a.dim - 1)}
+    return _record("euler-characteristic", a, a.params, chi == expected, witness=expected, counterexample=chi)
+
+
+def _exterior_cover(a: Analysis, i: int) -> dict:
+    ext = a.exterior[i]
+    cert = ext.certificate
+    return _record(
+        "exterior-partition-cover", a, dict(a.params, point=i), cert.ok,
+        witness={"intervals": len(ext.intervals), "covered": len(a.tri.simplices)},
+        counterexample={
+            "uncovered": [sorted(s) for s in cert.uncovered[:3]],
+            "foreign": [sorted(s) for s in cert.foreign[:3]],
+        },
+    )
+
+
+def _interior_cover(a: Analysis, i: int) -> dict:
+    intr = a.interior[i]
+    cert = intr.certificate
+    # every interval member outside the interior target is listed as foreign
+    boundary_clean = not any(s in a.split.boundary for s in cert.foreign)
+    return _record(
+        "interior-partition-cover", a, dict(a.params, point=i), cert.ok and boundary_clean,
+        witness={"intervals": len(intr.intervals), "covered": len(a.split.interior)},
+        counterexample={
+            "uncovered": [sorted(s) for s in cert.uncovered[:3]],
+            "foreign": [sorted(s) for s in cert.foreign[:3]],
+            "disjoint_from_boundary": boundary_clean,
+        },
+    )
+
+
+def _h_from_partition(a: Analysis, i: int) -> dict:
+    hp = a.h_parts[i]
+    return _record(
+        "h-from-partition-matches-f", a, dict(a.params, point=i), hp == a.h,
+        witness={"h": list(a.h)},
+        counterexample={"from_partition": list(hp), "from_f": list(a.h)},
+    )
+
+
+def _k_reverses_h(a: Analysis, i: int) -> dict:
+    kp = a.k_parts[i]
+    return _record(
+        "k-reverses-h", a, dict(a.params, point=i), kp == tuple(reversed(a.h)),
+        witness={"k": list(kp)},
+        counterexample={"k": list(kp), "h": list(a.h)},
+    )
+
+
+def _partition_invariance(a: Analysis) -> dict:
+    return _record(
+        "partition-invariance", a, dict(a.params, points=a.points),
+        len(set(a.h_parts)) == 1 and len(set(a.k_parts)) == 1,
+        witness={"points": a.points},
+        counterexample={"h_variants": [list(x) for x in sorted(set(a.h_parts))]},
+    )
+
+
+def _h_top_vanishes(a: Analysis) -> dict:
+    h, d = a.h, a.dim
+    return _record(
+        "h-top-vanishes", a, a.params, h[d] == 0 and h[d + 1] == 0,
+        witness={"h": list(h)},
+        counterexample={"h": list(h)},
+    )
+
+
+def _link_h(a: Analysis) -> dict:
+    hlink = h_from_f(a.link_f, a.dim - 1)
+    return _record(
+        "link-h-equality", a, a.params, all(a.h[i] == hlink[i] for i in range(a.dim)),
+        witness={"h_link": list(hlink)},
+        counterexample={"h": list(a.h), "h_link": list(hlink)},
+    )
+
+
+def _e_from_k(a: Analysis) -> dict:
+    from_k = interior_counts_from_k(a.k, a.dim)
+    return _record(
+        "e-vector-from-k", a, a.params, a.e == from_k,
+        witness={"e": list(a.e)},
+        counterexample={"e": list(a.e), "from_k": list(from_k)},
+    )
+
+
+def _sequence_three_way(a: Analysis) -> dict:
+    n_max, d, h = a.n_max, a.dim, a.h
+    rec = a.face_sequences[0][a.lattice.top.id]
+    ssum = polytope_number_simplex_sum(a.tri, n_max, split=a.split).values
+    from_h = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
+    mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
+    return _record(
+        "sequence-three-way", a, a.params, mism is None,
+        witness={"h": list(h), "values": list(rec)},
+        counterexample=None if mism is None else {
+            "n": mism, "recursive": rec[mism], "simplex_sum": ssum[mism], "from_h": from_h[mism],
+        },
+    )
+
+
+def _interior_four_way(a: Analysis) -> dict:
+    n_max, d, h, k = a.n_max, a.dim, a.h, a.k
+    rec = a.face_sequences[1][a.lattice.top.id]
+    ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True, split=a.split).values
+    from_k = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
+    from_hr = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
+    mism = next(
+        (n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_k[n] == from_hr[n]), None
+    )
+    return _record(
+        "interior-four-way", a, a.params, mism is None,
+        witness={"k": list(k), "values": list(rec)},
+        counterexample=None if mism is None else {
+            "n": mism,
+            "recursive": rec[mism],
+            "simplex_sum": ssum[mism],
+            "from_k": from_k[mism],
+            "from_h_reversed": from_hr[mism],
+        },
+    )
+
+
+def vector_claims(a: Analysis) -> list[dict]:
+    """The vector cross-checks at the first point: h from the partition equals
+    h from f, k is h reversed, and e follows from k."""
+    return [_h_from_partition(a, 0), _k_reverses_h(a, 0), _e_from_k(a)]
+
+
+def run_pipeline(lattice: FaceLattice, seed: int = 0, n_max: int = 15, points: int = 3) -> list[dict]:
     """Run every verification claim for one polytope; returns claim records."""
-    name = lattice.polytope.name
-    d = lattice.dim
-    if d < 1:
-        raise ValueError("the verification pipeline needs a polytope of dimension >= 1")
-    if points < 1:
-        raise ValueError("the pipeline needs at least one generic point")
-    params = {"d": d, "seed": seed, "n_max": n_max}
-    records: list[dict] = []
-
-    functional = generic_functional(lattice, seed=seed)
-    apexes = assign_apexes(lattice, functional)
-    tri = build_pointed_triangulation(lattice, apexes, verify=(profile == DEBUG))
-
-    cert = tri.pointed if tri.pointed is not None else verify_pointed(tri)
-    records.append(
-        _record(
-            "pointed-triangulation", name, params, cert.ok,
-            witness={"apex_vertex": tri.apex_vertex, "maximal_simplices": len(tri.maximal)},
-            counterexample=None if cert.ok else {"condition": cert.condition, "detail": cert.detail},
-        )
-    )
-
-    closed = is_simplicial_complex(tri.simplices)
-    pure = all(len(s) == d + 1 for s in tri.maximal)
-    records.append(
-        _record(
-            "pure-simplicial-complex", name, params, closed and pure,
-            witness={"simplices": len(tri.simplices)},
-            counterexample={"closed_under_subsets": closed, "pure": pure},
-        )
-    )
-
-    split = split_boundary_interior(tri)
-    ok, detail = pseudomanifold_certificate(tri, split)
-    records.append(
-        _record(
-            "pseudomanifold-boundary", name, params, ok,
-            witness={"boundary": len(split.boundary), "interior": len(split.interior)},
-            counterexample={"detail": detail},
-        )
-    )
-
-    f = f_vector(tri.simplices, d)
-    h = h_from_f(f, d)
-    e = e_vector(split.interior, d)
-    fb = f_vector(split.boundary, d - 1)
-    apex = tri.apex_vertex
-    lk = link(apex, tri.simplices)
-    flink = f_vector(lk, d - 1)
-    chi_expected_boundary = 1 + (-1) ** (d - 1)
-    euler_ok = (
-        euler_characteristic(f) == 1
-        and euler_characteristic(flink) == 1
-        and euler_characteristic(fb) == chi_expected_boundary
-    )
-    records.append(
-        _record(
-            "euler-characteristic", name, params, euler_ok,
-            witness={"complex": 1, "link": 1, "boundary": chi_expected_boundary},
-            counterexample={
-                "complex": euler_characteristic(f),
-                "link": euler_characteristic(flink),
-                "boundary": euler_characteristic(fb),
-            },
-        )
-    )
-
-    # Visibility partitions from several distinct generic points.
-    gps = []
+    a = Analysis(lattice, seed, points, n_max)
+    records = [_pointed(a), _pure_complex(a), _pseudomanifold(a), _euler(a)]
     for i in range(points):
-        gps.append(generic_point(tri, seed=seed + i, avoid=tuple(g.x for g in gps)))
-    h_parts = []
-    k_parts = []
-    for i, gp in enumerate(gps):
-        pparams = dict(params, point=i)
-        ext = exterior_partition(tri, gp)
-        ext_cert = ext.certificate
-        records.append(
-            _record(
-                "exterior-partition-cover", name, pparams, ext_cert.ok,
-                witness={"intervals": len(ext.intervals), "covered": len(tri.simplices)},
-                counterexample={
-                    "uncovered": [sorted(s) for s in ext_cert.uncovered[:3]],
-                    "foreign": [sorted(s) for s in ext_cert.foreign[:3]],
-                },
-            )
-        )
-        intr = interior_partition(tri, gp, split)
-        int_cert = intr.certificate
-        # every interval member outside the interior target is listed as foreign
-        boundary_clean = not any(s in split.boundary for s in int_cert.foreign)
-        records.append(
-            _record(
-                "interior-partition-cover", name, pparams, int_cert.ok and boundary_clean,
-                witness={"intervals": len(intr.intervals), "covered": len(split.interior)},
-                counterexample={
-                    "uncovered": [sorted(s) for s in int_cert.uncovered[:3]],
-                    "foreign": [sorted(s) for s in int_cert.foreign[:3]],
-                    "disjoint_from_boundary": boundary_clean,
-                },
-            )
-        )
-        hp = h_from_partition(ext)
-        kp = k_from_partition(intr)
-        h_parts.append(hp)
-        k_parts.append(kp)
-        records.append(
-            _record(
-                "h-from-partition-matches-f", name, pparams, hp == h,
-                witness={"h": list(h)},
-                counterexample={"from_partition": list(hp), "from_f": list(h)},
-            )
-        )
-        records.append(
-            _record(
-                "k-reverses-h", name, pparams, kp == tuple(reversed(h)),
-                witness={"k": list(kp)},
-                counterexample={"k": list(kp), "h": list(h)},
-            )
-        )
-    records.append(
-        _record(
-            "partition-invariance", name, dict(params, points=points),
-            len(set(h_parts)) == 1 and len(set(k_parts)) == 1,
-            witness={"points": points},
-            counterexample={"h_variants": [list(x) for x in sorted(set(h_parts))]},
-        )
-    )
-
-    records.append(
-        _record(
-            "h-top-vanishes", name, params, h[d] == 0 and h[d + 1] == 0,
-            witness={"h": list(h)},
-            counterexample={"h": list(h)},
-        )
-    )
-
-    hlink = h_from_f(flink, d - 1)
-    link_ok = all(h[i] == hlink[i] for i in range(d))
-    records.append(
-        _record(
-            "link-h-equality", name, params, link_ok,
-            witness={"h_link": list(hlink)},
-            counterexample={"h": list(h), "h_link": list(hlink)},
-        )
-    )
-
-    k = k_parts[0]
-    records.append(
-        _record(
-            "e-vector-from-k", name, params, e == interior_counts_from_k(k, d),
-            witness={"e": list(e)},
-            counterexample={"e": list(e), "from_k": list(interior_counts_from_k(k, d))},
-        )
-    )
-
-    # Sequence methods must agree exactly, exterior and interior; one recursion
-    # gives both recursive sequences of the polytope.
-    face_ext, face_int = face_number_sequences(lattice, apexes, n_max)
-    rec_ext = face_ext[lattice.top.id]
-    sum_ext = polytope_number_simplex_sum(tri, n_max, split=split).values
-    h_ext = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
-    mism = next(
-        (n for n in range(n_max + 1) if not rec_ext[n] == sum_ext[n] == h_ext[n]), None
-    )
-    records.append(
-        _record(
-            "sequence-three-way", name, params, mism is None,
-            witness={"h": list(h), "values": list(rec_ext)},
-            counterexample=None if mism is None else {
-                "n": mism,
-                "recursive": rec_ext[mism],
-                "simplex_sum": sum_ext[mism],
-                "from_h": h_ext[mism],
-            },
-        )
-    )
-
-    rec_int = face_int[lattice.top.id]
-    sum_int = polytope_number_simplex_sum(tri, n_max, interior=True, split=split).values
-    k_int = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
-    hr_int = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
-    mism = next(
-        (
-            n for n in range(n_max + 1)
-            if not rec_int[n] == sum_int[n] == k_int[n] == hr_int[n]
-        ),
-        None,
-    )
-    records.append(
-        _record(
-            "interior-four-way", name, params, mism is None,
-            witness={"k": list(k), "values": list(rec_int)},
-            counterexample=None if mism is None else {
-                "n": mism,
-                "recursive": rec_int[mism],
-                "simplex_sum": sum_int[mism],
-                "from_k": k_int[mism],
-                "from_h_reversed": hr_int[mism],
-            },
-        )
-    )
-    return records
+        records += [_exterior_cover(a, i), _interior_cover(a, i), _h_from_partition(a, i), _k_reverses_h(a, i)]
+    records += [_partition_invariance(a), _h_top_vanishes(a), _link_h(a), _e_from_k(a)]
+    return records + [_sequence_three_way(a), _interior_four_way(a)]
 
 
 def all_passed(records: list[dict]) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, islice
 from math import comb
 
@@ -58,32 +57,6 @@ def simplex_interior(d: int, n: int) -> int:
     if d == 0:
         return 1 if n >= 1 else 0
     return simplex_number(d, n - d - 1)
-
-
-@cache
-def eulerian_number(d: int, i: int) -> int:
-    """Number of permutations of [d] with exactly i descents."""
-    if d < 1:
-        raise ValueError("eulerian numbers need d >= 1")
-    if i < 0 or i >= d:
-        return 0
-    if d == 1:
-        return 1
-    return (i + 1) * eulerian_number(d - 1, i) + (d - i) * eulerian_number(d - 1, i - 1)
-
-
-def cross_number(d: int, n: int) -> int:
-    """n-th d-cross-polytope number."""
-    if d < 1:
-        raise ValueError("cross-polytope numbers need d >= 1")
-    return sum(comb(d - 1, i) * simplex_number(d, n - i) for i in range(d))
-
-
-def measure_number(d: int, n: int) -> int:
-    """n-th d-cube number (evaluates to n^d for n >= 1)."""
-    if d < 1:
-        raise ValueError("measure-polytope numbers need d >= 1")
-    return sum(eulerian_number(d, i) * simplex_number(d, n - i) for i in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +178,6 @@ def sequence_interior_from_k(name: str, k: tuple[int, ...], d: int, n_max: int) 
 def sequence_interior_from_h(name: str, h: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
     values = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
     return SequenceResult(name, "h", True, values)
-
-
-# ---------------------------------------------------------------------------
-# Identity checkers (used as oracles by the verification sweeps).
-
-def facet_cut_check(d: int, n: int, k: int) -> bool:
-    """alpha^d(n) - sum_{i<k} alpha^{d-1}(n-i) == alpha^d(n-k), exactly."""
-    lhs = simplex_number(d, n) - sum(simplex_number(d - 1, n - i) for i in range(k))
-    return lhs == simplex_number(d, n - k)
-
-
-def vandermonde_check(d: int, j: int, n: int) -> bool:
-    """sum_i C(d+1-j, i+1-j) alpha^i(n)# == alpha^d(n-j).
-
-    Holds for n = 0 and every n >= 2 (the n = 1 base cases sit outside the
-    binomial identity).
-    """
-    lhs = sum(
-        comb(d + 1 - j, i + 1 - j) * simplex_interior(i, n)
-        for i in range(max(j - 1, 0), d + 1)
-    )
-    return lhs == simplex_number(d, n - j)
-
-
-def alpha_difference_check(d: int, n: int) -> bool:
-    """alpha^d(n) - alpha^d(n-1) == alpha^{d-1}(n)."""
-    return simplex_number(d, n) - simplex_number(d, n - 1) == simplex_number(d - 1, n)
 
 
 def sequence_to_json(result: SequenceResult, h=None, k=None) -> dict:

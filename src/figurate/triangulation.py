@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import groupby
 
 from .geometry import (
     LinearFunctional,
@@ -43,8 +43,12 @@ Simplex = frozenset[int]
 Complex = frozenset[Simplex]
 
 
-class GenericityError(ValueError):
-    """A functional or point assumed generic turned out not to be."""
+class GenericityError(RuntimeError):
+    """A functional or point assumed generic turned out not to be.
+
+    Every raiser is one of the program's own searches or checks, so this is a
+    failed stage, never an input error.
+    """
 
 
 @dataclass(frozen=True)
@@ -60,18 +64,16 @@ class RidgePlanes:
     """The hyperplane of every facet of every maximal simplex, computed once.
 
     ``planes`` maps each ridge to its canonical hyperplane as an integer
-    vector (``geometry.integer_plane_through``), or to None when the ridge's
-    vertices span no hyperplane. ``facets`` lists for each maximal simplex, by
-    increasing opposite vertex, (opposite vertex, ridge, plane, side of the
-    opposite vertex), the side 0 when the plane is missing. ``complete``
-    holds when every maximal simplex has dim + 1 vertices and every ridge is
-    a simplex of the complex with a plane: then every simplex with at most dim
-    vertices lies in a ridge, and its affine hull in that ridge's plane.
+    vector (``geometry.integer_plane_through``). ``facets`` lists for each
+    maximal simplex, by increasing opposite vertex, (opposite vertex, ridge,
+    plane, side of the opposite vertex). Every maximal simplex has dim + 1
+    vertices, since the face lattice is checked when loaded, so every simplex
+    with at most dim vertices lies in a ridge, and its affine hull in that
+    ridge's plane.
     """
 
-    planes: dict[Simplex, tuple[int, ...] | None]
-    facets: dict[Simplex, tuple[tuple[int, Simplex, tuple[int, ...] | None, int], ...]]
-    complete: bool
+    planes: dict[Simplex, tuple[int, ...]]
+    facets: dict[Simplex, tuple[tuple[int, Simplex, tuple[int, ...], int], ...]]
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,6 @@ class PointedTriangulation:
     def apex_vertex(self) -> int:
         """Apex of the polytope itself (the global functional's argmin)."""
         return self.apexes.apex[self.lattice.top.id]
-
-    def vertex_points(self, s: Simplex):
-        verts = self.lattice.polytope.vertices
-        return [verts[i] for i in sorted(s)]
 
 
 @dataclass(frozen=True)
@@ -181,15 +179,20 @@ def assign_apexes(lattice: FaceLattice, c: LinearFunctional) -> ApexAssignment:
     return ApexAssignment(c, apex)
 
 
-def build_pointed_triangulation(
-    lattice: FaceLattice, apexes: ApexAssignment, verify: bool = True
-) -> PointedTriangulation:
+def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
     """Construct the pointed triangulation determined by an apex assignment.
 
-    With ``verify`` (the debug profile, and the default) the three pointedness
-    conditions are checked after construction and a violation raises; the
-    passing certificate is kept as ``pointed``.
+    The three pointedness conditions are checked after construction and a
+    violation raises; the passing certificate is kept as ``pointed``.
     """
+    tri = _triangulate(lattice, apexes)
+    cert = verify_pointed(tri)
+    if not cert.ok:
+        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
+    return replace(tri, pointed=cert)
+
+
+def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
     # complexes[i]: the vertex masks of face i's complex, in face order
     complexes: list[set[int]] = [{0}]
     for f in lattice.faces[1:]:
@@ -210,32 +213,25 @@ def build_pointed_triangulation(
     facets = {m ^ (1 << v) for m in top_masks for v in simplex_of[m]}
     top = per_face[lattice.top.id]
     maximal = tuple(sorted(map(simplex_of.__getitem__, top_masks - facets), key=_simplex_key))
-    tri = PointedTriangulation(lattice, apexes, top, per_face, maximal)
-    if not verify:
-        return tri
-    cert = verify_pointed(tri)
-    if not cert.ok:
-        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
-    return replace(tri, pointed=cert)
+    return PointedTriangulation(lattice, apexes, top, per_face, maximal)
 
 
 def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
     hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
-    planes: dict[Simplex, tuple[int, ...] | None] = {}
+    planes: dict[Simplex, tuple[int, ...]] = {}
     facets = {}
     for f in tri.maximal:
         entries = []
         for v in sorted(f):
             g = f - {v}
             if g not in planes:
-                planes[g] = integer_plane_through([hv[i] for i in g])
-            plane = planes[g]
-            entries.append((v, g, plane, 0 if plane is None else integer_side(plane, hv[v])))
+                plane = integer_plane_through([hv[i] for i in g])
+                if plane is None:
+                    raise RuntimeError(f"ridge {sorted(g)} of maximal simplex {sorted(f)} spans no hyperplane")
+                planes[g] = plane
+            entries.append((v, g, planes[g], integer_side(planes[g], hv[v])))
         facets[f] = tuple(entries)
-    complete = all(len(f) == tri.dim + 1 for f in tri.maximal) and all(
-        plane is not None and g in tri.simplices for g, plane in planes.items()
-    )
-    return RidgePlanes(planes, facets, complete)
+    return RidgePlanes(planes, facets)
 
 
 def _simplex_key(s: Simplex):
@@ -253,8 +249,8 @@ class _SimplexOf(dict):
         return s
 
 
-def is_simplicial_complex(complex_: Complex | set[Simplex], exhaustive: bool = False) -> bool:
-    """Closure under subsets, and (optionally) all pairwise intersections present."""
+def is_simplicial_complex(complex_: Complex | set[Simplex]) -> bool:
+    """Closure under subsets, the empty simplex included."""
     members = set(complex_)
     if not members:
         return True
@@ -263,10 +259,6 @@ def is_simplicial_complex(complex_: Complex | set[Simplex], exhaustive: bool = F
     for s in members:
         for v in s:
             if (s - {v}) not in members:
-                return False
-    if exhaustive:
-        for s, t in combinations(members, 2):
-            if (s & t) not in members:
                 return False
     return True
 
@@ -344,26 +336,18 @@ def split_boundary_interior(tri: PointedTriangulation) -> ComplexSplit:
     contained in one.
     """
     lattice = tri.lattice
-    if lattice.dim >= 1:
-        targets = [lattice.faces[i].vertices for i in lattice.facet_ids()]
-    else:
-        targets = [frozenset()]
+    targets = [lattice.faces[i].vertices for i in lattice.facet_ids()]
     boundary = frozenset(s for s in tri.simplices if any(s <= t for t in targets))
     interior = frozenset(tri.simplices - boundary)
     return ComplexSplit(boundary, interior)
 
 
-def star(v: int, complex_: Complex | set[Simplex]) -> set[Simplex]:
-    """All faces containing v, and their faces."""
+def link(v: int, complex_: Complex | set[Simplex]) -> set[Simplex]:
+    """The simplices s of the complex without v for which s | {v} is in it."""
     members = set(complex_)
     if frozenset({v}) not in members:
         raise ValueError(f"vertex {v} is not in the complex")
-    return {s for s in members if (s | {v}) in members}
-
-
-def link(v: int, complex_: Complex | set[Simplex]) -> set[Simplex]:
-    """Faces of the star of v that do not contain v."""
-    return {s for s in star(v, complex_) if v not in s}
+    return {s for s in members if v not in s and (s | {v}) in members}
 
 
 def boundary_ridge_counts(tri: PointedTriangulation) -> dict[Simplex, int]:
@@ -379,8 +363,6 @@ def boundary_ridge_counts(tri: PointedTriangulation) -> dict[Simplex, int]:
 def pseudomanifold_certificate(tri: PointedTriangulation, split: ComplexSplit) -> tuple[bool, str]:
     """Boundary ridges must lie in exactly 1 maximal simplex, interior ones in 2."""
     d = tri.dim
-    if d == 0:
-        return True, ""
     counts = boundary_ridge_counts(tri)
     ridges = {s for s in tri.simplices if len(s) == d}
     if set(counts) != ridges:
@@ -392,15 +374,3 @@ def pseudomanifold_certificate(tri: PointedTriangulation, split: ComplexSplit) -
             return False, f"ridge {sorted(r)} lies in {c} maximal simplices, expected {expected}"
     return True, ""
 
-
-def triangulation_to_json(tri: PointedTriangulation, split: ComplexSplit | None = None) -> dict:
-    if split is None:
-        split = split_boundary_interior(tri)
-    def listed(c):
-        return [sorted(s) for s in sorted(c, key=_simplex_key) if s]
-    return {
-        "apexes": {str(fid): v for fid, v in sorted(tri.apexes.apex.items())},
-        "simplices": listed(tri.simplices),
-        "boundary": listed(split.boundary),
-        "interior": listed(split.interior),
-    }

@@ -1,29 +1,10 @@
-"""Shared fixtures: one fully-analyzed bundle per acceptance-family polytope."""
+"""Shared fixtures: one fully-analyzed polytope per acceptance-family member."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pytest
 
-from figurate.lattice import FaceLattice, parse_builtin
-from figurate.partitions import (
-    GenericPoint,
-    Partition,
-    e_vector,
-    exterior_partition,
-    f_vector,
-    generic_point,
-    h_from_f,
-    interior_partition,
-)
-from figurate.triangulation import (
-    ComplexSplit,
-    PointedTriangulation,
-    assign_apexes,
-    build_pointed_triangulation,
-    generic_functional,
-    split_boundary_interior,
-)
+from figurate.lattice import parse_builtin
+from figurate.pipeline import Analysis
 
 ACCEPTANCE_FAMILY = (
     ["simplex:%d" % d for d in range(1, 6)]
@@ -33,53 +14,20 @@ ACCEPTANCE_FAMILY = (
 )
 
 
-@dataclass(frozen=True)
-class Bundle:
-    spec: str
-    lattice: FaceLattice
-    apexes: object
-    tri: PointedTriangulation
-    split: ComplexSplit
-    points: tuple[GenericPoint, ...]
-    exterior: tuple[Partition, ...]
-    interior: tuple[Partition, ...]
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    e: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.lattice.dim
-
-
-def make_bundle(spec: str, seed: int = 0, points: int = 3) -> Bundle:
-    lattice = parse_builtin(spec)
-    functional = generic_functional(lattice, seed=seed)
-    apexes = assign_apexes(lattice, functional)
-    tri = build_pointed_triangulation(lattice, apexes)
-    split = split_boundary_interior(tri)
-    gps: list[GenericPoint] = []
-    for i in range(points):
-        gps.append(generic_point(tri, seed=seed + i, avoid=tuple(g.x for g in gps)))
-    ext = tuple(exterior_partition(tri, gp) for gp in gps)
-    intr = tuple(interior_partition(tri, gp, split) for gp in gps)
-    f = f_vector(tri.simplices, lattice.dim)
-    return Bundle(
-        spec, lattice, apexes, tri, split, tuple(gps), ext, intr,
-        f, h_from_f(f, lattice.dim), e_vector(split.interior, lattice.dim),
-    )
+def make_bundle(spec: str, seed: int = 0, points: int = 3) -> Analysis:
+    return Analysis(parse_builtin(spec), seed, points)
 
 
 @pytest.fixture(scope="session")
-def family() -> dict[str, Bundle]:
+def family() -> dict[str, Analysis]:
     return {spec: make_bundle(spec) for spec in ACCEPTANCE_FAMILY}
 
 
 @pytest.fixture(scope="session")
-def cube3(family) -> Bundle:
+def cube3(family) -> Analysis:
     return family["cube:3"]
 
 
 @pytest.fixture(scope="session")
-def square(family) -> Bundle:
+def square(family) -> Analysis:
     return family["cube:2"]

@@ -27,6 +27,18 @@ construction on vertex masks in ``build_pointed_triangulation``.
 complex; ``reference_condition_1`` runs it on the complex of every face, the
 reference for the one-lookup check of pointedness condition 1.
 
+``unverified_triangulation`` is the construction of
+``build_pointed_triangulation`` without its pointedness check, for tests
+that corrupt or inspect a triangulation the check would reject or that only
+compare the construction. ``integer_plane`` converts a ``Hyperplane`` to the
+integer vector of ``geometry.integer_plane_through``, and ``f_from_h`` is
+the inverse of the f-to-h transform.
+
+``eulerian_number``, ``measure_number`` and ``cross_number`` are the closed
+forms of the cube and cross-polytope sequences; ``facet_cut_check``,
+``vandermonde_check`` and ``alpha_difference_check`` are the simplex-number
+identities behind the paper's sums.
+
 ``reference_face_lattice`` is the original lattice construction: pairwise
 intersection closure of ``frozenset`` vertex sets, one rank per face for its
 dimension, and a pairwise scan for subfaces and maximal proper subfaces. It
@@ -37,21 +49,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
+
+import figurate.triangulation as triangulation
 
 from figurate.geometry import (
     GeometryError,
     Hyperplane,
     Point,
     evaluate_functional,
+    homogenize,
     point,
     vdot,
     vsub,
 )
 from figurate.lattice import Face, FaceLattice, Polytope
 from figurate.partitions import GenericPoint
+from figurate.sequences import simplex_interior, simplex_number
 from figurate.triangulation import (
     ApexAssignment,
     Complex,
@@ -145,6 +162,19 @@ def reference_hyperplane_through(points: Sequence[Point]) -> Hyperplane:
     lead = next(x for x in ints if x)
     normal = tuple(Fraction(x // g if lead > 0 else -x // g) for x in ints)
     return Hyperplane(normal, vdot(normal, p0))
+
+
+def f_from_h(h: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """f_i = sum_j h_j C(dim+1-j, i+1-j): the inverse of ``partitions.h_from_f``."""
+    return tuple(
+        sum(h[j] * comb(dim + 1 - j, ii - j) for j in range(ii + 1))
+        for ii in range(dim + 2)
+    )
+
+
+def integer_plane(h: Hyperplane) -> tuple[int, ...]:
+    """(-L offset, L normal_1, ..., L normal_n), L the lcm of all their denominators."""
+    return homogenize((-h.offset,) + h.normal)[1:]
 
 
 BEFORE_Y = "before_y"
@@ -420,3 +450,58 @@ def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
     (maximal proper subfaces) and the faces holding each vertex from pairwise
     scans, kept both as tuples and as face-id masks."""
     return _ReferenceLattice(polytope, face_sets)
+
+
+def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
+    """``build_pointed_triangulation`` without the pointedness check; ``pointed`` is None."""
+    return triangulation._triangulate(lattice, apexes)
+
+
+@cache
+def eulerian_number(d: int, i: int) -> int:
+    """Number of permutations of [d] with exactly i descents."""
+    if d < 1:
+        raise ValueError("eulerian numbers need d >= 1")
+    if i < 0 or i >= d:
+        return 0
+    if d == 1:
+        return 1
+    return (i + 1) * eulerian_number(d - 1, i) + (d - i) * eulerian_number(d - 1, i - 1)
+
+
+def cross_number(d: int, n: int) -> int:
+    """n-th d-cross-polytope number."""
+    if d < 1:
+        raise ValueError("cross-polytope numbers need d >= 1")
+    return sum(comb(d - 1, i) * simplex_number(d, n - i) for i in range(d))
+
+
+def measure_number(d: int, n: int) -> int:
+    """n-th d-cube number (evaluates to n^d for n >= 1)."""
+    if d < 1:
+        raise ValueError("measure-polytope numbers need d >= 1")
+    return sum(eulerian_number(d, i) * simplex_number(d, n - i) for i in range(d))
+
+
+def facet_cut_check(d: int, n: int, k: int) -> bool:
+    """alpha^d(n) - sum_{i<k} alpha^{d-1}(n-i) == alpha^d(n-k), exactly."""
+    lhs = simplex_number(d, n) - sum(simplex_number(d - 1, n - i) for i in range(k))
+    return lhs == simplex_number(d, n - k)
+
+
+def vandermonde_check(d: int, j: int, n: int) -> bool:
+    """sum_i C(d+1-j, i+1-j) alpha^i(n)# == alpha^d(n-j).
+
+    Holds for n = 0 and every n >= 2 (the n = 1 base cases sit outside the
+    binomial identity).
+    """
+    lhs = sum(
+        comb(d + 1 - j, i + 1 - j) * simplex_interior(i, n)
+        for i in range(max(j - 1, 0), d + 1)
+    )
+    return lhs == simplex_number(d, n - j)
+
+
+def alpha_difference_check(d: int, n: int) -> bool:
+    """alpha^d(n) - alpha^d(n-1) == alpha^{d-1}(n)."""
+    return simplex_number(d, n) - simplex_number(d, n - 1) == simplex_number(d - 1, n)

@@ -17,18 +17,20 @@ from figurate.partitions import (
 )
 from figurate.pipeline import run_pipeline
 from figurate.sequences import (
-    alpha_difference_check,
-    eulerian_number,
-    facet_cut_check,
     interior_from_h_reversed,
     interior_from_k,
-    measure_number,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
-    vandermonde_check,
 )
 from figurate.triangulation import link, pseudomanifold_certificate
+from oracles import (
+    alpha_difference_check,
+    eulerian_number,
+    facet_cut_check,
+    measure_number,
+    vandermonde_check,
+)
 
 N_RANGE = range(0, 16)
 
@@ -47,7 +49,7 @@ def test_criterion_1_three_way_sequence_agreement(family):
         fromh = tuple(polytope_number_from_h(b.h, b.dim, n) for n in N_RANGE)
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromh[n]:
-                violations.append((b.spec, n, rec[n], ssum[n], fromh[n]))
+                violations.append((b.name, n, rec[n], ssum[n], fromh[n]))
     _report(1, "three-way sequence agreement, n in [0,15]", violations)
 
 
@@ -61,7 +63,7 @@ def test_criterion_2_interior_four_way_agreement(family):
         fromh = tuple(interior_from_h_reversed(b.h, b.dim, n) for n in N_RANGE)
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromk[n] == fromh[n]:
-                violations.append((b.spec, n, rec[n], ssum[n], fromk[n], fromh[n]))
+                violations.append((b.name, n, rec[n], ssum[n], fromk[n], fromh[n]))
     # independent grid-count oracle for the interior of the 3-cube
     b3 = family["cube:3"]
     rec3 = polytope_number_recursive(b3.lattice, b3.apexes, max(N_RANGE), interior=True).values
@@ -94,11 +96,11 @@ def test_criterion_3_closed_form_h_vectors(family):
 def test_criterion_4_partition_h_matches_transform(family):
     violations = []
     for b in family.values():
-        assert len({gp.x for gp in b.points}) == 3, b.spec
+        assert len({gp.x for gp in b.generic_points}) == 3, b.name
         for i, part in enumerate(b.exterior):
             hp = h_from_partition(part)
             if hp != b.h:
-                violations.append((b.spec, i, hp, b.h))
+                violations.append((b.name, i, hp, b.h))
     _report(4, "h from partition == h from f, 3 generic points each", violations)
 
 
@@ -108,7 +110,7 @@ def test_criterion_5_k_reverses_h(family):
         for i, part in enumerate(b.interior):
             k = k_from_partition(part)
             if k != tuple(reversed(b.h)):
-                violations.append((b.spec, i, k, b.h))
+                violations.append((b.name, i, k, b.h))
     _report(5, "k_i == h_{d+1-i} entrywise", violations)
 
 
@@ -117,11 +119,11 @@ def test_criterion_6_h_top_zero_and_link_equality(family):
     for b in family.values():
         d = b.dim
         if b.h[d] != 0 or b.h[d + 1] != 0:
-            violations.append((b.spec, "top", b.h))
+            violations.append((b.name, "top", b.h))
         lk = link(b.tri.apex_vertex, b.tri.simplices)
         hlink = h_from_f(f_vector(lk, d - 1), d - 1)
         if b.h[:d] != hlink[:d]:
-            violations.append((b.spec, "link", b.h, hlink))
+            violations.append((b.name, "link", b.h, hlink))
     _report(6, "h_d = h_{d+1} = 0 and h(C_P) == h(link) below d", violations)
 
 
@@ -134,14 +136,14 @@ def test_criterion_7_partition_certificates(family):
         for i, part in enumerate(b.exterior):
             cert = verify_partition(part, whole)
             if not cert.ok:
-                violations.append((b.spec, "exterior", i, cert))
+                violations.append((b.name, "exterior", i, cert))
         for i, part in enumerate(b.interior):
             cert = verify_partition(part, interior)
             if not cert.ok:
-                violations.append((b.spec, "interior", i, cert))
+                violations.append((b.name, "interior", i, cert))
             touched = {m for iv in part.intervals for m in iv.members()}
             if touched & boundary:
-                violations.append((b.spec, "interior-touches-boundary", i))
+                violations.append((b.name, "interior-touches-boundary", i))
     _report(7, "partition certificates: exact covers, boundary untouched", violations)
 
 
@@ -167,7 +169,7 @@ def test_criterion_9_pseudomanifold_and_determinism(family):
     for b in family.values():
         ok, detail = pseudomanifold_certificate(b.tri, b.split)
         if not ok:
-            violations.append((b.spec, detail))
+            violations.append((b.name, detail))
     import json
 
     def report(seed):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import figurate.pipeline as pipeline
+import figurate.triangulation as triangulation
 from figurate.cli import main
 
 
@@ -152,31 +154,72 @@ def _square_with_faces(tmp_path, name, faces):
 
 
 def test_wrong_faces_square_exit_codes(tmp_path, capsys):
-    # the diagonals as faces, and a triangle as a face: rejected at load
-    # under both profiles, naming the face
+    # the diagonals as faces, a triangle as a face, and a crossed
+    # quadrilateral whose diagonal supports nothing: rejected at load,
+    # naming the face
     wrong = {
         "sqdiag": ([[0, 3], [1, 2]], "face [0, 3] has dimension 1, but the faces inside it grade it as 0"),
         "sqtri": ([[0, 1, 3]], "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0"),
+        "sqbowtie": ([[0, 3], [1, 3], [1, 2], [0, 2]], "facet [0, 3] has vertices on both sides of its hyperplane"),
     }
     for name, (faces, detail) in wrong.items():
         path = _square_with_faces(tmp_path, name, faces)
-        for profile in ("debug", "release"):
-            code, out, err = run(capsys, "pipeline", "--input", path, "--profile", profile)
-            assert code == 2 and out == ""
-            assert err == f"figurate: error: faces of {name!r} are not a face lattice: {detail}\n"
+        code, out, err = run(capsys, "pipeline", "--input", path)
+        assert code == 2 and out == ""
+        assert err == f"figurate: error: faces of {name!r} are not a face lattice: {detail}\n"
 
 
 def test_square_with_diagonals_and_vertices_exits_2(capsys):
-    # graded right, but a diagonal has vertices of the square on both sides;
-    # CI runs the installed console script on the same file
+    # the vertices are checked, but only the maximal faces generate the
+    # lattice, so a diagonal grades as a vertex; CI runs the installed
+    # console script on the same file
     path = str(Path(__file__).parent / "square_diagonals_and_vertices.json")
-    for profile in ("debug", "release"):
-        code, out, err = run(capsys, "pipeline", "--input", path, "--profile", profile)
-        assert code == 2 and out == ""
-        assert err == (
-            "figurate: error: faces of 'square-diagonals' are not a face lattice: "
-            "facet [0, 3] has vertices on both sides of its hyperplane\n"
-        )
+    code, out, err = run(capsys, "pipeline", "--input", path)
+    assert code == 2 and out == ""
+    assert err == (
+        "figurate: error: faces of 'square-diagonals' are not a face lattice: "
+        "face [0, 3] has dimension 1, but the faces inside it grade it as 0\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["pipeline", "sequence"])
+def test_zero_denominator_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "figurate: error: cannot interpret '1/0' as a rational\n"
+
+
+@pytest.mark.parametrize("argv", [["pipeline"], ["sequence", "--interior"]])
+def test_point_polytope_exits_2(capsys, argv):
+    # on a point the sequence methods disagree, so neither command takes one
+    code, out, err = run(capsys, *argv, "--builtin", "simplex:0")
+    assert code == 2 and out == ""
+    assert err == "figurate: error: the verification pipeline needs a polytope of dimension >= 1\n"
+
+
+_FORCED = "construction violated pointedness condition 3: forced"
+
+
+@pytest.fixture
+def failing_construction(monkeypatch):
+    monkeypatch.setattr(triangulation, "verify_pointed", lambda tri: triangulation.PointedCertificate(False, 3, "forced"))
+
+
+def test_stage_failure_is_a_failed_pipeline_record(failing_construction, capsys):
+    code, out, err = run(capsys, "pipeline", "--builtin", "cube:2")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "record": "claim", "claim": "pipeline-stage", "polytope": "cube:2",
+        "params": {"seed": 0, "n_max": 15}, "pass": False, "counterexample": {"error": _FORCED},
+    }
+
+
+def test_stage_failure_of_sequence_exits_1(failing_construction, capsys):
+    code, out, err = run(capsys, "sequence", "--builtin", "cube:2")
+    assert code == 1 and out == ""
+    assert err == f"figurate: error: {_FORCED}\n"
 
 
 def test_face_index_out_of_range_exits_2(tmp_path, capsys):
@@ -191,3 +234,14 @@ def test_negative_face_index_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "pipeline", "--input", path)
     assert code == 2 and out == ""
     assert err == "figurate: error: face [0, -1] of 'sqneg' must list vertex indices in [0, 3]\n"
+
+
+def test_sequence_runs_the_vector_cross_checks(monkeypatch, capsys):
+    # an h-vector that disagrees with the partitions fails the first check
+    monkeypatch.setattr(pipeline, "h_from_f", lambda f, dim: (1,) * (dim + 2))
+    code, out, err = run(capsys, "sequence", "--builtin", "cube:2", "--method", "h")
+    assert code == 1 and out == ""
+    assert err == (
+        "figurate: error: claim h-from-partition-matches-f failed: "
+        '{"from_partition": [1, 1, 0, 0], "from_f": [1, 1, 1, 1]}\n'
+    )

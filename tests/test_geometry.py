@@ -8,15 +8,13 @@ from figurate.geometry import (
     GeometryError,
     Hyperplane,
     _rref,
-    affine_hull_contains,
     affine_rank,
     evaluate_functional,
     homogenize,
-    hyperplane_through,
-    integer_plane,
     integer_plane_through,
     integer_side,
     matrix_rank,
+    plane_to_hyperplane,
     point,
     rational,
     rational_str,
@@ -27,6 +25,7 @@ from oracles import (
     AT_OR_AFTER_Y,
     BEFORE_Y,
     MISSES,
+    integer_plane,
     reference_hyperplane_through,
     reference_rref,
     reference_solve_linear,
@@ -45,6 +44,9 @@ def test_rational_parsing_round_trip():
     assert rational("-5") == -5
     assert rational_str(Fraction(-5, 7)) == "-5/7"
     assert rational_str(Fraction(4, 2)) == "2"
+    for bad in ("1/0", "one", 0.5):
+        with pytest.raises(GeometryError, match=f"^cannot interpret {bad!r} as a rational$"):
+            rational(bad)
 
 
 def test_evaluate_functional_examples():
@@ -148,27 +150,21 @@ def test_affine_combination_keeps_rank(weights):
     assert affine_rank(pts + [combo]) == affine_rank(pts)
 
 
-def test_affine_hull_contains_examples():
-    span = [pt(0, 0), pt(1, 0)]
-    assert affine_hull_contains(span, pt(5, 0))
-    assert not affine_hull_contains(span, pt(0, 1))
-    assert affine_hull_contains([pt(2, 3)], pt(2, 3))
-    with pytest.raises(GeometryError):
-        affine_hull_contains(span, pt(1, 2, 3))
+def _plane(*points):
+    return integer_plane_through([homogenize(p) for p in points])
 
 
-def test_hyperplane_through_is_canonical():
+def test_integer_plane_through_is_canonical():
     # same plane from different point triples, scaled coordinates
-    a = hyperplane_through([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)])
-    b = hyperplane_through([pt(0, 0, 1), pt(Fraction(1, 2), Fraction(1, 2), 0), pt(1, 0, 0)])
+    a = _plane(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
+    b = _plane(pt(0, 0, 1), pt(Fraction(1, 2), Fraction(1, 2), 0), pt(1, 0, 0))
     assert a == b
-    assert a.normal == point([1, 1, 1])
+    assert plane_to_hyperplane(a) == Hyperplane(point([1, 1, 1]), Fraction(1))
     # first nonzero normal coordinate positive, integer primitive
-    c = hyperplane_through([pt(0, 0), pt(0, 5)])
+    c = plane_to_hyperplane(_plane(pt(0, 0), pt(0, 5)))
     assert c.normal == point([1, 0])
     assert c.offset == 0
-    with pytest.raises(GeometryError):
-        hyperplane_through([pt(0, 0, 0), pt(1, 0, 0)])  # codimension 2 span
+    assert _plane(pt(0, 0, 0), pt(1, 0, 0)) is None  # codimension 2 span
 
 
 small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
@@ -220,14 +216,11 @@ def test_integer_plane_matches_reference_hyperplane(pts):
     plane = integer_plane_through([homogenize(p) for p in pts])
     try:
         ref = reference_hyperplane_through(pts)
-    except GeometryError as exc:
+    except GeometryError:
         assert plane is None
-        with pytest.raises(GeometryError) as got:
-            hyperplane_through(pts)
-        assert str(got.value) == str(exc)
     else:
         assert plane == integer_plane(ref)
-        assert hyperplane_through(pts) == ref
+        assert plane_to_hyperplane(plane) == ref
 
 
 TRI = [pt(0, 0), pt(2, 0), pt(0, 2)]

@@ -155,6 +155,8 @@ def test_invalid_inputs_rejected():
         polytope_from_vertices("redundant", [[0, 0], [2, 0], [0, 2], [1, 0]])
     with pytest.raises(GeometryError):
         polytope_from_vertices("empty", [])
+    with pytest.raises(GeometryError, match="^cannot interpret '1/0' as a rational$"):
+        polytope_from_json({"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]})
     with pytest.raises(ValueError):
         polytope_from_json({"name": "nothing"})
     with pytest.raises(ValueError, match="'faces' must be a list"):

@@ -10,9 +10,8 @@ face-id masks and as the id tuples read out of them, and so must the faces
 holding each vertex. This holds on every builtin of dimension at most 5, on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5, on a
 polytope given only by rational coordinates, and on the JSON round trip of
-each. The round trips of the bipyramids over a point are the exception: their
-base point lies between the two tips, so the load check rejects it as no
-vertex. The builtin facets are checked to be supporting hyperplanes that close
+each. A bipyramid over a point is rejected: its base point would lie between
+the two tips. The builtin facets are checked to be supporting hyperplanes that close
 up: every ridge lies in exactly two of them. Builtin and hull lattices
 compute no rank; only supplied faces are checked against one.
 """
@@ -22,12 +21,11 @@ from pathlib import Path
 import pytest
 
 import figurate.lattice as lattice_module
-from figurate.geometry import GeometryError, homogenize, integer_plane_through, integer_side
+from figurate.geometry import homogenize, integer_plane_through, integer_side
 from figurate.lattice import parse_builtin, polytope_from_json, polytope_from_vertices, polytope_to_json
 from oracles import reference_face_lattice
 from test_recursion import BUILTINS
 
-POINT_BIPYRAMIDS = ["bipyramid:simplex:0", "bipyramid:cube:0"]
 LARGE = ["simplex:9", "pyramid:simplex:8", "cube:6", "cross:6", "prism:cube:5"]
 SPECS = BUILTINS + LARGE + ["sphere2_6.json"]
 
@@ -62,12 +60,13 @@ def test_lattice_and_its_json_round_trip_equal_the_reference_construction(spec):
     _assert_equal_lattices(lattice, ref)
     # every nonempty face is supplied, so this is the supplied-faces path
     data = json.loads(json.dumps(polytope_to_json(lattice)))
-    if spec in POINT_BIPYRAMIDS:
-        # the base point is the midpoint of the two tips, so it is no vertex
-        with pytest.raises(GeometryError, match=r"^faces of '.*' are not a face lattice: vertex 0 is not a 0-face$"):
-            polytope_from_json(data)
-        return
     _assert_equal_lattices(polytope_from_json(data), ref)
+
+
+@pytest.mark.parametrize("base", ["simplex:0", "cube:0"])
+def test_bipyramid_over_a_point_is_rejected(base):
+    with pytest.raises(ValueError, match=rf"^bipyramid base '{base}' must have dimension >= 1$"):
+        parse_builtin(f"bipyramid:{base}")
 
 
 @pytest.mark.parametrize("spec", BUILTINS + LARGE)

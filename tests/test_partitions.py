@@ -2,18 +2,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from figurate.geometry import affine_hull_contains
 from figurate.lattice import parse_builtin
 from figurate.partitions import (
     EXTERIOR,
     INTERIOR,
     Interval,
     Partition,
-    compute_vectors,
     e_vector,
     euler_characteristic,
     exterior_partition,
-    f_from_h,
     f_vector,
     generic_point,
     h_from_f,
@@ -31,6 +28,8 @@ from figurate.triangulation import (
     generic_functional,
     link,
 )
+from figurate.pipeline import vector_claims
+from oracles import f_from_h, reference_hull_contains
 
 
 def _tri(spec):
@@ -48,35 +47,30 @@ def test_generic_point_on_segment():
 
 
 def test_generic_point_on_square(square):
-    gp = square.points[0]
+    gp = square.generic_points[0]
     # all 5 edge lines (4 sides + diagonal) and 4 vertices were checked
     assert len([s for s in gp.certificate if len(s) == 2]) == 5
     assert len(gp.certificate) == 9
     verts = square.lattice.polytope.vertices
     for s in gp.certificate:
-        assert not affine_hull_contains([verts[i] for i in sorted(s)], gp.x)
+        assert not reference_hull_contains([verts[i] for i in sorted(s)], gp.x)
 
 
 def test_generic_point_on_cube(cube3):
-    gp = cube3.points[0]
+    gp = cube3.generic_points[0]
     by_len = {}
     for s in gp.certificate:
         by_len[len(s)] = by_len.get(len(s), 0) + 1
     assert by_len == {1: 8, 2: 19, 3: 18}
 
 
-def test_generic_point_requires_dimension():
-    with pytest.raises(ValueError):
-        generic_point(_tri("simplex:0"))
-
-
 def test_generic_points_distinct_with_avoid(cube3):
-    xs = [gp.x for gp in cube3.points]
+    xs = [gp.x for gp in cube3.generic_points]
     assert len(set(xs)) == 3
 
 
 def test_visible_facets_none_from_home_simplex(square):
-    gp = square.points[0]
+    gp = square.generic_points[0]
     empties = [f for f in square.tri.maximal if not visible_facets(square.tri, f, gp.x)]
     assert len(empties) == 1
     # and that simplex actually contains the point: every facet hull check has
@@ -84,7 +78,7 @@ def test_visible_facets_none_from_home_simplex(square):
 
 
 def test_visible_facets_square_diagonal(square):
-    gp = square.points[0]
+    gp = square.generic_points[0]
     t_home = next(f for f in square.tri.maximal if not visible_facets(square.tri, f, gp.x))
     t_other = next(f for f in square.tri.maximal if f != t_home)
     diagonal = t_home & t_other
@@ -93,7 +87,7 @@ def test_visible_facets_square_diagonal(square):
 
 
 def test_boundary_facets_not_visible_from_their_simplex(cube3):
-    gp = cube3.points[0]
+    gp = cube3.generic_points[0]
     counts = {}
     for f in cube3.tri.maximal:
         for v in f:
@@ -210,13 +204,13 @@ def test_h_f_round_trip(d, data):
 def test_h_from_partition_matches_transform(family):
     for b in family.values():
         for part in b.exterior:
-            assert h_from_partition(part) == b.h, b.spec
+            assert h_from_partition(part) == b.h, b.name
 
 
 def test_h_from_partition_point_invariance(family):
     for b in family.values():
         hs = {h_from_partition(p) for p in b.exterior}
-        assert len(hs) == 1, b.spec
+        assert len(hs) == 1, b.name
 
 
 def test_k_from_partition_examples(cube3):
@@ -249,7 +243,7 @@ def test_euler_characteristic_examples(cube3):
 def test_h_top_entries_vanish(family):
     for b in family.values():
         d = b.dim
-        assert b.h[d] == 0 and b.h[d + 1] == 0, b.spec
+        assert b.h[d] == 0 and b.h[d + 1] == 0, b.name
 
 
 def test_link_h_equality(family):
@@ -257,16 +251,16 @@ def test_link_h_equality(family):
         d = b.dim
         lk = link(b.tri.apex_vertex, b.tri.simplices)
         hlink = h_from_f(f_vector(lk, d - 1), d - 1)
-        assert hlink[: d] == b.h[: d], b.spec
+        assert hlink[: d] == b.h[: d], b.name
         # the link's own top entry vanishes too
-        assert hlink[d] == 0, b.spec
+        assert hlink[d] == 0, b.name
 
 
 def test_h_sums_to_maximal_count(family):
     from math import factorial
 
     for b in family.values():
-        assert sum(b.h) == b.f[-1] == len(b.tri.maximal), b.spec
+        assert sum(b.h) == b.f[-1] == len(b.tri.maximal), b.name
     for d in range(1, 6):
         assert sum(family[f"cube:{d}"].h) == factorial(d)
 
@@ -274,16 +268,17 @@ def test_h_sums_to_maximal_count(family):
 def test_e_vector_from_k_expansion(family):
     for b in family.values():
         k = k_from_partition(b.interior[0])
-        assert b.e == interior_counts_from_k(k, b.dim), b.spec
+        assert b.e == interior_counts_from_k(k, b.dim), b.name
 
 
-def test_compute_vectors_cross_checks(cube3):
-    vs = compute_vectors(cube3.tri)
-    assert vs.f == (1, 8, 19, 18, 6)
-    assert vs.h == (1, 4, 1, 0, 0)
-    assert vs.k == (0, 0, 1, 4, 1)
-    assert vs.e == (0, 1, 6, 6)
-    assert vs.h[0] == 1 and all(x >= 0 for x in vs.h)
+def test_analysis_vectors_cross_check(cube3):
+    assert cube3.f == (1, 8, 19, 18, 6)
+    assert cube3.h == (1, 4, 1, 0, 0)
+    assert cube3.k == (0, 0, 1, 4, 1)
+    assert cube3.e == (0, 1, 6, 6)
+    assert [r["claim"] for r in vector_claims(cube3) if r["pass"]] == [
+        "h-from-partition-matches-f", "k-reverses-h", "e-vector-from-k"
+    ]
 
 
 def test_interval_members_enumeration():
@@ -293,20 +288,3 @@ def test_interval_members_enumeration():
         frozenset({1}), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3})
     }
     assert iv.size() == 4
-
-
-def test_partition_json_schema(cube3):
-    from figurate.partitions import partition_to_json
-
-    ext = partition_to_json(cube3.exterior[0])
-    assert set(ext) == {"point", "intervals", "h"}
-    assert ext["h"] == [1, 4, 1, 0, 0]
-    assert len(ext["intervals"]) == 6
-    assert all(set(iv) == {"lower", "upper"} for iv in ext["intervals"])
-    assert all(isinstance(c, str) for c in ext["point"])
-    intr = partition_to_json(cube3.interior[0])
-    assert set(intr) == {"point", "intervals", "k"}
-    assert intr["k"] == [0, 0, 1, 4, 1]
-    import json
-
-    json.dumps(ext), json.dumps(intr)  # serializable as-is

@@ -1,4 +1,5 @@
-"""The claim pipeline runs each certificate and the recursion once, and reuses them.
+"""Each command assembles the chain in one ``Analysis``, which computes each
+certificate and the recursion once.
 
 The maximal simplices come from construction: no scan of the complex for
 them runs in the pipeline. Subfaces are read as face-id masks: no subface id
@@ -12,8 +13,9 @@ import figurate.partitions as partitions
 import figurate.pipeline as pipeline
 import figurate.sequences as sequences
 import figurate.triangulation as triangulation
+from figurate.cli import main
 from figurate.lattice import FaceLattice, parse_builtin
-from figurate.pipeline import DEBUG, RELEASE, all_passed, run_pipeline
+from figurate.pipeline import Analysis, all_passed, run_pipeline
 import oracles
 
 
@@ -28,23 +30,44 @@ def _count(monkeypatch, calls, name, *modules):
         monkeypatch.setattr(module, name, counted, raising=False)
 
 
-@pytest.mark.parametrize("profile", [DEBUG, RELEASE])
-def test_each_certificate_is_computed_once(monkeypatch, profile):
+@pytest.fixture
+def calls(monkeypatch):
     calls = Counter()
     _count(monkeypatch, calls, "verify_pointed", triangulation, pipeline)
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
     _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
     _count(monkeypatch, calls, "maximal_simplices", oracles, triangulation, pipeline)
     _count(monkeypatch, calls, "subface_ids", FaceLattice)
-    records = run_pipeline(parse_builtin("cube:3"), n_max=5, points=3, profile=profile)
+    return calls
+
+
+def test_each_certificate_is_computed_once(calls):
+    records = run_pipeline(parse_builtin("cube:3"), n_max=5, points=3)
     assert all_passed(records)
     assert calls == {"verify_pointed": 1, "verify_partition": 2 * 3, "face_number_sequences": 1}
-    assert calls["maximal_simplices"] == 0
-    assert calls["subface_ids"] == 0
+
+
+@pytest.mark.parametrize("method, recursions", [("h", 0), ("recursive", 1)])
+def test_sequence_reads_one_analysis(calls, capsys, method, recursions):
+    assert main(["sequence", "--builtin", "cube:3", "--method", method, "--n", "5"]) == 0
+    expected = {"verify_pointed": 1, "verify_partition": 2, "face_number_sequences": recursions}
+    assert calls == Counter(expected)  # missing counts read as 0
+
+
+def test_stages_are_computed_on_first_use_and_kept(calls):
+    a = Analysis(parse_builtin("cube:3"), points=2)
+    assert calls == {}
+    assert a.exterior is a.exterior and a.interior is a.interior and a.tri is a.tri
+    assert calls == {"verify_pointed": 1, "verify_partition": 2 * 2}
+
+
+@pytest.mark.parametrize("spec, points", [("simplex:0", 1), ("cube:0", 1), ("cube:2", 0)])
+def test_analysis_rejects_what_the_chain_cannot_run(spec, points):
+    with pytest.raises(ValueError):
+        Analysis(parse_builtin(spec), points=points)
 
 
 def test_partitions_carry_their_certificates(cube3):
     for part in cube3.exterior + cube3.interior:
         assert part.verified and part.certificate.ok
         assert not part.certificate.foreign
-

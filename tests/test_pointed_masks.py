@@ -24,11 +24,10 @@ from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polyto
 from figurate.triangulation import (
     ApexAssignment,
     assign_apexes,
-    build_pointed_triangulation,
     generic_functional,
     verify_pointed,
 )
-from oracles import reference_condition_1, reference_pointed_complexes
+from oracles import reference_condition_1, reference_pointed_complexes, unverified_triangulation
 from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
 
@@ -58,10 +57,18 @@ WRONG_FACES = {
         [[0, 1, 3]],
         "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0",
     ),
-    # the diagonals plus the vertices grade right, but a diagonal supports nothing
+    # the diagonals plus the vertices: only the maximal faces generate the
+    # closure, so the vertices are checked but do not grade the diagonals
     "sqdiagv": (
         _SQUARE,
         [[0], [1], [2], [3], [0, 3], [1, 2]],
+        "face [0, 3] has dimension 1, but the faces inside it grade it as 0",
+    ),
+    # a crossed quadrilateral 0-3-1-2 grades right, but its diagonal [0, 3]
+    # supports nothing
+    "sqbowtie": (
+        _SQUARE,
+        [[0, 3], [1, 3], [1, 2], [0, 2]],
         "facet [0, 3] has vertices on both sides of its hyperplane",
     ),
     # a vertex in the middle of an edge lies on that edge's hyperplane
@@ -123,7 +130,7 @@ def test_wrong_faces_are_rejected(spec):
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, generic_functional(lattice))
-    tri = build_pointed_triangulation(lattice, apexes, verify=False)
+    tri = unverified_triangulation(lattice, apexes)
     per_face, simplices, maximal = reference_pointed_complexes(lattice, apexes)
     assert list(tri.per_face) == list(per_face) == [f.id for f in lattice.faces[1:]]
     assert tri.per_face == per_face

@@ -20,6 +20,7 @@ BUILTINS = [f"{family}:{d}" for family, lo, hi in _BASIC for d in range(lo, hi +
     for compound in ("pyramid", "prism", "bipyramid")
     for family, lo, hi in _BASIC
     for d in range(lo, hi)
+    if compound != "bipyramid" or d >= 1  # a bipyramid needs a base of dimension >= 1
 ]
 N_MAX = (0, 1, 2, 3, 40)
 

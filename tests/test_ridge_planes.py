@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import figurate.triangulation as triangulation
-from figurate.geometry import GeometryError, barycenter, point
+from figurate.geometry import barycenter, point
 from figurate.lattice import Polytope, parse_builtin
 from figurate.partitions import (
     exterior_partition,
@@ -23,7 +23,13 @@ from figurate.triangulation import (
     generic_functional,
     split_boundary_interior,
 )
-from oracles import AT_OR_AFTER_Y, full_scan_generic_point, reference_face_lattice, segment_first_hit
+from oracles import (
+    AT_OR_AFTER_Y,
+    full_scan_generic_point,
+    reference_face_lattice,
+    segment_first_hit,
+    unverified_triangulation,
+)
 
 SMALL_FAMILY = (
     ["simplex:%d" % d for d in range(1, 5)]
@@ -47,7 +53,6 @@ def _ridges(tri):
 @pytest.mark.parametrize("spec", SMALL_FAMILY)
 def test_ridge_only_search_matches_full_scan(spec):
     tri = _tri(spec)
-    assert tri.ridge_planes.complete
     for seed in range(4):
         plain = generic_point(tri, seed=seed)
         assert plain == full_scan_generic_point(tri, seed=seed)
@@ -60,10 +65,10 @@ def test_ridge_only_search_matches_full_scan(spec):
 def test_visibility_matches_ray_casting(family, spec):
     b = family[spec]
     verts = b.lattice.polytope.vertices
-    for gp in b.points:
+    for gp in b.generic_points:
         for f in b.tri.maximal:
             visible = visible_facets(b.tri, f, gp.x)
-            simplex = b.tri.vertex_points(f)
+            simplex = [verts[i] for i in sorted(f)]
             for v in f:
                 g = f - {v}
                 hit = segment_first_hit(gp.x, barycenter([verts[i] for i in sorted(g)]), simplex)
@@ -109,18 +114,19 @@ def _square_with_diagonal_faces():
     return reference_face_lattice(square, [frozenset({0, 3}), frozenset({1, 2})])
 
 
-def test_non_pure_complex_falls_back_to_full_scan():
+def test_ridge_spanning_no_hyperplane_raises():
+    # the lattice has no vertices, so the only maximal simplex is the edge
+    # [0, 1] in the plane: its ridges are points, which span no line
     lat = _square_with_diagonal_faces()
-    tri = build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)), verify=False)
-    assert not tri.ridge_planes.complete
-    # the diagonal is a maximal simplex, and every candidate lies on its line
-    with pytest.raises(RuntimeError, match="could not find a generic point"):
+    tri = unverified_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+    assert tri.maximal == (frozenset({0, 1}),)
+    message = r"^ridge \[1\] of maximal simplex \[0, 1\] spans no hyperplane$"
+    with pytest.raises(RuntimeError, match=message):
+        tri.ridge_planes
+    with pytest.raises(RuntimeError, match=message):
         generic_point(tri)
-    with pytest.raises(RuntimeError, match="could not find a generic point"):
-        full_scan_generic_point(tri)
-    diagonal = min(tri.maximal, key=len)
-    with pytest.raises(GeometryError, match="affine dimension"):
-        visible_facets(tri, diagonal, point(["1/3", "1/4"]))
+    with pytest.raises(RuntimeError, match=message):
+        visible_facets(tri, frozenset({0, 1}), point(["1/3", "1/4"]))
 
 
 def test_point_on_a_ridge_plane_raises(square):

@@ -6,24 +6,26 @@ import pytest
 
 from figurate.lattice import parse_builtin
 from figurate.sequences import (
-    alpha_difference_check,
-    cross_number,
-    eulerian_number,
-    facet_cut_check,
     interior_from_h_reversed,
     interior_from_k,
-    measure_number,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
     sequence_from_h,
     simplex_interior,
     simplex_number,
-    vandermonde_check,
 )
 from figurate.triangulation import assign_apexes, build_pointed_triangulation, generic_functional
 
 from conftest import make_bundle
+from oracles import (
+    alpha_difference_check,
+    cross_number,
+    eulerian_number,
+    facet_cut_check,
+    measure_number,
+    vandermonde_check,
+)
 
 
 def test_simplex_number_examples():
@@ -99,11 +101,11 @@ def test_recursive_cube_matches_grid():
 def test_sequence_base_values(family):
     for b in family.values():
         rec = polytope_number_recursive(b.lattice, b.apexes, 3)
-        assert rec.values[0] == 0 and rec.values[1] == 1, b.spec
+        assert rec.values[0] == 0 and rec.values[1] == 1, b.name
         ssum = polytope_number_simplex_sum(b.tri, 3)
-        assert ssum.values[0] == 0 and ssum.values[1] == 1, b.spec
+        assert ssum.values[0] == 0 and ssum.values[1] == 1, b.name
         ri = polytope_number_recursive(b.lattice, b.apexes, 3, interior=True)
-        assert ri.values[0] == 0 and ri.values[1] == 0, b.spec
+        assert ri.values[0] == 0 and ri.values[1] == 0, b.name
 
 
 def test_simplex_sum_examples(cube3):
@@ -157,8 +159,8 @@ def test_closed_forms_match_recursion():
 
 def test_decomposition_coefficients_invariants(family):
     for b in family.values():
-        assert b.h[0] == 1, b.spec
-        assert all(x >= 0 for x in b.h), b.spec
+        assert b.h[0] == 1, b.name
+        assert all(x >= 0 for x in b.h), b.name
 
 
 def test_pyramid_sequence_depends_on_recorded_functional():

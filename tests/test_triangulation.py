@@ -1,4 +1,4 @@
-"""Pointed triangulation construction, verification, splits, stars and links."""
+"""Pointed triangulation construction, verification, splits and links."""
 import random
 import re
 from dataclasses import replace
@@ -22,8 +22,6 @@ from figurate.triangulation import (
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
-    star,
-    triangulation_to_json,
     verify_pointed,
 )
 from oracles import (
@@ -33,6 +31,7 @@ from oracles import (
     pairwise_apex_conflict,
     reference_assign_apexes,
     reference_condition_2,
+    unverified_triangulation,
 )
 from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
@@ -145,8 +144,8 @@ def test_simplex_triangulates_itself():
 
 def test_verify_pointed_passes_on_family(family):
     for b in family.values():
-        assert verify_pointed(b.tri).ok, b.spec
-        assert pairwise_apex_conflict(b.lattice, b.apexes.apex) is None, b.spec
+        assert verify_pointed(b.tri).ok, b.name
+        assert pairwise_apex_conflict(b.lattice, b.apexes.apex) is None, b.name
 
 
 def _with_apexes(tri, apex):
@@ -208,7 +207,7 @@ def test_construction_keeps_its_pointedness_certificate():
     cube = parse_builtin("cube:3")
     apexes = assign_apexes(cube, generic_functional(cube))
     assert build_pointed_triangulation(cube, apexes).pointed.ok
-    assert build_pointed_triangulation(cube, apexes, verify=False).pointed is None
+    assert unverified_triangulation(cube, apexes).pointed is None
 
 
 def test_verify_pointed_vacuous_on_a_point():
@@ -284,17 +283,18 @@ def test_split_is_disjoint_union(family):
         proper_union = {frozenset()}
         for f in b.lattice.faces[1:-1]:
             proper_union |= set(b.tri.per_face[f.id])
-        assert proper_union == set(b.split.boundary), b.spec
+        assert proper_union == set(b.split.boundary), b.name
 
 
 def test_family_complexes_are_simplicial_and_pure(family):
     for b in family.values():
-        assert is_simplicial_complex(b.tri.simplices, exhaustive=True), b.spec
-        assert is_pure(b.tri.simplices, b.dim), b.spec
+        assert is_simplicial_complex(b.tri.simplices), b.name
+        assert all((s & t) in b.tri.simplices for s, t in combinations(b.tri.simplices, 2)), b.name
+        assert is_pure(b.tri.simplices, b.dim), b.name
         for f in b.lattice.faces[1:]:
             cf = b.tri.per_face[f.id]
-            assert is_simplicial_complex(cf), (b.spec, f.id)
-            assert is_pure(cf, f.dim), (b.spec, f.id)
+            assert is_simplicial_complex(cf), (b.name, f.id)
+            assert is_pure(cf, f.dim), (b.name, f.id)
 
 
 def test_all_simplices_affinely_independent(family):
@@ -302,13 +302,13 @@ def test_all_simplices_affinely_independent(family):
         verts = b.lattice.polytope.vertices
         for s in b.tri.simplices:
             if s:
-                assert affinely_independent([verts[i] for i in sorted(s)]), (b.spec, sorted(s))
+                assert affinely_independent([verts[i] for i in sorted(s)]), (b.name, sorted(s))
 
 
 def test_every_maximal_simplex_contains_global_apex(family):
     for b in family.values():
         apex = b.tri.apex_vertex
-        assert all(apex in s for s in b.tri.maximal), b.spec
+        assert all(apex in s for s in b.tri.maximal), b.name
 
 
 def test_link_maximal_simplices_biject_with_complex(family):
@@ -316,35 +316,33 @@ def test_link_maximal_simplices_biject_with_complex(family):
         apex = b.tri.apex_vertex
         lk = link(apex, b.tri.simplices)
         lifted = {s | {apex} for s in maximal_simplices(lk)}
-        assert lifted == set(b.tri.maximal), b.spec
+        assert lifted == set(b.tri.maximal), b.name
 
 
-def test_star_and_link_examples(square):
+def test_link_examples(square):
     apex = square.tri.apex_vertex
     lk = link(apex, square.tri.simplices)
     edges = [s for s in lk if len(s) == 2]
     vertices = [s for s in lk if len(s) == 1]
     assert len(edges) == 2 and len(vertices) == 3  # a path on the non-apex vertices
     assert is_pure(lk, 1)
-    st_ = star(apex, square.tri.simplices)
-    assert is_pure(st_, 2)
-    assert is_simplicial_complex(st_) and is_simplicial_complex(lk)
+    assert is_simplicial_complex(lk)
 
 
-def test_star_of_vertex_in_single_simplex():
+def test_link_of_vertex_in_single_simplex():
     sx = parse_builtin("simplex:3")
     tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
-    assert star(0, tri.simplices) == set(tri.simplices)
+    assert link(0, tri.simplices) == {s for s in tri.simplices if 0 not in s}
     seg_complex = {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
     assert link(0, seg_complex) == {frozenset(), frozenset({1})}
     with pytest.raises(ValueError):
-        star(99, seg_complex)
+        link(99, seg_complex)
 
 
 def test_pseudomanifold_certificate(family):
     for b in family.values():
         ok, detail = pseudomanifold_certificate(b.tri, b.split)
-        assert ok, (b.spec, detail)
+        assert ok, (b.name, detail)
 
 
 @settings(max_examples=25, deadline=None)
@@ -354,14 +352,3 @@ def test_apex_assignment_invariant_under_positive_scaling(scale):
     c = generic_functional(lat)
     scaled = tuple(scale * x for x in c)
     assert assign_apexes(lat, c).apex == assign_apexes(lat, scaled).apex
-
-
-def test_triangulation_json_is_deterministic(cube3):
-    a = triangulation_to_json(cube3.tri, cube3.split)
-    b = triangulation_to_json(cube3.tri)
-    assert a == b
-    assert len(a["simplices"]) == len(cube3.tri.simplices) - 1  # empty simplex not listed
-    assert set(map(tuple, a["boundary"])) | set(map(tuple, a["interior"])) == set(
-        map(tuple, a["simplices"])
-    )
-    assert str(cube3.lattice.top.id) in a["apexes"]
