@@ -47,15 +47,12 @@ from .partitions import (
     Partition,
     e_vector,
     euler_characteristic,
-    exterior_partition,
     f_vector,
     generic_point,
     h_from_f,
-    h_from_partition,
-    interior_partition,
-    k_from_partition,
+    lower_histogram,
     verify_partition,
-    visible_facets,
+    visibility_partitions,
 )
 from .sequences import (
     SequenceResult,

@@ -31,10 +31,13 @@ class GeometryError(ValueError):
 
 
 def rational(value) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a string like "3" or "-5/7"."""
+    """Parse a rational from an int, a Fraction, or a string like "3" or "-5/7".
+
+    A bool is no number here, though Python counts it as an int.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

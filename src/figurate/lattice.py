@@ -103,7 +103,7 @@ class FaceLattice:
       under no other child, which on a face lattice are the children one
       dimension down. ``with_vertex[v]`` masks the faces that hold vertex v.
       Consumers AND these masks and read out only the ids they need
-      (``pick``); ``subface_ids`` and ``cover_ids`` are such readouts.
+      (``pick``); ``cover_ids`` is such a readout.
     """
 
     def __init__(self, polytope: Polytope, generators: Iterable[int]):
@@ -135,7 +135,6 @@ class FaceLattice:
         self.faces: tuple[Face, ...] = tuple(
             Face(i, frozenset(verts[f]), dims[f]) for i, f in zip(ids, order)
         )
-        self._id_by_vertices = {f.vertices: f.id for f in self.faces}
         by_dim: dict[int, list[int]] = {}
         for f in self.faces:
             by_dim.setdefault(f.dim, []).append(f.id)
@@ -158,20 +157,8 @@ class FaceLattice:
         self.with_vertex: tuple[int, ...] = tuple(with_vertex)
 
     @property
-    def empty(self) -> Face:
-        return self.faces[0]
-
-    @property
     def top(self) -> Face:
         return self.faces[-1]
-
-    def face_id(self, vertices: frozenset[int]) -> int:
-        return self._id_by_vertices[frozenset(vertices)]
-
-    def subface_ids(self, fid: int, include_empty: bool = False) -> tuple[int, ...]:
-        """Ids of the proper subfaces of face ``fid`` (excluding ``fid`` itself),
-        read out of ``below``."""
-        return pick(self.below[fid] if include_empty else self.below[fid] & ~1, range(len(self)))
 
     def cover_ids(self, fid: int) -> tuple[int, ...]:
         """Ids of the maximal proper subfaces of face ``fid``; (0,) for a vertex."""
@@ -514,10 +501,17 @@ def polytope_to_json(lattice: FaceLattice) -> dict:
     }
 
 
-def polytope_from_json(data: dict) -> FaceLattice:
+def polytope_from_json(data) -> FaceLattice:
+    """The lattice of a decoded polytope JSON object; a malformed one raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("polytope JSON must be an object")
     if "vertices" not in data:
         raise ValueError("polytope JSON needs a 'vertices' field")
+    if not isinstance(data["vertices"], list) or not all(isinstance(v, list) for v in data["vertices"]):
+        raise ValueError("polytope JSON 'vertices' must be a list of coordinate lists")
     name = data.get("name", "polytope")
+    if not isinstance(name, str):
+        raise ValueError("polytope JSON 'name' must be a string")
     faces = data.get("faces")
     if faces is not None and not isinstance(faces, list):
         raise ValueError("polytope JSON 'faces' must be a list of vertex index lists")

@@ -1,29 +1,31 @@
 """Visibility partitions of a pointed triangulation and the vector calculus.
 
-From a generic interior point x, every maximal simplex F contributes one
-interval of the face poset: [G_F, F] where G_F collects the vertices opposite
-the facets of F visible from x, and the intervals partition the whole
-complex. The interior variant uses D_F, the vertices opposite the facets NOT
-visible from x, and partitions exactly the interior simplices. Histograms of
-|G_F| and |D_F| give the h- and k-vectors, cross-checkable against the
-binomial transform of the f-vector.
+From a generic interior point x, every maximal simplex F has an exterior
+lower set G_F, the vertices opposite the facets of F visible from x, and an
+interior lower set D_F = F - G_F. The intervals [G_F, F] partition the whole
+complex, and the intervals [D_F, F] partition exactly the interior
+simplices. So one side test per facet of every maximal simplex gives both
+partitions, and histograms of |G_F| and |D_F| give the h- and k-vectors,
+cross-checkable against the binomial transform of the f-vector.
 
 Visibility is implemented as an exact side test (x strictly opposite the
 vertex across the facet's hyperplane), which is equivalent to ray casting for
 simplices and never leaves exact arithmetic. Every facet hyperplane comes from
 the triangulation's ridge-plane table, built once as integer vectors, so each
 test is the sign of one integer dot product. Genericity is checked against
-the same ridge planes: in a pure complex every simplex with at most d
+the same ridge planes, and a generic point's certificate is the tuple of
+distinct planes it avoids: in a pure complex every simplex with at most d
 vertices lies in a ridge, so a point off every ridge plane is off every
 lower affine hull as well.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from .geometry import Point, homogenize, integer_side
 from .triangulation import (
@@ -32,26 +34,21 @@ from .triangulation import (
     GenericityError,
     PointedTriangulation,
     Simplex,
-    split_boundary_interior,
 )
-
-EXTERIOR = "exterior"
-INTERIOR = "interior"
 
 
 @dataclass(frozen=True)
 class GenericPoint:
-    """An interior point avoiding every lower-dimensional affine hull.
+    """An interior point off every ridge plane of the triangulation.
 
-    ``certificate`` lists every simplex with at most d vertices; the point
-    lies on none of their affine hulls, so its genericity is auditable. The
-    ridges among them are checked exactly and the lower simplices are covered
-    by containment: each lies in a ridge, so its hull lies in the ridge's
-    hyperplane.
+    ``certificate`` holds the distinct ridge planes, as integer vectors, that
+    the point was checked against; it lies on none of them. Every simplex
+    with at most d vertices lies in a ridge, so the point avoids its affine
+    hull too.
     """
 
     x: Point
-    certificate: tuple[Simplex, ...]
+    certificate: tuple[tuple[int, ...], ...]
     seed: int
 
 
@@ -61,10 +58,6 @@ class Interval:
 
     lower: Simplex
     upper: Simplex
-    kind: str
-
-    def size(self) -> int:
-        return 2 ** (len(self.upper) - len(self.lower))
 
     def members(self):
         extra = sorted(self.upper - self.lower)
@@ -74,20 +67,20 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Partition:
-    intervals: tuple[Interval, ...]
-    kind: str
-    point: Point
-    verified: bool = False
-    certificate: PartitionCertificate | None = None
-
-
-@dataclass(frozen=True)
 class PartitionCertificate:
     ok: bool
     uncovered: tuple[Simplex, ...] = ()
     multiply_covered: tuple[Simplex, ...] = ()
     foreign: tuple[Simplex, ...] = ()
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Intervals that cover their target exactly once, and the certificate
+    of that; only ``visibility_partitions`` builds one, after it verifies."""
+
+    intervals: tuple[Interval, ...]
+    certificate: PartitionCertificate
 
 
 def generic_point(
@@ -104,11 +97,7 @@ def generic_point(
     hence inside the polytope.
     """
     verts = tri.lattice.polytope.vertices
-    targets = sorted(
-        (s for s in tri.simplices if s and len(s) <= tri.dim),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    planes = set(tri.ridge_planes.planes.values())
+    planes = tuple(dict.fromkeys(tri.ridge_planes.planes.values()))
 
     def off_every_hull(x):
         hx = homogenize(x)
@@ -126,66 +115,53 @@ def generic_point(
             for j in range(len(corners[0]))
         )
         if x not in avoid and off_every_hull(x):
-            return GenericPoint(x, tuple(targets), seed)
+            return GenericPoint(x, planes, seed)
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
     raise RuntimeError("could not find a generic point")
 
 
-def visible_facets(tri: PointedTriangulation, f: Simplex, x: Point) -> set[Simplex]:
-    """Facets of a maximal simplex visible from x (exact side test).
+def visibility_partitions(
+    tri: PointedTriangulation, gp: GenericPoint, split: ComplexSplit
+) -> tuple[Partition, Partition]:
+    """The exterior and interior partitions of a generic point, from one sweep.
 
-    A facet is visible iff x and the opposite vertex lie strictly on opposite
-    sides of the facet's hyperplane; when x is inside the simplex no facet is
-    visible. x on a facet hyperplane violates genericity and raises.
+    A facet of a maximal simplex F is visible iff x and the opposite vertex
+    lie strictly on opposite sides of the facet's hyperplane; when x is inside
+    F no facet is visible. One side test per facet gives G_F, and the
+    intervals [G_F, F] and [F - G_F, F] are built side by side. x on a facet
+    hyperplane violates genericity and raises. Each partition is verified
+    against its target, the whole complex and the interior complex, and a
+    failure raises.
     """
-    hx = homogenize(x)
-    out: set[Simplex] = set()
-    for v, g, plane, v_side in tri.ridge_planes.facets[f]:
-        sx = integer_side(plane, hx)
-        if sx == 0:
-            raise GenericityError(f"point lies on the affine hull of facet {sorted(g)}")
-        if sx * v_side < 0:
-            out.add(g)
-    return out
-
-
-def _partition(tri: PointedTriangulation, x, kind: str, target: set[Simplex]) -> Partition:
-    pt = x.x if isinstance(x, GenericPoint) else x
-    intervals = []
+    hx = homogenize(gp.x)
+    exterior, interior = [], []
     for f in tri.maximal:
-        visible = visible_facets(tri, f, pt)
-        if kind == EXTERIOR:
-            lower = frozenset(v for v in f if (f - {v}) in visible)
-        else:
-            lower = frozenset(v for v in f if (f - {v}) not in visible)
-        intervals.append(Interval(lower, f, kind))
-    part = Partition(tuple(intervals), kind, pt)
-    cert = verify_partition(part, target)
+        lower = []
+        for v, g, plane, v_side in tri.ridge_planes.facets[f]:
+            sx = integer_side(plane, hx)
+            if sx == 0:
+                raise GenericityError(f"point lies on the affine hull of facet {sorted(g)}")
+            if sx * v_side < 0:
+                lower.append(v)
+        g_f = frozenset(lower)
+        exterior.append(Interval(g_f, f))
+        interior.append(Interval(f - g_f, f))
+    return _verified("exterior", exterior, tri.simplices), _verified("interior", interior, split.interior)
+
+
+def _verified(kind: str, intervals: list[Interval], target: Complex) -> Partition:
+    cert = verify_partition(intervals, target)
     if not cert.ok:
         raise RuntimeError(f"{kind} intervals failed to partition their target: {cert}")
-    return replace(part, verified=True, certificate=cert)
+    return Partition(tuple(intervals), cert)
 
 
-def exterior_partition(tri: PointedTriangulation, x) -> Partition:
-    """One interval [G_F, F] per maximal simplex, partitioning the whole complex."""
-    return _partition(tri, x, EXTERIOR, set(tri.simplices))
-
-
-def interior_partition(
-    tri: PointedTriangulation, x, split: ComplexSplit | None = None
-) -> Partition:
-    """One interval [D_F, F] per maximal simplex, partitioning the interior complex."""
-    if split is None:
-        split = split_boundary_interior(tri)
-    return _partition(tri, x, INTERIOR, set(split.interior))
-
-
-def verify_partition(partition: Partition, target: set[Simplex]) -> PartitionCertificate:
+def verify_partition(intervals: Iterable[Interval], target: Complex | set[Simplex]) -> PartitionCertificate:
     """Element-by-element check: target covered exactly once, nothing foreign."""
     counts: dict[Simplex, int] = {}
     foreign = []
-    for iv in partition.intervals:
+    for iv in intervals:
         for member in iv.members():
             if member in target:
                 counts[member] = counts.get(member, 0) + 1
@@ -236,28 +212,13 @@ def h_from_f(f: tuple[int, ...], dim: int) -> tuple[int, ...]:
     )
 
 
-def _histogram(partition: Partition) -> tuple[int, ...]:
-    if not partition.verified:
-        raise ValueError("partition has not been verified")
-    dim = len(partition.intervals[0].upper) - 1
-    hist = [0] * (dim + 2)
+def lower_histogram(partition: Partition) -> tuple[int, ...]:
+    """The number of intervals per lower-set size: h from an exterior
+    partition, k from an interior one."""
+    hist = [0] * (len(partition.intervals[0].upper) + 1)
     for iv in partition.intervals:
         hist[len(iv.lower)] += 1
     return tuple(hist)
-
-
-def h_from_partition(partition: Partition) -> tuple[int, ...]:
-    """h_i = number of intervals with |G_F| = i (exterior partitions only)."""
-    if partition.kind != EXTERIOR:
-        raise ValueError("h-vector histogram requires an exterior partition")
-    return _histogram(partition)
-
-
-def k_from_partition(partition: Partition) -> tuple[int, ...]:
-    """k_i = number of intervals with |D_F| = i (interior partitions only)."""
-    if partition.kind != INTERIOR:
-        raise ValueError("k-vector histogram requires an interior partition")
-    return _histogram(partition)
 
 
 def euler_characteristic(f: tuple[int, ...]) -> int:

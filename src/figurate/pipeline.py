@@ -19,14 +19,12 @@ from .partitions import (
     Partition,
     e_vector,
     euler_characteristic,
-    exterior_partition,
     f_vector,
     generic_point,
     h_from_f,
-    h_from_partition,
     interior_counts_from_k,
-    interior_partition,
-    k_from_partition,
+    lower_histogram,
+    visibility_partitions,
 )
 from .sequences import (
     face_number_sequences,
@@ -55,8 +53,9 @@ class Analysis:
 
     functional -> apexes -> verified pointed triangulation -> boundary and
     interior split -> ``points`` generic points, searched with seeds
-    ``seed``, ``seed + 1``, ... -> exterior and interior partition per point
-    -> f/h/e/k vectors -> the sequences of every face up to ``n_max``.
+    ``seed``, ``seed + 1``, ... -> the exterior and interior partitions of
+    each point, from one visibility sweep -> f/h/e/k vectors -> the
+    sequences of every face up to ``n_max``.
     """
 
     lattice: FaceLattice
@@ -102,12 +101,9 @@ class Analysis:
         return tuple(gps)
 
     @cached_property
-    def exterior(self) -> tuple[Partition, ...]:
-        return tuple(exterior_partition(self.tri, gp) for gp in self.generic_points)
-
-    @cached_property
-    def interior(self) -> tuple[Partition, ...]:
-        return tuple(interior_partition(self.tri, gp, self.split) for gp in self.generic_points)
+    def partitions(self) -> tuple[tuple[Partition, Partition], ...]:
+        """The verified (exterior, interior) partitions of each generic point."""
+        return tuple(visibility_partitions(self.tri, gp, self.split) for gp in self.generic_points)
 
     @cached_property
     def f(self) -> tuple[int, ...]:
@@ -124,12 +120,12 @@ class Analysis:
     @cached_property
     def h_parts(self) -> tuple[tuple[int, ...], ...]:
         """The h-vector of each point's exterior partition."""
-        return tuple(map(h_from_partition, self.exterior))
+        return tuple(lower_histogram(ext) for ext, _ in self.partitions)
 
     @cached_property
     def k_parts(self) -> tuple[tuple[int, ...], ...]:
         """The k-vector of each point's interior partition."""
-        return tuple(map(k_from_partition, self.interior))
+        return tuple(lower_histogram(intr) for _, intr in self.partitions)
 
     @property
     def k(self) -> tuple[int, ...]:
@@ -159,11 +155,13 @@ def _record(claim, a: Analysis, params, ok, witness=None, counterexample=None):
 
 
 def _pointed(a: Analysis) -> dict:
-    tri, cert = a.tri, a.tri.pointed
+    # build_pointed_triangulation raises on any violated condition, which
+    # becomes a failed pipeline-stage record; a triangulation that exists is
+    # pointed
+    tri = a.tri
     return _record(
-        "pointed-triangulation", a, a.params, cert.ok,
+        "pointed-triangulation", a, a.params, True,
         witness={"apex_vertex": tri.apex_vertex, "maximal_simplices": len(tri.maximal)},
-        counterexample={"condition": cert.condition, "detail": cert.detail},
     )
 
 
@@ -196,36 +194,25 @@ def _euler(a: Analysis) -> dict:
     return _record("euler-characteristic", a, a.params, chi == expected, witness=expected, counterexample=chi)
 
 
-def _exterior_cover(a: Analysis, i: int) -> dict:
-    ext = a.exterior[i]
-    cert = ext.certificate
-    return _record(
-        "exterior-partition-cover", a, dict(a.params, point=i), cert.ok,
-        witness={"intervals": len(ext.intervals), "covered": len(a.tri.simplices)},
-        counterexample={
-            "uncovered": [sorted(s) for s in cert.uncovered[:3]],
-            "foreign": [sorted(s) for s in cert.foreign[:3]],
-        },
-    )
+def _covers(a: Analysis, i: int) -> list[dict]:
+    # visibility_partitions raises unless both partitions cover their targets
+    # exactly once, the interior one without a boundary simplex, so once the
+    # partitions exist both claims hold
+    ext, intr = a.partitions[i]
+    params = dict(a.params, point=i)
+    return [
+        _record(
+            "exterior-partition-cover", a, params, True,
+            witness={"intervals": len(ext.intervals), "covered": len(a.tri.simplices)},
+        ),
+        _record(
+            "interior-partition-cover", a, params, True,
+            witness={"intervals": len(intr.intervals), "covered": len(a.split.interior)},
+        ),
+    ]
 
 
-def _interior_cover(a: Analysis, i: int) -> dict:
-    intr = a.interior[i]
-    cert = intr.certificate
-    # every interval member outside the interior target is listed as foreign
-    boundary_clean = not any(s in a.split.boundary for s in cert.foreign)
-    return _record(
-        "interior-partition-cover", a, dict(a.params, point=i), cert.ok and boundary_clean,
-        witness={"intervals": len(intr.intervals), "covered": len(a.split.interior)},
-        counterexample={
-            "uncovered": [sorted(s) for s in cert.uncovered[:3]],
-            "foreign": [sorted(s) for s in cert.foreign[:3]],
-            "disjoint_from_boundary": boundary_clean,
-        },
-    )
-
-
-def _h_from_partition(a: Analysis, i: int) -> dict:
+def _h_matches_f(a: Analysis, i: int) -> dict:
     hp = a.h_parts[i]
     return _record(
         "h-from-partition-matches-f", a, dict(a.params, point=i), hp == a.h,
@@ -319,7 +306,7 @@ def _interior_four_way(a: Analysis) -> dict:
 def vector_claims(a: Analysis) -> list[dict]:
     """The vector cross-checks at the first point: h from the partition equals
     h from f, k is h reversed, and e follows from k."""
-    return [_h_from_partition(a, 0), _k_reverses_h(a, 0), _e_from_k(a)]
+    return [_h_matches_f(a, 0), _k_reverses_h(a, 0), _e_from_k(a)]
 
 
 def run_pipeline(lattice: FaceLattice, seed: int = 0, n_max: int = 15, points: int = 3) -> list[dict]:
@@ -327,7 +314,7 @@ def run_pipeline(lattice: FaceLattice, seed: int = 0, n_max: int = 15, points: i
     a = Analysis(lattice, seed, points, n_max)
     records = [_pointed(a), _pure_complex(a), _pseudomanifold(a), _euler(a)]
     for i in range(points):
-        records += [_exterior_cover(a, i), _interior_cover(a, i), _h_from_partition(a, i), _k_reverses_h(a, i)]
+        records += _covers(a, i) + [_h_matches_f(a, i), _k_reverses_h(a, i)]
     records += [_partition_invariance(a), _h_top_vanishes(a), _link_h(a), _e_from_k(a)]
     return records + [_sequence_three_way(a), _interior_four_way(a)]
 

@@ -23,12 +23,7 @@ from itertools import accumulate, islice
 from math import comb
 
 from .lattice import FaceLattice, pick
-from .triangulation import (
-    ApexAssignment,
-    ComplexSplit,
-    PointedTriangulation,
-    split_boundary_interior,
-)
+from .triangulation import ApexAssignment, ComplexSplit, PointedTriangulation
 from .partitions import e_vector, f_vector
 
 @dataclass(frozen=True)
@@ -116,7 +111,8 @@ def polytope_number_simplex_sum(
     tri: PointedTriangulation,
     n_max: int,
     interior: bool = False,
-    split: ComplexSplit | None = None,
+    *,
+    split: ComplexSplit,
 ) -> SequenceResult:
     """Sum of interior simplex numbers over the triangulation's face counts.
 
@@ -130,8 +126,6 @@ def polytope_number_simplex_sum(
     d = tri.dim
     name = tri.lattice.polytope.name
     if interior:
-        if split is None:
-            split = split_boundary_interior(tri)
         e = e_vector(split.interior, d)
         values = tuple(
             sum(e[i] * simplex_interior(i, n) for i in range(d + 1))

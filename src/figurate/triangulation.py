@@ -25,7 +25,7 @@ index sets, with ``frozenset()`` standing for the empty simplex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -83,7 +83,6 @@ class PointedTriangulation:
     simplices: Complex
     per_face: dict[int, Complex]
     maximal: tuple[Simplex, ...]
-    pointed: PointedCertificate | None = None  # set when construction verified pointedness
 
     @property
     def dim(self) -> int:
@@ -183,13 +182,13 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) ->
     """Construct the pointed triangulation determined by an apex assignment.
 
     The three pointedness conditions are checked after construction and a
-    violation raises; the passing certificate is kept as ``pointed``.
+    violation raises, so every triangulation it returns is pointed.
     """
     tri = _triangulate(lattice, apexes)
     cert = verify_pointed(tri)
     if not cert.ok:
         raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
-    return replace(tri, pointed=cert)
+    return tri
 
 
 def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:

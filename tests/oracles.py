@@ -66,8 +66,7 @@ from figurate.geometry import (
     vdot,
     vsub,
 )
-from figurate.lattice import Face, FaceLattice, Polytope
-from figurate.partitions import GenericPoint
+from figurate.lattice import Face, FaceLattice, Polytope, pick
 from figurate.sequences import simplex_interior, simplex_number
 from figurate.triangulation import (
     ApexAssignment,
@@ -243,8 +242,9 @@ def segment_first_hit(x: Point, y: Point, simplex: Sequence[Point]) -> str:
 
 def full_scan_generic_point(
     tri: PointedTriangulation, seed: int = 0, avoid: tuple[Point, ...] = ()
-) -> GenericPoint:
-    """The generic-point search with one exact hull membership test per simplex."""
+) -> Point:
+    """The point of the generic-point search with one exact hull membership
+    test per simplex."""
     verts = tri.lattice.polytope.vertices
     targets = sorted(
         (s for s in tri.simplices if s and len(s) <= tri.dim),
@@ -262,7 +262,7 @@ def full_scan_generic_point(
             for j in range(len(corners[0]))
         )
         if x not in avoid and not any(reference_hull_contains(pts, x) for pts in target_points):
-            return GenericPoint(x, tuple(targets), seed)
+            return x
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
     raise RuntimeError("could not find a generic point")
@@ -282,7 +282,7 @@ def reference_face_number_sequences(
             ext[f.id] = seq
             intr[f.id] = list(seq)
             continue
-        sub = lattice.subface_ids(f.id)
+        sub = pick(lattice.below[f.id] & ~1, range(len(lattice)))
         apex = apexes.apex[f.id]
         away = [g for g in sub if apex not in lattice.faces[g].vertices]
         e = [0] * (n_max + 1)
@@ -314,7 +314,7 @@ def reference_condition_2(lattice: FaceLattice, apex: dict[int, int]) -> str | N
     apexes differ while the subface holds the face's apex; or None."""
     for f in lattice.faces[1:]:
         v = apex[f.id]
-        for gid in lattice.subface_ids(f.id):
+        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
             g = lattice.faces[gid]
             if v in g.vertices and apex[gid] != v:
                 return f"faces {sorted(g.vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
@@ -362,7 +362,7 @@ def reference_pointed_complexes(
     for f in lattice.faces[1:]:
         v = apexes.apex[f.id]
         grown: set[Simplex] = {frozenset({v})}
-        for gid in lattice.subface_ids(f.id):
+        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
             if v in lattice.faces[gid].vertices:
                 continue
             for s in chain[gid]:
@@ -372,7 +372,7 @@ def reference_pointed_complexes(
     for f in lattice.faces[1:]:
         acc: set[Simplex] = {frozenset()}
         acc |= chain[f.id]
-        for gid in lattice.subface_ids(f.id):
+        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
             acc |= chain[gid]
         per_face[f.id] = frozenset(acc)
     top = per_face[lattice.top.id]
@@ -416,29 +416,24 @@ class _ReferenceLattice(FaceLattice):
         faces = [Face(0, frozenset(), -1)]
         faces += [Face(i + 1, s, dims[s]) for i, s in enumerate(ordered)]
         self.faces = tuple(faces)
-        self._id_by_vertices = {f.vertices: f.id for f in self.faces}
         by_dim: dict[int, list[int]] = {}
         for f in self.faces:
             by_dim.setdefault(f.dim, []).append(f.id)
         self.by_dim = {d: tuple(ids) for d, ids in by_dim.items()}
-        self._subfaces = tuple(
+        subfaces = tuple(
             tuple(g.id for g in self.faces if g.vertices < f.vertices) for f in self.faces
         )
-        below = [set(ids) for ids in self._subfaces]
+        below = [set(ids) for ids in subfaces]
         covers = []
-        for ids in self._subfaces:
+        for ids in subfaces:
             under = set().union(*(below[h] for h in ids))  # subfaces of subfaces
             covers.append(tuple(g for g in ids if g not in under))
         self._covers = tuple(covers)
-        self.below = tuple(sum(1 << g for g in ids) for ids in self._subfaces)
+        self.below = tuple(sum(1 << g for g in ids) for ids in subfaces)
         self.covers = tuple(sum(1 << g for g in ids) for ids in self._covers)
         self.with_vertex = tuple(
             sum(1 << f.id for f in self.faces if v in f.vertices) for v in range(len(polytope.vertices))
         )
-
-    def subface_ids(self, fid: int, include_empty: bool = False) -> tuple[int, ...]:
-        ids = self._subfaces[fid]
-        return ids if include_empty else ids[1:]
 
     def cover_ids(self, fid: int) -> tuple[int, ...]:
         return self._covers[fid]
@@ -448,12 +443,12 @@ def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
     """The lattice of the intersection closure of ``face_sets``, the polytope
     and the empty face, with dimensions from ranks, and subfaces, covers
     (maximal proper subfaces) and the faces holding each vertex from pairwise
-    scans, kept both as tuples and as face-id masks."""
+    scans, the covers kept both as tuples and as face-id masks."""
     return _ReferenceLattice(polytope, face_sets)
 
 
 def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
-    """``build_pointed_triangulation`` without the pointedness check; ``pointed`` is None."""
+    """``build_pointed_triangulation`` without the pointedness check."""
     return triangulation._triangulate(lattice, apexes)
 
 

@@ -11,8 +11,7 @@ from math import comb
 from figurate.partitions import (
     f_vector,
     h_from_f,
-    h_from_partition,
-    k_from_partition,
+    lower_histogram,
     verify_partition,
 )
 from figurate.pipeline import run_pipeline
@@ -56,7 +55,7 @@ def test_criterion_1_three_way_sequence_agreement(family):
 def test_criterion_2_interior_four_way_agreement(family):
     violations = []
     for b in family.values():
-        k = k_from_partition(b.interior[0])
+        k = lower_histogram(b.partitions[0][1])
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE), interior=True).values
         ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), interior=True, split=b.split).values
         fromk = tuple(interior_from_k(k, b.dim, n) for n in N_RANGE)
@@ -97,8 +96,8 @@ def test_criterion_4_partition_h_matches_transform(family):
     violations = []
     for b in family.values():
         assert len({gp.x for gp in b.generic_points}) == 3, b.name
-        for i, part in enumerate(b.exterior):
-            hp = h_from_partition(part)
+        for i, (part, _) in enumerate(b.partitions):
+            hp = lower_histogram(part)
             if hp != b.h:
                 violations.append((b.name, i, hp, b.h))
     _report(4, "h from partition == h from f, 3 generic points each", violations)
@@ -107,8 +106,8 @@ def test_criterion_4_partition_h_matches_transform(family):
 def test_criterion_5_k_reverses_h(family):
     violations = []
     for b in family.values():
-        for i, part in enumerate(b.interior):
-            k = k_from_partition(part)
+        for i, (_, part) in enumerate(b.partitions):
+            k = lower_histogram(part)
             if k != tuple(reversed(b.h)):
                 violations.append((b.name, i, k, b.h))
     _report(5, "k_i == h_{d+1-i} entrywise", violations)
@@ -133,12 +132,11 @@ def test_criterion_7_partition_certificates(family):
         whole = set(b.tri.simplices)
         interior = set(b.split.interior)
         boundary = set(b.split.boundary)
-        for i, part in enumerate(b.exterior):
-            cert = verify_partition(part, whole)
+        for i, (ext, part) in enumerate(b.partitions):
+            cert = verify_partition(ext.intervals, whole)
             if not cert.ok:
                 violations.append((b.name, "exterior", i, cert))
-        for i, part in enumerate(b.interior):
-            cert = verify_partition(part, interior)
+            cert = verify_partition(part.intervals, interior)
             if not cert.ok:
                 violations.append((b.name, "interior", i, cert))
             touched = {m for iv in part.intervals for m in iv.members()}

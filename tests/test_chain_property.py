@@ -1,0 +1,47 @@
+"""The whole chain on polytopes outside the builtin families.
+
+Rational points on the unit sphere S^(d-1) are always in convex position, and
+inverse stereographic projection from the north pole makes every rational
+parameter t in Q^(d-1) such a point:
+
+    t -> (2 t, |t|^2 - 1) / (|t|^2 + 1).
+
+Distinct parameters give distinct points. The hull search finds their face
+lattice from coordinates alone, and every claim of the pipeline must pass
+from two generic points.
+"""
+from fractions import Fraction
+
+from hypothesis import event, given, settings, strategies as st
+
+from figurate.lattice import polytope_from_vertices
+from figurate.pipeline import run_pipeline
+
+_PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+def _on_sphere(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    norm = sum(c * c for c in t)
+    return tuple(2 * c / (norm + 1) for c in t) + ((norm - 1) / (norm + 1),)
+
+
+@st.composite
+def sphere_points(draw):
+    d = draw(st.integers(1, 3))
+    if d == 1:  # S^0 has two points; any two distinct rationals bound a segment
+        ends = draw(st.lists(_PARAMETER, min_size=2, max_size=2, unique=True))
+        return [(c,) for c in ends]
+    ts = draw(st.lists(st.tuples(*[_PARAMETER] * (d - 1)), min_size=d + 1, max_size=d + 6, unique=True))
+    return [_on_sphere(t) for t in ts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sphere_points())
+def test_every_claim_holds_on_rational_sphere_points(points):
+    lattice = polytope_from_vertices("sphere", points)
+    assert lattice.polytope.dim >= 1
+    event(f"d={lattice.dim}, {len(points)} vertices, {len(lattice)} faces")
+    records = run_pipeline(lattice, n_max=6, points=2)
+    failed = [r for r in records if not r["pass"]]
+    assert not failed, failed[:1]
+    assert len(records) == 4 + 4 * 2 + 4 + 2

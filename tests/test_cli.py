@@ -1,8 +1,10 @@
 """CLI surface: generation, pipelines, sequences, exit codes, determinism."""
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import figurate.pipeline as pipeline
 import figurate.triangulation as triangulation
@@ -245,3 +247,67 @@ def test_sequence_runs_the_vector_cross_checks(monkeypatch, capsys):
         "figurate: error: claim h-from-partition-matches-f failed: "
         '{"from_partition": [1, 1, 0, 0], "from_f": [1, 1, 1, 1]}\n'
     )
+
+
+@pytest.mark.parametrize("data, detail", [
+    ({"vertices": [1, 2]}, "polytope JSON 'vertices' must be a list of coordinate lists"),
+    ({"vertices": None}, "polytope JSON 'vertices' must be a list of coordinate lists"),
+    (None, "polytope JSON must be an object"),
+    ({"vertices": [[True, "0"], ["1", "0"], ["0", "1"]]}, "cannot interpret True as a rational"),
+    ({"name": ["x"], "vertices": _SQUARE}, "polytope JSON 'name' must be a string"),
+])
+def test_malformed_polytope_json_exits_2(tmp_path, capsys, data, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "pipeline", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"figurate: error: {detail}\n"
+
+
+def _not_rational(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+# JSON values that are no rational coordinate, no vertex list and no name
+_BAD_COORDINATE = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4).filter(_not_rational),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NO_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NO_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(max_size=2), max_size=2))
+
+
+@st.composite
+def malformed_polytopes(draw):
+    """A valid square object with exactly one part broken, or no object at all."""
+    vertices = [list(v) for v in _SQUARE]
+    kind = draw(st.sampled_from(["top", "vertices", "vertex", "coordinate", "name"]))
+    if kind == "top":
+        return draw(st.one_of(_NO_LIST, st.lists(st.integers(), max_size=3)))
+    if kind == "vertices":
+        return {"vertices": draw(_NO_LIST)}
+    if kind == "vertex":
+        vertices[draw(st.integers(0, 3))] = draw(_NO_LIST)
+    elif kind == "coordinate":
+        vertices[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(_BAD_COORDINATE)
+    else:
+        return {"name": draw(_NO_STRING), "vertices": vertices}
+    return {"vertices": vertices}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_polytopes())
+def test_malformed_polytope_json_never_tracebacks(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    for argv in (["pipeline", "--input", str(path)], ["sequence", "--input", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("figurate: error: ") and err.count("\n") == 1, err

@@ -49,7 +49,6 @@ def _assert_equal_lattices(lattice, ref):
     assert lattice.covers == ref.covers
     assert lattice.with_vertex == ref.with_vertex
     for f in ref.faces:
-        assert lattice.subface_ids(f.id, include_empty=True) == ref.subface_ids(f.id, include_empty=True)
         assert lattice.cover_ids(f.id) == ref.cover_ids(f.id), sorted(f.vertices)
 
 

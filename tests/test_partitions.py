@@ -1,25 +1,24 @@
 """Visibility partitions and the f/h/k/e vector calculus."""
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+import figurate.partitions as partitions
 from figurate.lattice import parse_builtin
 from figurate.partitions import (
-    EXTERIOR,
-    INTERIOR,
     Interval,
-    Partition,
+    PartitionCertificate,
     e_vector,
     euler_characteristic,
-    exterior_partition,
     f_vector,
     generic_point,
     h_from_f,
-    h_from_partition,
     interior_counts_from_k,
-    interior_partition,
-    k_from_partition,
+    lower_histogram,
     verify_partition,
-    visible_facets,
+    visibility_partitions,
 )
 from figurate.triangulation import (
     GenericityError,
@@ -27,14 +26,37 @@ from figurate.triangulation import (
     build_pointed_triangulation,
     generic_functional,
     link,
+    split_boundary_interior,
 )
-from figurate.pipeline import vector_claims
-from oracles import f_from_h, reference_hull_contains
+from figurate.pipeline import Analysis, vector_claims
+from oracles import f_from_h, integer_plane, reference_hull_contains, reference_hyperplane_through
 
 
 def _tri(spec):
     lat = parse_builtin(spec)
     return build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+
+
+def _partitions(tri):
+    return visibility_partitions(tri, generic_point(tri), split_boundary_interior(tri))
+
+
+def _size(iv):
+    return 2 ** len(iv.upper - iv.lower)
+
+
+def _visible(f, ext):
+    """The facets of maximal simplex f visible from the point of the
+    exterior partition ext: those opposite the vertices of G_F."""
+    (iv,) = [iv for iv in ext.intervals if iv.upper == f]
+    return {f - {v} for v in iv.lower}
+
+
+def _ridge_planes(b):
+    """The distinct ridge planes of a triangulation, by the reference kernel."""
+    verts = b.lattice.polytope.vertices
+    ridges = {f - {v} for f in b.tri.maximal for v in f}
+    return {integer_plane(reference_hyperplane_through([verts[i] for i in sorted(r)])) for r in ridges}
 
 
 def test_generic_point_on_segment():
@@ -48,20 +70,21 @@ def test_generic_point_on_segment():
 
 def test_generic_point_on_square(square):
     gp = square.generic_points[0]
-    # all 5 edge lines (4 sides + diagonal) and 4 vertices were checked
-    assert len([s for s in gp.certificate if len(s) == 2]) == 5
-    assert len(gp.certificate) == 9
+    # the 5 edge lines (4 sides + diagonal) were checked; the 4 vertices lie on them
+    assert len(gp.certificate) == 5
+    assert set(gp.certificate) == _ridge_planes(square)
     verts = square.lattice.polytope.vertices
-    for s in gp.certificate:
-        assert not reference_hull_contains([verts[i] for i in sorted(s)], gp.x)
+    for s in square.tri.simplices:
+        if s and len(s) <= 2:
+            assert not reference_hull_contains([verts[i] for i in sorted(s)], gp.x)
 
 
 def test_generic_point_on_cube(cube3):
     gp = cube3.generic_points[0]
-    by_len = {}
-    for s in gp.certificate:
-        by_len[len(s)] = by_len.get(len(s), 0) + 1
-    assert by_len == {1: 8, 2: 19, 3: 18}
+    # 18 ridge triangles: the 12 on the boundary lie on the 6 facet planes,
+    # the 6 inside on 3 diagonal planes; each plane is checked once
+    assert len(gp.certificate) == len(set(gp.certificate)) == 9
+    assert set(gp.certificate) == _ridge_planes(cube3)
 
 
 def test_generic_points_distinct_with_avoid(cube3):
@@ -69,25 +92,25 @@ def test_generic_points_distinct_with_avoid(cube3):
     assert len(set(xs)) == 3
 
 
-def test_visible_facets_none_from_home_simplex(square):
-    gp = square.generic_points[0]
-    empties = [f for f in square.tri.maximal if not visible_facets(square.tri, f, gp.x)]
+def test_no_facet_visible_from_the_home_simplex(square):
+    ext, _ = square.partitions[0]
+    empties = [f for f in square.tri.maximal if not _visible(f, ext)]
     assert len(empties) == 1
     # and that simplex actually contains the point: every facet hull check has
     # x on the apex side, which the partition construction already encodes
 
 
-def test_visible_facets_square_diagonal(square):
-    gp = square.generic_points[0]
-    t_home = next(f for f in square.tri.maximal if not visible_facets(square.tri, f, gp.x))
+def test_square_diagonal_is_the_one_visible_facet(square):
+    ext, _ = square.partitions[0]
+    t_home = next(f for f in square.tri.maximal if not _visible(f, ext))
     t_other = next(f for f in square.tri.maximal if f != t_home)
     diagonal = t_home & t_other
     assert len(diagonal) == 2
-    assert visible_facets(square.tri, t_other, gp.x) == {diagonal}
+    assert _visible(t_other, ext) == {diagonal}
 
 
 def test_boundary_facets_not_visible_from_their_simplex(cube3):
-    gp = cube3.generic_points[0]
+    ext, _ = cube3.partitions[0]
     counts = {}
     for f in cube3.tri.maximal:
         for v in f:
@@ -95,75 +118,72 @@ def test_boundary_facets_not_visible_from_their_simplex(cube3):
     for ridge, owners in counts.items():
         if ridge in cube3.split.boundary:
             (owner,) = owners
-            assert ridge not in visible_facets(cube3.tri, owner, gp.x)
+            assert ridge not in _visible(owner, ext)
 
 
-def test_visible_facets_raises_on_degenerate_point(square):
-    apex = square.tri.apex_vertex
+def test_visibility_raises_on_degenerate_point(square):
     verts = square.lattice.polytope.vertices
     # midpoint of the diagonal lies on that edge's hull
     t1 = next(f for f in square.tri.maximal)
     other = max(f for f in square.tri.maximal)
     diag = sorted(t1 & other)
     mid = tuple((verts[diag[0]][j] + verts[diag[1]][j]) / 2 for j in range(2))
-    with pytest.raises(GenericityError):
-        visible_facets(square.tri, t1, mid)
+    gp = replace(square.generic_points[0], x=mid)
+    with pytest.raises(GenericityError, match=rf"^point lies on the affine hull of facet \[{diag[0]}, {diag[1]}\]$"):
+        visibility_partitions(square.tri, gp, square.split)
 
 
 def test_exterior_partition_simplex_single_interval():
     for d in range(1, 5):
-        tri = _tri(f"simplex:{d}")
-        part = exterior_partition(tri, generic_point(tri))
-        assert len(part.intervals) == 1
-        (iv,) = part.intervals
+        ext, _ = _partitions(_tri(f"simplex:{d}"))
+        assert len(ext.intervals) == 1
+        (iv,) = ext.intervals
         assert iv.lower == frozenset()
-        assert iv.size() == 2 ** (d + 1)
+        assert _size(iv) == 2 ** (d + 1)
 
 
 def test_exterior_partition_square_sizes(square):
-    part = square.exterior[0]
-    sizes = sorted(iv.size() for iv in part.intervals)
+    ext, _ = square.partitions[0]
+    sizes = sorted(map(_size, ext.intervals))
     assert sizes == [4, 8]
     assert sum(sizes) == len(square.tri.simplices) == 12
 
 
 def test_exterior_partition_cube_sizes(cube3):
-    part = cube3.exterior[0]
-    assert sum(iv.size() for iv in part.intervals) == len(cube3.tri.simplices) == 52
+    ext, _ = cube3.partitions[0]
+    assert sum(map(_size, ext.intervals)) == len(cube3.tri.simplices) == 52
 
 
 def test_interior_partition_simplex():
     for d in range(1, 5):
-        tri = _tri(f"simplex:{d}")
-        part = interior_partition(tri, generic_point(tri))
-        (iv,) = part.intervals
+        _, intr = _partitions(_tri(f"simplex:{d}"))
+        (iv,) = intr.intervals
         assert iv.lower == iv.upper == frozenset(range(d + 1))
 
 
 def test_interior_partition_square(square):
-    part = square.interior[0]
+    _, intr = square.partitions[0]
     # brute-force interior: simplices in no proper face of the square
     proper = [f.vertices for f in square.lattice.faces[:-1]]
     brute = {s for s in square.tri.simplices if not any(s <= pv for pv in proper)}
     assert len(brute) == 3
-    covered = {m for iv in part.intervals for m in iv.members()}
+    covered = {m for iv in intr.intervals for m in iv.members()}
     assert covered == brute
-    assert sorted(iv.size() for iv in part.intervals) == [1, 2]
+    assert sorted(map(_size, intr.intervals)) == [1, 2]
 
 
 def test_interior_partition_cube_size(cube3):
-    part = cube3.interior[0]
+    _, intr = cube3.partitions[0]
     boundary_count = len(cube3.split.boundary)
-    assert sum(iv.size() for iv in part.intervals) == 52 - boundary_count == 13
+    assert sum(map(_size, intr.intervals)) == 52 - boundary_count == 13
 
 
 def test_verify_partition_pass_and_fail(cube3):
-    ext = cube3.exterior[0]
-    assert verify_partition(ext, set(cube3.tri.simplices)).ok
-    intr = cube3.interior[0]
-    assert verify_partition(intr, set(cube3.split.interior)).ok
+    ext, intr = cube3.partitions[0]
+    assert verify_partition(ext.intervals, cube3.tri.simplices).ok
+    assert verify_partition(intr.intervals, cube3.split.interior).ok
     # exterior intervals against the interior target must fail loudly
-    cert = verify_partition(ext, set(cube3.split.interior))
+    cert = verify_partition(ext.intervals, cube3.split.interior)
     assert not cert.ok
     assert cert.foreign  # boundary faces are not interior elements
 
@@ -203,33 +223,50 @@ def test_h_f_round_trip(d, data):
 
 def test_h_from_partition_matches_transform(family):
     for b in family.values():
-        for part in b.exterior:
-            assert h_from_partition(part) == b.h, b.name
+        for ext, _ in b.partitions:
+            assert lower_histogram(ext) == b.h, b.name
 
 
 def test_h_from_partition_point_invariance(family):
     for b in family.values():
-        hs = {h_from_partition(p) for p in b.exterior}
+        hs = {lower_histogram(ext) for ext, _ in b.partitions}
         assert len(hs) == 1, b.name
 
 
 def test_k_from_partition_examples(cube3):
-    assert k_from_partition(cube3.interior[0]) == (0, 0, 1, 4, 1)
+    assert lower_histogram(cube3.partitions[0][1]) == (0, 0, 1, 4, 1)
     for d in range(1, 5):
-        tri = _tri(f"simplex:{d}")
-        part = interior_partition(tri, generic_point(tri))
-        assert k_from_partition(part) == (0,) * (d + 1) + (1,)
+        _, intr = _partitions(_tri(f"simplex:{d}"))
+        assert lower_histogram(intr) == (0,) * (d + 1) + (1,)
 
 
-def test_partition_kind_and_verification_guards(cube3):
-    ext = cube3.exterior[0]
-    with pytest.raises(ValueError):
-        k_from_partition(ext)
-    with pytest.raises(ValueError):
-        h_from_partition(cube3.interior[0])
-    unverified = Partition(ext.intervals, EXTERIOR, ext.point, verified=False)
-    with pytest.raises(ValueError):
-        h_from_partition(unverified)
+@pytest.mark.parametrize("spec", ["cube:3", "cross:4", "pyramid:square", "bipyramid:triangle"])
+def test_one_side_test_per_facet_gives_both_partitions(monkeypatch, spec):
+    a = Analysis(parse_builtin(spec), points=3)
+    a.generic_points  # their genericity checks fall outside the count
+    calls = Counter()
+    original = partitions.integer_side
+
+    def counted(plane, hp):
+        calls["integer_side"] += 1
+        return original(plane, hp)
+
+    monkeypatch.setattr(partitions, "integer_side", counted)
+    pairs = a.partitions
+    assert calls["integer_side"] == (a.dim + 1) * len(a.tri.maximal) * a.points
+    for ext, intr in pairs:
+        assert [iv.upper for iv in ext.intervals] == [iv.upper for iv in intr.intervals] == list(a.tri.maximal)
+        for e, i in zip(ext.intervals, intr.intervals):
+            assert i.lower == e.upper - e.lower
+
+
+def test_a_failed_cover_raises_and_builds_no_partition(cube3, monkeypatch):
+    # a partition exists only verified: a failing certificate raises, naming
+    # the partition and its counterexample
+    monkeypatch.setattr(partitions, "verify_partition", lambda intervals, target: PartitionCertificate(False, (frozenset({0}),)))
+    gp = cube3.generic_points[0]
+    with pytest.raises(RuntimeError, match=r"^exterior intervals failed to partition their target: .*uncovered=\(frozenset\(\{0\}\),\)"):
+        visibility_partitions(cube3.tri, gp, cube3.split)
 
 
 def test_euler_characteristic_examples(cube3):
@@ -267,7 +304,7 @@ def test_h_sums_to_maximal_count(family):
 
 def test_e_vector_from_k_expansion(family):
     for b in family.values():
-        k = k_from_partition(b.interior[0])
+        k = lower_histogram(b.partitions[0][1])
         assert b.e == interior_counts_from_k(k, b.dim), b.name
 
 
@@ -282,9 +319,8 @@ def test_analysis_vectors_cross_check(cube3):
 
 
 def test_interval_members_enumeration():
-    iv = Interval(frozenset({1}), frozenset({1, 2, 3}), INTERIOR)
+    iv = Interval(frozenset({1}), frozenset({1, 2, 3}))
     members = set(iv.members())
     assert members == {
         frozenset({1}), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3})
     }
-    assert iv.size() == 4

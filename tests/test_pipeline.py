@@ -2,8 +2,8 @@
 certificate and the recursion once.
 
 The maximal simplices come from construction: no scan of the complex for
-them runs in the pipeline. Subfaces are read as face-id masks: no subface id
-tuple is read out in the pipeline.
+them runs in the pipeline. Both partitions of a point come from one stage,
+which verifies each of them once.
 """
 from collections import Counter
 
@@ -14,7 +14,7 @@ import figurate.pipeline as pipeline
 import figurate.sequences as sequences
 import figurate.triangulation as triangulation
 from figurate.cli import main
-from figurate.lattice import FaceLattice, parse_builtin
+from figurate.lattice import parse_builtin
 from figurate.pipeline import Analysis, all_passed, run_pipeline
 import oracles
 
@@ -37,7 +37,6 @@ def calls(monkeypatch):
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
     _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
     _count(monkeypatch, calls, "maximal_simplices", oracles, triangulation, pipeline)
-    _count(monkeypatch, calls, "subface_ids", FaceLattice)
     return calls
 
 
@@ -57,7 +56,7 @@ def test_sequence_reads_one_analysis(calls, capsys, method, recursions):
 def test_stages_are_computed_on_first_use_and_kept(calls):
     a = Analysis(parse_builtin("cube:3"), points=2)
     assert calls == {}
-    assert a.exterior is a.exterior and a.interior is a.interior and a.tri is a.tri
+    assert a.partitions is a.partitions and a.tri is a.tri
     assert calls == {"verify_pointed": 1, "verify_partition": 2 * 2}
 
 
@@ -68,6 +67,7 @@ def test_analysis_rejects_what_the_chain_cannot_run(spec, points):
 
 
 def test_partitions_carry_their_certificates(cube3):
-    for part in cube3.exterior + cube3.interior:
-        assert part.verified and part.certificate.ok
-        assert not part.certificate.foreign
+    for pair in cube3.partitions:
+        for part in pair:
+            assert part.certificate.ok
+            assert not part.certificate.foreign

@@ -10,12 +10,7 @@ import pytest
 import figurate.triangulation as triangulation
 from figurate.geometry import barycenter, point
 from figurate.lattice import Polytope, parse_builtin
-from figurate.partitions import (
-    exterior_partition,
-    generic_point,
-    interior_partition,
-    visible_facets,
-)
+from figurate.partitions import GenericPoint, generic_point, visibility_partitions
 from figurate.triangulation import (
     GenericityError,
     assign_apexes,
@@ -55,24 +50,26 @@ def test_ridge_only_search_matches_full_scan(spec):
     tri = _tri(spec)
     for seed in range(4):
         plain = generic_point(tri, seed=seed)
-        assert plain == full_scan_generic_point(tri, seed=seed)
+        assert plain.x == full_scan_generic_point(tri, seed=seed)
+        assert set(plain.certificate) == set(tri.ridge_planes.planes.values())
         # avoiding the first choice forces the seeded retries
         avoid = (plain.x,)
-        assert generic_point(tri, seed=seed, avoid=avoid) == full_scan_generic_point(tri, seed=seed, avoid=avoid)
+        assert generic_point(tri, seed=seed, avoid=avoid).x == full_scan_generic_point(tri, seed=seed, avoid=avoid)
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
 def test_visibility_matches_ray_casting(family, spec):
     b = family[spec]
     verts = b.lattice.polytope.vertices
-    for gp in b.generic_points:
-        for f in b.tri.maximal:
-            visible = visible_facets(b.tri, f, gp.x)
+    for gp, (ext, _) in zip(b.generic_points, b.partitions):
+        for f, iv in zip(b.tri.maximal, ext.intervals):
+            assert iv.upper == f
             simplex = [verts[i] for i in sorted(f)]
             for v in f:
                 g = f - {v}
                 hit = segment_first_hit(gp.x, barycenter([verts[i] for i in sorted(g)]), simplex)
-                assert (g in visible) == (hit == AT_OR_AFTER_Y), (spec, sorted(f), v)
+                # the exterior lower set holds the vertices opposite the visible facets
+                assert (v in iv.lower) == (hit == AT_OR_AFTER_Y), (spec, sorted(f), v)
 
 
 def test_one_hyperplane_per_ridge(monkeypatch):
@@ -90,8 +87,7 @@ def test_one_hyperplane_per_ridge(monkeypatch):
     for i in range(3):
         gp = generic_point(tri, seed=i, avoid=tuple(p.x for p in points))
         points.append(gp)
-        exterior_partition(tri, gp)
-        interior_partition(tri, gp, split)
+        visibility_partitions(tri, gp, split)
     assert len(calls) == len(_ridges(tri)) == len(tri.ridge_planes.planes)
     assert set(calls.values()) == {1}
 
@@ -125,13 +121,15 @@ def test_ridge_spanning_no_hyperplane_raises():
         tri.ridge_planes
     with pytest.raises(RuntimeError, match=message):
         generic_point(tri)
+    gp = GenericPoint(point(["1/3", "1/4"]), (), 0)
     with pytest.raises(RuntimeError, match=message):
-        visible_facets(tri, frozenset({0, 1}), point(["1/3", "1/4"]))
+        visibility_partitions(tri, gp, split_boundary_interior(tri))
 
 
 def test_point_on_a_ridge_plane_raises(square):
     f = square.tri.maximal[0]
     verts = square.lattice.polytope.vertices
     on_plane = barycenter([verts[i] for i in sorted(f)[:2]])
-    with pytest.raises(GenericityError):
-        visible_facets(square.tri, f, on_plane)
+    gp = GenericPoint(on_plane, (), 0)
+    with pytest.raises(GenericityError, match=r"^point lies on the affine hull of facet "):
+        visibility_partitions(square.tri, gp, square.split)

@@ -15,7 +15,12 @@ from figurate.sequences import (
     simplex_interior,
     simplex_number,
 )
-from figurate.triangulation import assign_apexes, build_pointed_triangulation, generic_functional
+from figurate.triangulation import (
+    assign_apexes,
+    build_pointed_triangulation,
+    generic_functional,
+    split_boundary_interior,
+)
 
 from conftest import make_bundle
 from oracles import (
@@ -102,24 +107,24 @@ def test_sequence_base_values(family):
     for b in family.values():
         rec = polytope_number_recursive(b.lattice, b.apexes, 3)
         assert rec.values[0] == 0 and rec.values[1] == 1, b.name
-        ssum = polytope_number_simplex_sum(b.tri, 3)
+        ssum = polytope_number_simplex_sum(b.tri, 3, split=b.split)
         assert ssum.values[0] == 0 and ssum.values[1] == 1, b.name
         ri = polytope_number_recursive(b.lattice, b.apexes, 3, interior=True)
         assert ri.values[0] == 0 and ri.values[1] == 0, b.name
 
 
 def test_simplex_sum_examples(cube3):
-    ssum = polytope_number_simplex_sum(cube3.tri, 3)
+    ssum = polytope_number_simplex_sum(cube3.tri, 3, split=cube3.split)
     assert ssum.values[3] == 8 * 1 + 19 * 1 + 18 * 0 + 6 * 0 == 27
     b2 = make_bundle("cube:2")
-    assert polytope_number_simplex_sum(b2.tri, 2).values[2] == 4 * 1 + 5 * 0 + 2 * 0 == 4
+    assert polytope_number_simplex_sum(b2.tri, 2, split=b2.split).values[2] == 4 * 1 + 5 * 0 + 2 * 0 == 4
 
 
 def test_simplex_sum_reduces_to_closed_form():
     for d in range(1, 6):
         lat = parse_builtin(f"simplex:{d}")
         tri = build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
-        ssum = polytope_number_simplex_sum(tri, 10)
+        ssum = polytope_number_simplex_sum(tri, 10, split=split_boundary_interior(tri))
         assert ssum.values == tuple(simplex_number(d, n) for n in range(11))
 
 

@@ -8,12 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import figurate.triangulation as triangulation
 from figurate.geometry import evaluate_functional
 from figurate.lattice import parse_builtin
 from figurate.partitions import f_vector
 from figurate.triangulation import (
     ApexAssignment,
     GenericityError,
+    PointedCertificate,
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
@@ -76,7 +78,7 @@ def test_assign_apexes_on_cube():
         if f.dim == 0:
             (v,) = f.vertices
             assert apexes.apex[f.id] == v
-    edge = cube.face_id(frozenset({verts.index((0, 0, 0)), verts.index((1, 0, 0))}))
+    edge = next(f.id for f in cube.faces if f.vertices == {origin, verts.index((1, 0, 0))})
     assert apexes.apex[edge] == origin
 
 
@@ -203,11 +205,13 @@ def test_condition_2_names_the_nested_pair(cube3):
     assert cert.detail == reference_condition_2(lattice, apex)
 
 
-def test_construction_keeps_its_pointedness_certificate():
+def test_construction_raises_on_a_pointedness_violation(monkeypatch):
     cube = parse_builtin("cube:3")
     apexes = assign_apexes(cube, generic_functional(cube))
-    assert build_pointed_triangulation(cube, apexes).pointed.ok
-    assert unverified_triangulation(cube, apexes).pointed is None
+    assert build_pointed_triangulation(cube, apexes) == unverified_triangulation(cube, apexes)
+    monkeypatch.setattr(triangulation, "verify_pointed", lambda tri: PointedCertificate(False, 1, "forced"))
+    with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 1: forced$"):
+        build_pointed_triangulation(cube, apexes)
 
 
 def test_verify_pointed_vacuous_on_a_point():
