@@ -104,7 +104,10 @@ def _cmd_sequence(args) -> int:
         raise ValueError(f"--n must lie in [0, {N_MAX_GUARD}]")
     if args.method == "k" and not args.interior:
         raise ValueError("--method k is an interior decomposition; add --interior")
-    a = Analysis(_load_inputs(args)[0], seed=args.seed)
+    lattices = _load_inputs(args)
+    if len(lattices) > 1:
+        raise ValueError(f"sequence takes one polytope, got {len(lattices)}")
+    a = Analysis(lattices[0], seed=args.seed)
     failed = next((r for r in vector_claims(a) if not r["pass"]), None)
     if failed is not None:
         raise RuntimeError(f"claim {failed['claim']} failed: {json.dumps(failed['counterexample'])}")

@@ -27,6 +27,7 @@ from .partitions import (
     visibility_partitions,
 )
 from .sequences import (
+    expand,
     face_number_sequences,
     polytope_number_from_h,
     interior_from_h_reversed,
@@ -55,7 +56,8 @@ class Analysis:
     interior split -> ``points`` generic points, searched with seeds
     ``seed``, ``seed + 1``, ... -> the exterior and interior partitions of
     each point, from one visibility sweep -> f/h/e/k vectors -> the
-    sequences of every face up to ``n_max``.
+    sequences of every face as numerators over (1 - x)^(d+1); the claims
+    expand the polytope's own to ``n_max``.
     """
 
     lattice: FaceLattice
@@ -137,8 +139,8 @@ class Analysis:
         return f_vector(link(self.tri.apex_vertex, self.tri.simplices), self.dim - 1)
 
     @cached_property
-    def face_sequences(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        return face_number_sequences(self.lattice, self.apexes, self.n_max)
+    def face_sequences(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        return face_number_sequences(self.lattice, self.apexes)
 
     @property
     def params(self) -> dict:
@@ -268,7 +270,7 @@ def _e_from_k(a: Analysis) -> dict:
 
 def _sequence_three_way(a: Analysis) -> dict:
     n_max, d, h = a.n_max, a.dim, a.h
-    rec = a.face_sequences[0][a.lattice.top.id]
+    rec = expand(a.face_sequences[0][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, split=a.split).values
     from_h = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
     mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
@@ -283,7 +285,7 @@ def _sequence_three_way(a: Analysis) -> dict:
 
 def _interior_four_way(a: Analysis) -> dict:
     n_max, d, h, k = a.n_max, a.dim, a.h, a.k
-    rec = a.face_sequences[1][a.lattice.top.id]
+    rec = expand(a.face_sequences[1][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True, split=a.split).values
     from_k = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
     from_hr = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))

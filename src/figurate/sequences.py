@@ -2,10 +2,14 @@
 
 The recursive method is the definition: the sequence of a face is built from
 the interior sequences of its proper faces, by double induction on dimension
-and index. The simplex-sum method evaluates the triangulation's face counts
-against shifted simplex interior numbers, and the decomposition methods
-evaluate the h- (or k-) vector against shifted simplex numbers. All methods
-must agree exactly; the package's verification pipeline asserts that they do.
+and index. It runs on generating functions: every face's sequence is a
+numerator of d + 3 integers over the common denominator (1 - x)^(d+1), each
+division by 1 - x is checked to leave no remainder, and only the polytope's
+own numerator is expanded into terms. The simplex-sum method evaluates the
+triangulation's face counts against shifted simplex interior numbers, and the
+decomposition methods evaluate the h- (or k-) vector against shifted simplex
+numbers. All methods must agree exactly; the package's verification pipeline
+asserts that they do.
 
 Conventions: simplex_number(d, n) is zero for all n <= 0 (the closed form's
 binomial would come back to life for very negative arguments, which the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb
 
 from .lattice import FaceLattice, pick
@@ -58,49 +62,73 @@ def simplex_interior(d: int, n: int) -> int:
 # Recursive method (the definition).
 
 def face_number_sequences(
-    lattice: FaceLattice, apexes: ApexAssignment, n_max: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Sequences and interior sequences for every nonempty face, bottom-up.
+    lattice: FaceLattice, apexes: ApexAssignment
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Sequences and interior sequences of every nonempty face, bottom-up, as
+    numerators over the common denominator (1 - x)^D, D = d + 1.
 
-    Faces of dimension 0 contribute the constant-1 sequences. For a face F of
-    higher dimension, values start 0, 1 and continue with
-    F(n) = F(n-1) + sum of G(n)# over faces G of F missing F's apex; the
-    interior values start 0, 0 and continue with F(n) minus the interior
-    values of all proper faces. Every face is computed once, keyed by id.
+    A face's sequence F(n) is the coefficient of x^n in N(x) / (1 - x)^D; each
+    numerator N holds D + 2 integers, enough for x h(x) and x k(x). Vertices
+    have the constant-1 sequences, x / (1 - x). For a face F of higher
+    dimension, values start 0, 1 and continue with F(n) = F(n-1) + sum of
+    G(n)# over faces G of F missing F's apex; the interior values start 0, 0
+    and continue with F(n) minus the interior values of all proper faces.
 
-    Each face splits its proper subfaces into those missing the apex and
-    those holding it, with one AND of face-id masks, and sums each part's
-    rows once over all n: the step is the first sum, the total both. F is the
-    running sum of the steps from F(1) = 1. Only the order of the integer
-    additions differs from the term-by-term recursion.
+    One AND of face-id masks splits F's proper subfaces into those missing the
+    apex and those holding it; the step is the sum of the first part's
+    interior numerators, the total the sum of both. Every sequence is 0 at
+    n = 0, so every numerator starts with 0, and a numerator's term at n = 1
+    is its coefficient of x. With s_1 the step's term at n = 1, F's numerator
+    is [x (1-x)^D + step - s_1 x (1-x)^D] / (1 - x), divided by running sums.
+    The remainder is the step numerator at x = 1, which is 0 because no
+    proper face has pole order D; a face where it is not raises
+    ``RuntimeError``. The interior numerator is F's minus the total minus
+    c_1 x (1-x)^D, c_1 being the difference's term at n = 1, which the
+    definition sets to 0. ``expand`` gives the terms.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    rows: list[list[int] | None] = [None]  # interior sequence of each face, in face order
-    ext: dict[int, list[int]] = {}
+    order = lattice.dim + 1
+    xw = [0, 1] + [0] * order  # x (1 - x)^D, in D + 2 coefficients
+    for _ in range(order):
+        xw = [0, *map(operator.sub, xw[1:], xw)]  # times 1 - x
+    vertex = tuple(accumulate(xw))  # x / (1 - x), the constant-1 sequence
+    rows: list[tuple[int, ...] | None] = [None]  # interior numerator of each face, in face order
+    ext: dict[int, tuple[int, ...]] = {}
     for f in lattice.faces[1:]:
         if f.dim == 0:
-            seq = [0] + [1] * n_max
-            ext[f.id] = seq
-            rows.append(list(seq))
+            ext[f.id] = vertex
+            rows.append(vertex)
             continue
         sub = lattice.below[f.id] & ~1
         near = sub & lattice.with_vertex[apexes.apex[f.id]]
         step = list(map(sum, zip(*pick(sub ^ near, rows))))
         total = map(operator.add, step, map(sum, zip(*pick(near, rows))))
-        # both lists are cut back to n_max + 1 terms when n_max < 2
-        e = [0, *accumulate(islice(step, 2, None), initial=1)][: n_max + 1]
+        lift = 1 - step[1]
+        e = tuple(accumulate(a + lift * b for a, b in zip(step, xw)))
+        if e[-1]:  # the remainder of the division by 1 - x
+            raise RuntimeError(f"face {f.id}: the step numerator is not divisible by 1 - x")
         ext[f.id] = e
-        rows.append([0, 0, *map(operator.sub, islice(e, 2, None), islice(total, 2, None))][: n_max + 1])
+        diff = list(map(operator.sub, e, total))
+        rows.append(tuple(a - diff[1] * b for a, b in zip(diff, xw)))
     return ext, dict(zip(ext, rows[1:]))
+
+
+def expand(numerator: tuple[int, ...], order: int, n_max: int) -> tuple[int, ...]:
+    """Terms 0..n_max of numerator / (1 - x)^order, by ``order`` running sums."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    terms = list(numerator[: n_max + 1])
+    terms += [0] * (n_max + 1 - len(terms))
+    for _ in range(order):
+        terms = list(accumulate(terms))
+    return tuple(terms)
 
 
 def polytope_number_recursive(
     lattice: FaceLattice, apexes: ApexAssignment, n_max: int, interior: bool = False
 ) -> SequenceResult:
-    ext, intr = face_number_sequences(lattice, apexes, n_max)
-    top = lattice.top.id
-    values = tuple((intr if interior else ext)[top])
+    ext, intr = face_number_sequences(lattice, apexes)
+    top = (intr if interior else ext)[lattice.top.id]
+    values = expand(top, lattice.dim + 1, n_max)
     return SequenceResult(lattice.polytope.name, "recursive", interior, values)
 
 

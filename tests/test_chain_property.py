@@ -26,6 +26,13 @@ def _on_sphere(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 @st.composite
+def sphere_points_4d(draw):
+    """6 to 8 points on S^3, so d = 4 whenever they do not lie in one hyperplane."""
+    ts = draw(st.lists(st.tuples(*[_PARAMETER] * 3), min_size=6, max_size=8, unique=True))
+    return [_on_sphere(t) for t in ts]
+
+
+@st.composite
 def sphere_points(draw):
     d = draw(st.integers(1, 3))
     if d == 1:  # S^0 has two points; any two distinct rationals bound a segment
@@ -38,6 +45,16 @@ def sphere_points(draw):
 @settings(max_examples=40, deadline=None)
 @given(sphere_points())
 def test_every_claim_holds_on_rational_sphere_points(points):
+    _check_every_claim(points)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sphere_points_4d())
+def test_every_claim_holds_on_rational_points_on_the_3_sphere(points):
+    _check_every_claim(points)
+
+
+def _check_every_claim(points):
     lattice = polytope_from_vertices("sphere", points)
     assert lattice.polytope.dim >= 1
     event(f"d={lattice.dim}, {len(points)} vertices, {len(lattice)} faces")

@@ -118,6 +118,12 @@ def test_sequence_methods_agree_byte_for_byte(capsys):
     assert values_rec == values_h
 
 
+def test_sequence_takes_one_polytope(capsys):
+    code, out, err = run(capsys, "sequence", "--builtin", "cube:3", "--builtin", "cross:3")
+    assert code == 2 and out == ""
+    assert err == "figurate: error: sequence takes one polytope, got 2\n"
+
+
 def test_sequence_method_k_requires_interior(capsys):
     code, _, err = run(capsys, "sequence", "--builtin", "cube:3", "--method", "k")
     assert code == 2 and "interior" in err
@@ -286,23 +292,42 @@ _NO_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.
 
 @st.composite
 def malformed_polytopes(draw):
-    """A valid square object with exactly one part broken, or no object at all."""
+    """A valid square object with exactly one part broken, or no object at all.
+
+    Broken parts include empty coordinate lists, mixed ambient dimensions and
+    duplicate points, which ``polytope_from_vertices`` rejects by name.
+    """
     vertices = [list(v) for v in _SQUARE]
-    kind = draw(st.sampled_from(["top", "vertices", "vertex", "coordinate", "name"]))
+    kind = draw(st.sampled_from(
+        ["top", "vertices", "vertex", "coordinate", "name", "empty", "mixed", "duplicate"]
+    ))
+    i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
     if kind == "top":
         return draw(st.one_of(_NO_LIST, st.lists(st.integers(), max_size=3)))
     if kind == "vertices":
         return {"vertices": draw(_NO_LIST)}
     if kind == "vertex":
-        vertices[draw(st.integers(0, 3))] = draw(_NO_LIST)
+        vertices[i] = draw(_NO_LIST)
+    elif kind == "empty":  # no vertex, only empty coordinate lists, or one among the square's
+        if draw(st.booleans()):
+            vertices = [[] for _ in range(draw(st.integers(0, 4)))]
+        else:
+            vertices[i] = []
+    elif kind == "mixed":  # one vertex loses or gains a coordinate
+        vertices[i] = vertices[i][:1] if draw(st.booleans()) else vertices[i] + ["0"]
+    elif kind == "duplicate":  # a vertex repeated, in place of another or added
+        if draw(st.booleans()):
+            vertices[j] = list(vertices[i])
+        else:
+            vertices.append(list(vertices[i]))
     elif kind == "coordinate":
-        vertices[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(_BAD_COORDINATE)
+        vertices[i][draw(st.integers(0, 1))] = draw(_BAD_COORDINATE)
     else:
         return {"name": draw(_NO_STRING), "vertices": vertices}
     return {"vertices": vertices}
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(malformed_polytopes())
 def test_malformed_polytope_json_never_tracebacks(tmp_path, capsys, data):
     path = tmp_path / "fuzz.json"
