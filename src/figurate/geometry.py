@@ -193,12 +193,6 @@ def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] |
     return tuple(x // g for x in v)
 
 
-def plane_to_hyperplane(plane: Sequence[int]) -> Hyperplane:
-    """The Hyperplane of an integer plane from integer_plane_through (its inverse map)."""
-    g = gcd(*plane[1:])
-    return Hyperplane(tuple(Fraction(x // g) for x in plane[1:]), Fraction(-plane[0], g))
-
-
 # ---------------------------------------------------------------------------
 # Integer side tests. A point scaled once to integer homogeneous coordinates,
 # and a hyperplane kept as an integer vector, reduce side_of_hyperplane to the

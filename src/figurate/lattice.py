@@ -20,23 +20,26 @@ grading against its affine rank, each facet against a supporting hyperplane,
 each ridge against its two facets, each generator against the facets
 containing it, each vertex as a 0-face, and every interval of length two
 against its two middle faces.
-Coordinate inputs go through brute-force supporting-hyperplane enumeration
-over integer homogeneous coordinates: C(n, d) candidate planes, each tested
-against all n vertices. It is exact, and takes under a second for 40 points
-in dimension 3, 24 in dimension 4 or 16 in dimension 5 on one core of a
-2-vCPU x86 machine under Python 3.11.
+Coordinate inputs find their facets by exact gift-wrapping over integer
+homogeneous coordinates: from one facet, each ridge is crossed once, by one
+sweep of two dot products per point over the pencil of planes through it,
+to the facet on its other side. The cost grows with the number of facets
+found, not with the C(n, d) planes through d of the n points: 80 rational
+points on S^2 take 0.04 s on one core of a 2-vCPU x86 machine under
+Python 3.11, where testing all those planes took 8.5 s.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import compress, product
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence, TypeVar
 
 from .geometry import (
     GeometryError,
-    Hyperplane,
     Point,
     barycenter,
     homogenize,
@@ -44,7 +47,6 @@ from .geometry import (
     integer_rank,
     integer_side,
     matrix_rank,
-    plane_to_hyperplane,
     point,
     rational_str,
     solve_linear,
@@ -214,14 +216,12 @@ def _hull_coordinates(pts: list[Point]) -> tuple[list[Point], int]:
     return new_pts, rank
 
 
-def enumerate_facets(p: Polytope) -> list[tuple[Hyperplane, frozenset[int]]]:
-    """Exact supporting hyperplanes of a full-dimensional polytope.
+def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Exact facets of a full-dimensional polytope, by gift-wrapping.
 
-    Every hyperplane spanned by ``dim`` affinely independent vertices is kept
-    iff all vertices lie weakly on one side of it; its incident vertex set
-    holds the vertices that span it, so it has affine rank dim - 1. Results
-    are deduplicated by the canonical hyperplane form and returned in a
-    deterministic order.
+    Each facet is (its integer plane in the canonical form of
+    ``integer_plane_through``, the indices of the vertices on it), sorted by
+    vertex indices. Non-extremal points on a facet are in its set.
     """
     verts = p.vertices
     d = p.dim
@@ -231,18 +231,135 @@ def enumerate_facets(p: Polytope) -> list[tuple[Hyperplane, frozenset[int]]]:
         return []
     if len(verts) < d + 1:
         raise GeometryError(f"a {d}-polytope needs at least {d + 1} vertices, got {len(verts)}")
-    hv = [homogenize(v) for v in verts]
-    seen: dict[tuple[int, ...], frozenset[int] | None] = {}
-    for combo in combinations(hv, d):
-        plane = integer_plane_through(combo)
-        if plane is None or plane in seen:
-            continue
-        sides = [integer_side(plane, h) for h in hv]
-        keep = all(s >= 0 for s in sides) or all(s <= 0 for s in sides)
-        seen[plane] = frozenset(i for i, s in enumerate(sides) if s == 0) if keep else None
-    found = [(plane_to_hyperplane(plane), vs) for plane, vs in seen.items() if vs is not None]
-    found.sort(key=lambda hf: (tuple(sorted(hf[1])), hf[0].normal, hf[0].offset))
+    found = []
+    for mask, plane in _wrap([homogenize(v) for v in verts]).items():
+        if next(x for x in plane[1:] if x) < 0:
+            plane = tuple(-x for x in plane)
+        found.append((plane, frozenset(pick(mask, range(len(verts))))))
+    found.sort(key=lambda pf: sorted(pf[1]))
     return found
+
+
+# Gift-wrapping (D. R. Chand, S. S. Kapur, J. ACM 17, 1970; G. Swart,
+# J. Algorithms 6, 1985) on homogenized points hv in Z^(m+1) that span Q^m.
+# A plane is an integer vector, kept *inward*: plane . q >= 0 for every point
+# q, 0 exactly on the face it supports. Faces are vertex masks.
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _wrap(hv: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """Every facet of the points, as mask -> inward primitive plane.
+
+    From a first facet, each facet's ridges are pivoted over once (ridges
+    already crossed are skipped by mask) to the facet on their other side.
+    """
+    if len(hv[0]) == 2:
+        return dict(_ends(hv))
+    mask, plane = _first_facet(hv)
+    facets = {mask: plane}
+    todo = [mask]
+    crossed: set[int] = set()
+    while todo:
+        f = todo.pop()
+        pf = facets[f]
+        a = [_dot(pf, q) for q in hv]
+        out = hv[next(i for i, x in enumerate(a) if x)]
+        for r in _ridges(hv, f, pf):
+            if r in crossed:
+                continue
+            crossed.add(r)
+            beyond = hv[(f & ~r).bit_length() - 1]  # a point of the facet off the ridge
+            g, pg = _pivot(hv, a, pf, r, _plane_off(hv, r, out, beyond))
+            if g not in facets:
+                facets[g] = pg
+                todo.append(g)
+    return facets
+
+
+def _ends(hv: list[tuple[int, int]]) -> list[tuple[int, tuple[int, int]]]:
+    """The facets of points on a line, its lowest and highest points."""
+    lo = min(hv, key=_on_line)
+    hi = max(hv, key=_on_line)
+    return [_touching(hv, (-lo[1], lo[0])), _touching(hv, (hi[1], -hi[0]))]
+
+
+def _on_line(q: tuple[int, int]) -> Fraction:
+    return Fraction(q[1], q[0])
+
+
+def _touching(hv: list[tuple[int, ...]], plane: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(mask of the points on a plane, the plane made primitive)."""
+    g = gcd(*plane)
+    return _mask(i for i, q in enumerate(hv) if not _dot(plane, q)), tuple(x // g for x in plane)
+
+
+def _plane_off(hv, ridge: int, out, toward) -> tuple[int, ...] | None:
+    """The plane through the ridge's points and the point ``out``, positive at
+    ``toward``; None when they span more than a plane."""
+    p0 = integer_plane_through(pick(ridge, hv) + (out,))
+    if p0 is None or _dot(p0, toward) > 0:
+        return p0
+    return tuple(-x for x in p0)
+
+
+def _pivot(hv, a: list[int], pf, ridge: int, p0) -> tuple[int, tuple[int, ...]]:
+    """The facet across ``ridge`` from the supporting plane ``pf``.
+
+    The planes through the ridge are the pencil x p0 - y pf, where p0 is
+    positive on the side of ``pf`` being turned away from. With
+    a = pf . q >= 0 and b = p0 . q, the facet's plane is a* p0 - b* pf for
+    the point of least b / a over a > 0 (compared by cross-multiplication),
+    and its points are the ridge and the ties with that point.
+    """
+    best_a, best_b, ties = 0, 0, ridge
+    for i, (q, ai) in enumerate(zip(hv, a)):
+        if ai:
+            bi = _dot(p0, q)
+            side = bi * best_a - best_b * ai
+            if side < 0 or not best_a:
+                best_a, best_b, ties = ai, bi, ridge | 1 << i
+            elif not side:
+                ties |= 1 << i
+    plane = [best_a * x - best_b * y for x, y in zip(p0, pf)]
+    g = gcd(*plane)
+    return ties, tuple(x // g for x in plane)
+
+
+def _ridges(hv, facet: int, pf) -> list[int]:
+    """The ridges of a facet: its facets, one dimension down.
+
+    A facet with m points in Q^m is a simplex. Otherwise its points are
+    wrapped in Q^(m-1) after dropping a coordinate j where the plane's
+    normal is nonzero, an injective affine map on the plane.
+    """
+    idx = pick(facet, range(len(hv)))
+    if len(idx) == len(hv[0]) - 1:
+        return [facet ^ 1 << i for i in idx]
+    j = next(j for j in range(1, len(pf)) if pf[j])
+    sub = [hv[i][:j] + hv[i][j + 1:] for i in idx]
+    return [_mask(pick(r, idx)) for r in _wrap(sub)]
+
+
+def _first_facet(hv: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """One facet of the points, found exactly.
+
+    A facet of the projection that drops the last coordinate, lifted with a
+    0 coefficient, supports the points in a facet or in a ridge. A ridge is
+    pivoted over once more, turning away from p + e_m for a point p on it.
+    """
+    if len(hv[0]) == 2:
+        return _ends(hv)[0]
+    t, plane = _first_facet([q[:-1] for q in hv])
+    plane += (0,)
+    a = [_dot(plane, q) for q in hv]
+    out = hv[next(i for i, x in enumerate(a) if x)]
+    p = hv[t.bit_length() - 1]
+    p0 = _plane_off(hv, t, out, p[:-1] + (p[-1] + p[0],))
+    if p0 is None:  # the touched points span the plane
+        return t, plane
+    return _pivot(hv, a, plane, t, p0)
 
 
 def build_face_lattice(
@@ -255,22 +372,26 @@ def build_face_lattice(
     lattice. Each must list vertex indices, and their closure must pass
     ``_check_face_lattice``; otherwise a GeometryError names the bad face or
     vertex. Without ``face_sets``, the enumerated facets generate the lattice,
-    and every vertex is checked to be extremal (its active facet normals must
-    span the full dimension).
+    and every vertex is checked to be extremal: the facets holding it meet in
+    it alone. A point that is no vertex lies in the relative interior of a
+    face with at least two vertices, and every facet through it holds that
+    whole face.
     """
     if face_sets is not None:
         generators = [_face_mask(p, face) for face in face_sets]
         lattice = FaceLattice(p, generators)
         _check_face_lattice(lattice, generators)
         return lattice
-    facets = enumerate_facets(p)
-    d = p.dim
-    if d > 0:
+    masks = [_mask(vs) for _, vs in enumerate_facets(p)]
+    if p.dim > 0:
         for i in range(len(p.vertices)):
-            active = [list(h.normal) for h, vs in facets if i in vs]
-            if matrix_rank(active) != d:
+            meet = (1 << len(p.vertices)) - 1
+            for m in masks:
+                if m >> i & 1:
+                    meet &= m
+            if meet != 1 << i:
                 raise GeometryError(f"vertex {i} of {p.name!r} is not extremal")
-    return FaceLattice(p, [_mask(vs) for _, vs in facets])
+    return FaceLattice(p, masks)
 
 
 def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:

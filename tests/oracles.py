@@ -34,6 +34,9 @@ compare the construction. ``integer_plane`` converts a ``Hyperplane`` to the
 integer vector of ``geometry.integer_plane_through``, and ``f_from_h`` is
 the inverse of the f-to-h transform.
 
+``brute_force_facets`` tests a plane through every ``dim`` of the points
+against all of them, the reference for the gift-wrapping hull search.
+
 ``eulerian_number``, ``measure_number`` and ``cross_number`` are the closed
 forms of the cube and cross-polytope sequences; ``facet_cut_check``,
 ``vandermonde_check`` and ``alpha_difference_check`` are the simplex-number
@@ -161,6 +164,29 @@ def reference_hyperplane_through(points: Sequence[Point]) -> Hyperplane:
     lead = next(x for x in ints if x)
     normal = tuple(Fraction(x // g if lead > 0 else -x // g) for x in ints)
     return Hyperplane(normal, vdot(normal, p0))
+
+
+def brute_force_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """The facets of a full-dimensional polytope by brute force.
+
+    Every hyperplane through ``dim`` of the points is kept iff all points lie
+    weakly on one side of it, with the points on it as its set: C(n, d)
+    candidate planes, each tested against all n points. The reference for
+    the gift-wrapping ``enumerate_facets``, in its output form.
+    """
+    seen: dict[Hyperplane, frozenset[int] | None] = {}
+    for combo in combinations(p.vertices, p.dim):
+        try:
+            h = reference_hyperplane_through(combo)
+        except GeometryError:
+            continue
+        if h in seen:
+            continue
+        values = [vdot(h.normal, v) - h.offset for v in p.vertices]
+        keep = min(values) >= 0 or max(values) <= 0
+        seen[h] = frozenset(i for i, x in enumerate(values) if not x) if keep else None
+    found = [(integer_plane(h), vs) for h, vs in seen.items() if vs is not None]
+    return sorted(found, key=lambda pf: sorted(pf[1]))
 
 
 def f_from_h(h: tuple[int, ...], dim: int) -> tuple[int, ...]:

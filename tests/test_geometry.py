@@ -14,7 +14,6 @@ from figurate.geometry import (
     integer_plane_through,
     integer_side,
     matrix_rank,
-    plane_to_hyperplane,
     point,
     rational,
     rational_str,
@@ -159,11 +158,10 @@ def test_integer_plane_through_is_canonical():
     a = _plane(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
     b = _plane(pt(0, 0, 1), pt(Fraction(1, 2), Fraction(1, 2), 0), pt(1, 0, 0))
     assert a == b
-    assert plane_to_hyperplane(a) == Hyperplane(point([1, 1, 1]), Fraction(1))
+    assert a == (-1, 1, 1, 1)  # x + y + z = 1
     # first nonzero normal coordinate positive, integer primitive
-    c = plane_to_hyperplane(_plane(pt(0, 0), pt(0, 5)))
-    assert c.normal == point([1, 0])
-    assert c.offset == 0
+    assert _plane(pt(0, 0), pt(0, 5)) == (0, 1, 0)
+    assert _plane(pt(0, Fraction(-2, 3)), pt(Fraction(1, 2), Fraction(-2, 3))) == (2, 0, 3)
     assert _plane(pt(0, 0, 0), pt(1, 0, 0)) is None  # codimension 2 span
 
 
@@ -220,7 +218,6 @@ def test_integer_plane_matches_reference_hyperplane(pts):
         assert plane is None
     else:
         assert plane == integer_plane(ref)
-        assert plane_to_hyperplane(plane) == ref
 
 
 TRI = [pt(0, 0), pt(2, 0), pt(0, 2)]

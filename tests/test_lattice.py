@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from figurate.geometry import GeometryError
+from figurate.geometry import GeometryError, homogenize, integer_side
 from figurate.lattice import (
     builtin,
     enumerate_facets,
@@ -20,6 +20,13 @@ def test_cube_facets():
     facets = enumerate_facets(cube.polytope)
     assert len(facets) == 6
     assert all(len(vs) == 4 for _, vs in facets)
+    # integer planes (-offset, normal), first nonzero normal entry positive
+    assert {plane for plane, _ in facets} == {
+        (0, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 1)
+    }
+    hv = [homogenize(v) for v in cube.polytope.vertices]
+    for plane, vs in facets:
+        assert {i for i, h in enumerate(hv) if not integer_side(plane, h)} == vs
 
 
 def test_simplex_facets_omit_one_vertex():
