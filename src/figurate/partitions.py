@@ -16,14 +16,15 @@ test is the sign of one integer dot product. Genericity is checked against
 the same ridge planes, and a generic point's certificate is the tuple of
 distinct planes it avoids: in a pure complex every simplex with at most d
 vertices lies in a ridge, so a point off every ridge plane is off every
-lower affine hull as well.
+lower affine hull as well. Simplices are the triangulation's ``int`` vertex
+masks, and an interval is a pair of them.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -34,6 +35,7 @@ from .triangulation import (
     GenericityError,
     PointedTriangulation,
     Simplex,
+    vertex_list,
 )
 
 
@@ -54,24 +56,20 @@ class GenericPoint:
 
 @dataclass(frozen=True)
 class Interval:
-    """The set of simplices G with lower <= G <= upper."""
+    """The simplices G with lower <= G <= upper."""
 
     lower: Simplex
     upper: Simplex
 
-    def members(self):
-        extra = sorted(self.upper - self.lower)
-        for k in range(len(extra) + 1):
-            for pick in combinations(extra, k):
-                yield self.lower | frozenset(pick)
-
 
 @dataclass(frozen=True)
 class PartitionCertificate:
+    """Simplices covered never, more than once, or outside the target, as sorted vertex lists."""
+
     ok: bool
-    uncovered: tuple[Simplex, ...] = ()
-    multiply_covered: tuple[Simplex, ...] = ()
-    foreign: tuple[Simplex, ...] = ()
+    uncovered: tuple[list[int], ...] = ()
+    multiply_covered: tuple[list[int], ...] = ()
+    foreign: tuple[list[int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def generic_point(
         hx = homogenize(x)
         return all(integer_side(p, hx) for p in planes)
 
-    home = sorted(tri.maximal[0])
-    corners = [verts[i] for i in home]
+    corners = [verts[i] for i in vertex_list(tri.maximal[0])]
     rng = random.Random(seed)
     bound = 8
     weights = [1] * len(corners)
@@ -137,16 +134,15 @@ def visibility_partitions(
     hx = homogenize(gp.x)
     exterior, interior = [], []
     for f in tri.maximal:
-        lower = []
+        g_f = 0
         for v, g, plane, v_side in tri.ridge_planes.facets[f]:
             sx = integer_side(plane, hx)
             if sx == 0:
-                raise GenericityError(f"point lies on the affine hull of facet {sorted(g)}")
+                raise GenericityError(f"point lies on the affine hull of facet {vertex_list(g)}")
             if sx * v_side < 0:
-                lower.append(v)
-        g_f = frozenset(lower)
+                g_f |= 1 << v
         exterior.append(Interval(g_f, f))
-        interior.append(Interval(f - g_f, f))
+        interior.append(Interval(f ^ g_f, f))
     return _verified("exterior", exterior, tri.simplices), _verified("interior", interior, split.interior)
 
 
@@ -157,47 +153,52 @@ def _verified(kind: str, intervals: list[Interval], target: Complex) -> Partitio
     return Partition(tuple(intervals), cert)
 
 
-def verify_partition(intervals: Iterable[Interval], target: Complex | set[Simplex]) -> PartitionCertificate:
-    """Element-by-element check: target covered exactly once, nothing foreign."""
-    counts: dict[Simplex, int] = {}
-    foreign = []
+def verify_partition(intervals: Iterable[Interval], target: Complex) -> PartitionCertificate:
+    """Member-by-member check: target covered exactly once, nothing foreign.
+
+    An interval's members lower | sub are walked by sub = (sub - 1) & free
+    from free = upper & ~lower down to 0.
+    """
+    covered, multiple, foreign = set(), set(), []
     for iv in intervals:
-        for member in iv.members():
-            if member in target:
-                counts[member] = counts.get(member, 0) + 1
-            else:
+        free = sub = iv.upper & ~iv.lower
+        while True:
+            member = iv.lower | sub
+            if member not in target:
                 foreign.append(member)
-    uncovered = [s for s in target if s not in counts]
-    multiple = [s for s, c in counts.items() if c > 1]
-    ok = not (uncovered or multiple or foreign)
-    key = lambda s: (len(s), tuple(sorted(s)))
+            elif member in covered:
+                multiple.add(member)
+            else:
+                covered.add(member)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    uncovered = [s for s in target if s not in covered]
     return PartitionCertificate(
-        ok,
-        tuple(sorted(uncovered, key=key)),
-        tuple(sorted(multiple, key=key)),
-        tuple(sorted(foreign, key=key)),
+        not (uncovered or multiple or foreign), _readout(uncovered), _readout(multiple), _readout(foreign)
     )
+
+
+def _readout(simplices) -> tuple[list[int], ...]:
+    return tuple(sorted(map(vertex_list, simplices), key=lambda vs: (len(vs), vs)))
 
 
 # ---------------------------------------------------------------------------
 # Face-count vectors.
 
-def f_vector(complex_: Complex | set[Simplex], dim: int) -> tuple[int, ...]:
+def f_vector(complex_: Complex, dim: int) -> tuple[int, ...]:
     """(f_{-1}, f_0, ..., f_dim); f_{-1} is 1 exactly when the empty simplex is present."""
     counts = [0] * (dim + 2)
-    for s in complex_:
-        counts[len(s)] += 1
+    for size, n in Counter(map(int.bit_count, complex_)).items():
+        counts[size] += n
     return tuple(counts)
 
 
-def e_vector(interior: Complex | set[Simplex], dim: int) -> tuple[int, ...]:
+def e_vector(interior: Complex, dim: int) -> tuple[int, ...]:
     """(e_0, ..., e_dim) for an interior complex, which never holds the empty simplex."""
-    if frozenset() in interior:
-        raise ValueError("an interior complex cannot contain the empty simplex")
-    counts = [0] * (dim + 1)
-    for s in interior:
-        counts[len(s) - 1] += 1
-    return tuple(counts)
+    if 0 in interior:
+        raise RuntimeError("an interior complex cannot contain the empty simplex")
+    return f_vector(interior, dim)[1:]
 
 
 def h_from_f(f: tuple[int, ...], dim: int) -> tuple[int, ...]:
@@ -215,9 +216,9 @@ def h_from_f(f: tuple[int, ...], dim: int) -> tuple[int, ...]:
 def lower_histogram(partition: Partition) -> tuple[int, ...]:
     """The number of intervals per lower-set size: h from an exterior
     partition, k from an interior one."""
-    hist = [0] * (len(partition.intervals[0].upper) + 1)
+    hist = [0] * (partition.intervals[0].upper.bit_count() + 1)
     for iv in partition.intervals:
-        hist[len(iv.lower)] += 1
+        hist[iv.lower.bit_count()] += 1
     return tuple(hist)
 
 

@@ -41,7 +41,6 @@ from .triangulation import (
     assign_apexes,
     build_pointed_triangulation,
     generic_functional,
-    is_simplicial_complex,
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
@@ -168,8 +167,8 @@ def _pointed(a: Analysis) -> dict:
 
 
 def _pure_complex(a: Analysis) -> dict:
-    closed = is_simplicial_complex(a.tri.simplices)
-    pure = all(len(s) == a.dim + 1 for s in a.tri.maximal)
+    closed = a.tri.closed
+    pure = all(s.bit_count() == a.dim + 1 for s in a.tri.maximal)
     return _record(
         "pure-simplicial-complex", a, a.params, closed and pure,
         witness={"simplices": len(a.tri.simplices)},

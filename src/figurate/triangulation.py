@@ -8,23 +8,21 @@ face, closed by the empty simplex. Chains are enumerated bottom-up over the
 lattice with one memoized simplex set per face, and duplicate simplices from
 different chains are merged by vertex set.
 
-Construction works on ``int`` vertex masks (bit i for vertex i): a chain
-grows by ``s | 1 << apex`` over the complexes of the face's covers (its
+Simplices are ``int`` vertex masks (bit i for vertex i, 0 the empty simplex)
+from construction to the claim records, and complexes are sets of them. A
+chain grows by ``s | 1 << apex`` over the complexes of the face's covers (its
 maximal proper subfaces) that miss the apex, and each face's complex is its
 own chains united with the complexes of all its covers. On a face lattice
 every subface missing the apex lies in a cover missing it, since each face
-is the intersection of the facets containing it. Every
-distinct mask becomes one ``frozenset`` once, and all per-face complexes
-share those objects. Pointedness condition 1 needs one lookup per
-simplex missing the apex, s | {apex}, and runs the full maximality test only
-where that lookup fails.
-
-Complexes throughout the package are plain sets of ``frozenset[int]`` vertex
-index sets, with ``frozenset()`` standing for the empty simplex.
+is the intersection of the facets containing it. One set of facets, each
+simplex less one vertex, gives both the maximal simplices and closure under
+subsets. Pointedness condition 1 needs one lookup per simplex missing the
+apex, s | {apex}, and runs the full maximality test only where that fails.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,11 +33,12 @@ from .geometry import (
     evaluate_functional,
     homogenize,
     integer_plane_through,
+    integer_planes_opposite,
     integer_side,
 )
 from .lattice import FaceLattice, pick
 
-Simplex = frozenset[int]
+Simplex = int
 Complex = frozenset[Simplex]
 
 
@@ -66,10 +65,10 @@ class RidgePlanes:
     ``planes`` maps each ridge to its canonical hyperplane as an integer
     vector (``geometry.integer_plane_through``). ``facets`` lists for each
     maximal simplex, by increasing opposite vertex, (opposite vertex, ridge,
-    plane, side of the opposite vertex). Every maximal simplex has dim + 1
-    vertices, since the face lattice is checked when loaded, so every simplex
-    with at most dim vertices lies in a ridge, and its affine hull in that
-    ridge's plane.
+    plane, side of the opposite vertex), all from one elimination. Every
+    maximal simplex has dim + 1 vertices, since the face lattice is checked
+    when loaded, so every simplex with at most dim vertices lies in a ridge,
+    and its affine hull in that ridge's plane.
     """
 
     planes: dict[Simplex, tuple[int, ...]]
@@ -78,11 +77,18 @@ class RidgePlanes:
 
 @dataclass(frozen=True)
 class PointedTriangulation:
+    """The complex of each face by face id, and whether the polytope's own
+    is closed under subsets, read off the facet set that gives ``maximal``."""
+
     lattice: FaceLattice
     apexes: ApexAssignment
-    simplices: Complex
-    per_face: dict[int, Complex]
+    complexes: tuple[Complex, ...]
     maximal: tuple[Simplex, ...]
+    closed: bool
+
+    @property
+    def simplices(self) -> Complex:
+        return self.complexes[self.lattice.top.id]
 
     @property
     def dim(self) -> int:
@@ -192,8 +198,7 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) ->
 
 
 def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
-    # complexes[i]: the vertex masks of face i's complex, in face order
-    complexes: list[set[int]] = [{0}]
+    complexes: list[Complex] = [frozenset((0,))]  # in face order
     for f in lattice.faces[1:]:
         v = apexes.apex[f.id]
         bit = 1 << v
@@ -201,18 +206,23 @@ def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangu
         chain = {bit}
         for c in pick(covers & ~lattice.with_vertex[v], complexes):
             chain.update(map(bit.__or__, c))
-        complexes.append(chain.union(*pick(covers, complexes)))
-    simplex_of = _SimplexOf({0: frozenset()})  # shared by every complex holding a simplex
-    per_face: dict[int, Complex] = {
-        f.id: frozenset(map(simplex_of.__getitem__, complexes[f.id])) for f in lattice.faces[1:]
-    }
-    top_masks = complexes[lattice.top.id]
-    # a simplex is maximal when it is no facet of another simplex of the
-    # complex; the empty simplex is a facet of the top face's apex
-    facets = {m ^ (1 << v) for m in top_masks for v in simplex_of[m]}
-    top = per_face[lattice.top.id]
-    maximal = tuple(sorted(map(simplex_of.__getitem__, top_masks - facets), key=_simplex_key))
-    return PointedTriangulation(lattice, apexes, top, per_face, maximal)
+        chain.update(*pick(covers, complexes))
+        complexes.append(frozenset(chain))
+    maximal, closed = _maximal_and_closed(complexes[lattice.top.id])
+    return PointedTriangulation(lattice, apexes, tuple(complexes), maximal, closed)
+
+
+def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
+    """The maximal simplices of a complex, sorted by (size, vertices), and its closure under
+    subsets, from one set of facets: the simplices that are no facet, and every facet a simplex."""
+    facets: set[Simplex] = set()
+    for s in complex_:
+        rest = s
+        while rest:
+            low = rest & -rest
+            facets.add(s ^ low)
+            rest ^= low
+    return tuple(sorted(complex_ - facets, key=_simplex_key)), facets <= complex_
 
 
 def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
@@ -220,46 +230,27 @@ def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
     planes: dict[Simplex, tuple[int, ...]] = {}
     facets = {}
     for f in tri.maximal:
-        entries = []
-        for v in sorted(f):
-            g = f - {v}
-            if g not in planes:
-                plane = integer_plane_through([hv[i] for i in g])
-                if plane is None:
-                    raise RuntimeError(f"ridge {sorted(g)} of maximal simplex {sorted(f)} spans no hyperplane")
-                planes[g] = plane
-            entries.append((v, g, planes[g], integer_side(planes[g], hv[v])))
-        facets[f] = tuple(entries)
+        vs = vertex_list(f)
+        opposite = integer_planes_opposite([hv[v] for v in vs])
+        if opposite is None:  # no d + 1 affinely independent points
+            flat = [v for v in vs if integer_plane_through([hv[w] for w in vs if w != v]) is None]
+            raise RuntimeError(
+                f"ridge {vertex_list(f ^ 1 << flat[0])} of maximal simplex {vs} spans no hyperplane" if flat
+                else f"the vertices of maximal simplex {vs} lie in one hyperplane"
+            )
+        entries = tuple((v, f ^ 1 << v, plane, integer_side(plane, hv[v])) for v, plane in zip(vs, opposite))
+        planes.update((g, plane) for _, g, plane, _ in entries)
+        facets[f] = entries
     return RidgePlanes(planes, facets)
 
 
+def vertex_list(s: Simplex) -> list[int]:
+    """The sorted vertices of a simplex: how records and messages print it."""
+    return list(pick(s, range(s.bit_length())))
+
+
 def _simplex_key(s: Simplex):
-    return (len(s), tuple(sorted(s)))
-
-
-class _SimplexOf(dict):
-    """Vertex mask -> its simplex, each built once: the simplex of the mask
-    less its lowest bit, plus that bit's vertex."""
-
-    def __missing__(self, mask: int) -> Simplex:
-        rest = mask & (mask - 1)
-        s = self[rest] | {(mask ^ rest).bit_length() - 1}
-        self[mask] = s
-        return s
-
-
-def is_simplicial_complex(complex_: Complex | set[Simplex]) -> bool:
-    """Closure under subsets, the empty simplex included."""
-    members = set(complex_)
-    if not members:
-        return True
-    if frozenset() not in members:
-        return False
-    for s in members:
-        for v in s:
-            if (s - {v}) not in members:
-                return False
-    return True
+    return (s.bit_count(), vertex_list(s))
 
 
 def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
@@ -292,18 +283,17 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
     lattice = tri.lattice
     apex = tri.apexes.apex
     for f in lattice.faces[1:]:
-        cf = tri.per_face[f.id]
+        cf = tri.complexes[f.id]
         v = apex[f.id]
-        with_v = frozenset((v,))
-        unsure = [s for s in cf if s and v not in s and s | with_v not in cf]
+        bit = 1 << v
+        unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
         if not unsure:
             continue
-        pool = frozenset().union(*cf)
-        missed = [s for s in unsure if not any(s | {w} in cf for w in pool - s)]
+        missed = [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
         if missed:
             s = min(missed, key=_simplex_key)
             return PointedCertificate(
-                False, 1, f"maximal simplex {sorted(s)} of face {sorted(f.vertices)} misses apex {v}"
+                False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
             )
     apexed = [0] * len(lattice.polytope.vertices)  # face-id mask of the faces apexed at each vertex
     for fid, v in apex.items():
@@ -317,10 +307,10 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
                 False, 2, f"faces {sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
             )
     for f in lattice.faces[1:]:
-        cf = tri.per_face[f.id]
+        cf = tri.complexes[f.id]
         v = apex[f.id]
         for w in f.vertices - {v}:
-            if frozenset({v, w}) not in cf:
+            if (1 << v | 1 << w) not in cf:
                 return PointedCertificate(
                     False, 3, f"edge [{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
                 )
@@ -335,41 +325,29 @@ def split_boundary_interior(tri: PointedTriangulation) -> ComplexSplit:
     contained in one.
     """
     lattice = tri.lattice
-    targets = [lattice.faces[i].vertices for i in lattice.facet_ids()]
-    boundary = frozenset(s for s in tri.simplices if any(s <= t for t in targets))
-    interior = frozenset(tri.simplices - boundary)
-    return ComplexSplit(boundary, interior)
+    outside = [~sum(1 << v for v in lattice.faces[i].vertices) for i in lattice.facet_ids()]
+    boundary = frozenset(s for s in tri.simplices if not all(map(s.__and__, outside)))
+    return ComplexSplit(boundary, tri.simplices - boundary)
 
 
-def link(v: int, complex_: Complex | set[Simplex]) -> set[Simplex]:
+def link(v: int, complex_: Complex) -> set[Simplex]:
     """The simplices s of the complex without v for which s | {v} is in it."""
-    members = set(complex_)
-    if frozenset({v}) not in members:
-        raise ValueError(f"vertex {v} is not in the complex")
-    return {s for s in members if v not in s and (s | {v}) in members}
-
-
-def boundary_ridge_counts(tri: PointedTriangulation) -> dict[Simplex, int]:
-    """How many maximal simplices contain each (d-1)-simplex of the complex."""
-    counts: dict[Simplex, int] = {}
-    for s in tri.maximal:
-        for v in s:
-            r = s - {v}
-            counts[r] = counts.get(r, 0) + 1
-    return counts
+    bit = 1 << v
+    if bit not in complex_:
+        raise RuntimeError(f"vertex {v} is not in the complex")
+    return {s for s in complex_ if not s & bit and s | bit in complex_}
 
 
 def pseudomanifold_certificate(tri: PointedTriangulation, split: ComplexSplit) -> tuple[bool, str]:
     """Boundary ridges must lie in exactly 1 maximal simplex, interior ones in 2."""
     d = tri.dim
-    counts = boundary_ridge_counts(tri)
-    ridges = {s for s in tri.simplices if len(s) == d}
+    counts = Counter(s ^ 1 << v for s in tri.maximal for v in vertex_list(s))  # maximal simplices per ridge
+    ridges = {s for s in tri.simplices if s.bit_count() == d}
     if set(counts) != ridges:
-        missing = sorted(sorted(s) for s in ridges.symmetric_difference(counts))
+        missing = sorted(map(vertex_list, ridges.symmetric_difference(counts)))
         return False, f"ridge set mismatch: {missing[:3]}"
     for r, c in counts.items():
         expected = 1 if r in split.boundary else 2
         if c != expected:
-            return False, f"ridge {sorted(r)} lies in {c} maximal simplices, expected {expected}"
+            return False, f"ridge {vertex_list(r)} lies in {c} maximal simplices, expected {expected}"
     return True, ""
-

@@ -22,10 +22,22 @@ vertices, the reference for the one vertex ranking of ``assign_apexes``.
 
 ``reference_pointed_complexes`` builds the chains and the per-face complexes
 of a pointed triangulation by ``frozenset`` unions, the reference for the
-construction on vertex masks in ``build_pointed_triangulation``.
-``maximal_simplices`` scans every simplex against every vertex of the
-complex; ``reference_condition_1`` runs it on the complex of every face, the
-reference for the one-lookup check of pointedness condition 1.
+construction on vertex masks in ``build_pointed_triangulation``; ``frozen``
+and ``vertex_set`` turn the package's masks into those vertex sets, and
+``to_mask`` turns a vertex set back. ``maximal_simplices`` scans every
+simplex against every vertex of the complex; ``reference_condition_1`` runs
+it on the complex of every face, the reference for the one-lookup check of
+pointedness condition 1. ``is_simplicial_complex`` tests closure under
+subsets one vertex set at a time, the reference for the facet set that
+gives the maximal simplices.
+
+``reference_ridge_planes`` builds the ridge-plane table with one
+``integer_plane_through`` per distinct ridge (that kernel is checked against
+``reference_hyperplane_through`` in ``test_geometry.py``), the reference for
+the one elimination per maximal simplex.
+``interval_members`` walks an interval by ``combinations`` and
+``reference_verify_partition`` counts every member in a dict of vertex
+sets, the reference for the submask walk of ``verify_partition``.
 
 ``unverified_triangulation`` is the construction of
 ``build_pointed_triangulation`` without its pointedness check, for tests
@@ -65,19 +77,39 @@ from figurate.geometry import (
     Point,
     evaluate_functional,
     homogenize,
+    integer_plane_through,
+    integer_side,
     point,
     vdot,
     vsub,
 )
 from figurate.lattice import Face, FaceLattice, Polytope, pick
+from figurate.partitions import PartitionCertificate
 from figurate.sequences import simplex_interior, simplex_number
 from figurate.triangulation import (
     ApexAssignment,
-    Complex,
     GenericityError,
     PointedTriangulation,
-    Simplex,
+    RidgePlanes,
+    vertex_list,
 )
+
+Simplex = frozenset[int]
+Complex = frozenset[Simplex]
+
+
+def vertex_set(s: int) -> Simplex:
+    """The vertex set of a vertex mask."""
+    return frozenset(vertex_list(s))
+
+
+def to_mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def frozen(complex_) -> Complex:
+    """A complex of vertex masks as a set of vertex sets."""
+    return frozenset(map(vertex_set, complex_))
 
 
 def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -273,11 +305,11 @@ def full_scan_generic_point(
     test per simplex."""
     verts = tri.lattice.polytope.vertices
     targets = sorted(
-        (s for s in tri.simplices if s and len(s) <= tri.dim),
+        (s for s in frozen(tri.simplices) if s and len(s) <= tri.dim),
         key=lambda s: (len(s), tuple(sorted(s))),
     )
     target_points = [[verts[i] for i in sorted(s)] for s in targets]
-    corners = [verts[i] for i in sorted(tri.maximal[0])]
+    corners = [verts[i] for i in vertex_list(tri.maximal[0])]
     rng = random.Random(seed)
     bound = 8
     weights = [1] * len(corners)
@@ -410,7 +442,7 @@ def reference_condition_1(tri: PointedTriangulation) -> tuple[int, list[Simplex]
     and those simplices sorted by (size, sorted vertices); or None."""
     for f in tri.lattice.faces[1:]:
         v = tri.apexes.apex[f.id]
-        missed = [s for s in maximal_simplices(tri.per_face[f.id]) if v not in s]
+        missed = [s for s in maximal_simplices(frozen(tri.complexes[f.id])) if v not in s]
         if missed:
             return f.id, sorted(missed, key=_simplex_key)
     return None
@@ -471,6 +503,71 @@ def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
     (maximal proper subfaces) and the faces holding each vertex from pairwise
     scans, the covers kept both as tuples and as face-id masks."""
     return _ReferenceLattice(polytope, face_sets)
+
+
+def is_simplicial_complex(complex_: Complex | set[Simplex]) -> bool:
+    """Closure under subsets, the empty simplex included."""
+    members = set(complex_)
+    if not members:
+        return True
+    if frozenset() not in members:
+        return False
+    for s in members:
+        for v in s:
+            if (s - {v}) not in members:
+                return False
+    return True
+
+
+def reference_ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
+    """The ridge-plane table with one ``integer_plane_through`` per distinct ridge."""
+    hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
+    planes: dict[int, tuple[int, ...]] = {}
+    facets = {}
+    for f in tri.maximal:
+        entries = []
+        for v in vertex_list(f):
+            g = f ^ 1 << v
+            if g not in planes:
+                plane = integer_plane_through([hv[i] for i in vertex_list(g)])
+                if plane is None:
+                    raise RuntimeError(f"ridge {vertex_list(g)} of maximal simplex {vertex_list(f)} spans no hyperplane")
+                planes[g] = plane
+            entries.append((v, g, planes[g], integer_side(planes[g], hv[v])))
+        facets[f] = tuple(entries)
+    return RidgePlanes(planes, facets)
+
+
+def interval_members(lower: Simplex, upper: Simplex):
+    """Every vertex set G with lower <= G <= upper, by size."""
+    extra = sorted(upper - lower)
+    for k in range(len(extra) + 1):
+        for chosen in combinations(extra, k):
+            yield lower | frozenset(chosen)
+
+
+def reference_verify_partition(
+    intervals: Sequence[tuple[Simplex, Simplex]], target: Complex
+) -> PartitionCertificate:
+    """Intervals as (lower, upper) vertex sets, checked member by member
+    against a target of vertex sets; the certificate lists vertex sets."""
+    counts: dict[Simplex, int] = {}
+    foreign = []
+    for lower, upper in intervals:
+        for member in interval_members(lower, upper):
+            if member in target:
+                counts[member] = counts.get(member, 0) + 1
+            else:
+                foreign.append(member)
+    uncovered = [s for s in target if s not in counts]
+    multiple = [s for s, c in counts.items() if c > 1]
+    ok = not (uncovered or multiple or foreign)
+    return PartitionCertificate(
+        ok,
+        tuple(sorted(uncovered, key=_simplex_key)),
+        tuple(sorted(multiple, key=_simplex_key)),
+        tuple(sorted(foreign, key=_simplex_key)),
+    )
 
 
 def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:

@@ -27,8 +27,11 @@ from oracles import (
     alpha_difference_check,
     eulerian_number,
     facet_cut_check,
+    interval_members,
     measure_number,
+    to_mask,
     vandermonde_check,
+    vertex_set,
 )
 
 N_RANGE = range(0, 16)
@@ -139,7 +142,10 @@ def test_criterion_7_partition_certificates(family):
             cert = verify_partition(part.intervals, interior)
             if not cert.ok:
                 violations.append((b.name, "interior", i, cert))
-            touched = {m for iv in part.intervals for m in iv.members()}
+            touched = {
+                to_mask(m) for iv in part.intervals
+                for m in interval_members(vertex_set(iv.lower), vertex_set(iv.upper))
+            }
             if touched & boundary:
                 violations.append((b.name, "interior-touches-boundary", i))
     _report(7, "partition certificates: exact covers, boundary untouched", violations)

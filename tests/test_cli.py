@@ -230,6 +230,46 @@ def test_stage_failure_of_sequence_exits_1(failing_construction, capsys):
     assert err == f"figurate: error: {_FORCED}\n"
 
 
+def _second_polytope_fails(monkeypatch, capsys, name, corrupt):
+    """Run cube:2 and cube:3 with ``pipeline.<name>`` corrupted on the second
+    polytope only; returns (exit code, cube:2 records, cube:3 records)."""
+    original = getattr(pipeline, name)
+    seen = []
+
+    def corrupted(*args):
+        seen.append(args)
+        return original(*(corrupt(*args) if len(seen) > 1 else args))
+
+    monkeypatch.setattr(pipeline, name, corrupted)
+    code = main(["pipeline", "--builtin", "cube:2", "--builtin", "cube:3", "--summary"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(seen) == 2
+    return code, [r for r in records if r.get("polytope") == "cube:2"], [r for r in records if r.get("polytope") == "cube:3"]
+
+
+def _failed_stage(polytope, error):
+    return {
+        "record": "claim", "claim": "pipeline-stage", "polytope": polytope,
+        "params": {"seed": 0, "n_max": 15}, "pass": False, "counterexample": {"error": error},
+    }
+
+
+def test_a_failed_link_is_a_failed_stage_that_keeps_the_other_records(monkeypatch, capsys):
+    # the apex link of cube:3 is asked of a vertex outside its complex
+    code, square, cube = _second_polytope_fails(monkeypatch, capsys, "link", lambda v, complex_: (99, complex_))
+    assert code == 1
+    assert len(square) == 22 and all(r["pass"] for r in square)
+    assert cube == [_failed_stage("cube:3", "vertex 99 is not in the complex")]
+
+
+def test_a_failed_e_vector_is_a_failed_stage_that_keeps_the_other_records(monkeypatch, capsys):
+    # the interior complex of cube:3 is handed over with the empty simplex
+    code, square, cube = _second_polytope_fails(monkeypatch, capsys, "e_vector", lambda interior, dim: (interior | {0}, dim))
+    assert code == 1
+    assert len(square) == 22 and all(r["pass"] for r in square)
+    assert cube == [_failed_stage("cube:3", "an interior complex cannot contain the empty simplex")]
+
+
 def test_face_index_out_of_range_exits_2(tmp_path, capsys):
     path = _square_with_faces(tmp_path, "sqbig", [[0, 1], [1, 5]])
     code, out, err = run(capsys, "pipeline", "--input", path)

@@ -12,6 +12,7 @@ from figurate.geometry import (
     evaluate_functional,
     homogenize,
     integer_plane_through,
+    integer_planes_opposite,
     integer_side,
     matrix_rank,
     point,
@@ -26,6 +27,7 @@ from oracles import (
     MISSES,
     integer_plane,
     reference_hyperplane_through,
+    reference_rank,
     reference_rref,
     reference_solve_linear,
     segment_first_hit,
@@ -182,6 +184,35 @@ def rational_matrices(draw):
     m, n = draw(st.integers(1, 7)), draw(st.integers(1, 8))
     rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
     return _with_dependent_rows(draw, rows)
+
+
+@st.composite
+def simplex_corners(draw):
+    """n points of dimension n - 1, some of them affine combinations of the ones before."""
+    n = draw(st.integers(2, 6))
+    pts = [draw(st.lists(small, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
+    for i in range(1, n):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(small, min_size=i - 1, max_size=i - 1))
+            pts[i] = [p0 + sum((c * (p[j] - p0) for c, p in zip(coeffs, pts[1:i])), Fraction(0))
+                      for j, p0 in enumerate(pts[0])]
+    return [tuple(p) for p in pts]
+
+
+@settings(max_examples=150)
+@given(corners=simplex_corners())
+def test_planes_opposite_each_point_match_one_plane_per_ridge(corners):
+    hp = [homogenize(c) for c in corners]
+    opposite = integer_planes_opposite(hp)
+    if reference_rank([(1,) + c for c in corners]) < len(corners):
+        assert opposite is None
+    else:
+        assert opposite == [integer_plane_through(hp[:j] + hp[j + 1:]) for j in range(len(hp))]
+        assert all(integer_side(plane, q) != 0 for plane, q in zip(opposite, hp))
+
+
+def test_planes_opposite_need_a_square_matrix():
+    assert integer_planes_opposite([homogenize(pt(0, 0)), homogenize(pt(1, 0))]) is None
 
 
 @settings(max_examples=150)

@@ -5,6 +5,7 @@ its report comes through the hull search. cube:4 and bipyramid:cross:3 are
 4-polytopes with 24 and 8 maximal simplices. cube:5 + cross:5 and simplex:9 +
 pyramid:simplex:8 are the ``verify-dense`` and ``verify-highdim`` benchmark
 invocations, and ``gen cross 5`` pins the face order of ``polytope_to_json``.
+cube:6 has 18,732 simplices and 720 maximal ones, the largest complex pinned.
 Any change to claims, witnesses, generic points, sequence values or face order
 changes these digests. Update them only for a deliberate change of the report.
 """
@@ -34,6 +35,8 @@ GOLDEN = {
         "80fc8bbfcd186f50e5574ff664107c2fd7b9aba4fc827355afd583a2bfb557d7",
     "pipeline --builtin simplex:9 --builtin pyramid:simplex:8 --points 1 --summary":
         "e3f7d1afbe558b093b30fbaafaa45f94fa61af1a5d6cb360a8a63f5e6733455c",
+    "pipeline --builtin cube:6 --points 1 --summary":
+        "1aaa1c06164291fb7810fda8c636d78fd5f6bfa611be89b3adbebdb9a3d276aa",
     "gen cross 5":
         "f8dcde399c6cd4d4e963dedd89851e8f8c913a9b0927f0dc480852e498a3ae5f",
 }

@@ -1,4 +1,10 @@
-"""Visibility partitions and the f/h/k/e vector calculus."""
+"""Visibility partitions and the f/h/k/e vector calculus.
+
+Simplices and interval bounds are vertex masks. The submask walk of
+``verify_partition`` must give the certificate of the ``combinations`` walk
+in ``oracles.py`` on the verified partitions and on corrupted ones.
+"""
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -29,7 +35,17 @@ from figurate.triangulation import (
     split_boundary_interior,
 )
 from figurate.pipeline import Analysis, vector_claims
-from oracles import f_from_h, integer_plane, reference_hull_contains, reference_hyperplane_through
+from oracles import (
+    f_from_h,
+    frozen,
+    integer_plane,
+    interval_members,
+    reference_hull_contains,
+    reference_hyperplane_through,
+    reference_verify_partition,
+    to_mask,
+    vertex_set,
+)
 
 
 def _tri(spec):
@@ -42,20 +58,24 @@ def _partitions(tri):
 
 
 def _size(iv):
-    return 2 ** len(iv.upper - iv.lower)
+    return 2 ** (iv.upper & ~iv.lower).bit_count()
+
+
+def _members(iv):
+    return {to_mask(m) for m in interval_members(vertex_set(iv.lower), vertex_set(iv.upper))}
 
 
 def _visible(f, ext):
     """The facets of maximal simplex f visible from the point of the
     exterior partition ext: those opposite the vertices of G_F."""
     (iv,) = [iv for iv in ext.intervals if iv.upper == f]
-    return {f - {v} for v in iv.lower}
+    return {vertex_set(f) - {v} for v in vertex_set(iv.lower)}
 
 
 def _ridge_planes(b):
     """The distinct ridge planes of a triangulation, by the reference kernel."""
     verts = b.lattice.polytope.vertices
-    ridges = {f - {v} for f in b.tri.maximal for v in f}
+    ridges = {f - {v} for f in map(vertex_set, b.tri.maximal) for v in f}
     return {integer_plane(reference_hyperplane_through([verts[i] for i in sorted(r)])) for r in ridges}
 
 
@@ -74,7 +94,7 @@ def test_generic_point_on_square(square):
     assert len(gp.certificate) == 5
     assert set(gp.certificate) == _ridge_planes(square)
     verts = square.lattice.polytope.vertices
-    for s in square.tri.simplices:
+    for s in frozen(square.tri.simplices):
         if s and len(s) <= 2:
             assert not reference_hull_contains([verts[i] for i in sorted(s)], gp.x)
 
@@ -104,7 +124,7 @@ def test_square_diagonal_is_the_one_visible_facet(square):
     ext, _ = square.partitions[0]
     t_home = next(f for f in square.tri.maximal if not _visible(f, ext))
     t_other = next(f for f in square.tri.maximal if f != t_home)
-    diagonal = t_home & t_other
+    diagonal = vertex_set(t_home & t_other)
     assert len(diagonal) == 2
     assert _visible(t_other, ext) == {diagonal}
 
@@ -113,10 +133,10 @@ def test_boundary_facets_not_visible_from_their_simplex(cube3):
     ext, _ = cube3.partitions[0]
     counts = {}
     for f in cube3.tri.maximal:
-        for v in f:
-            counts.setdefault(f - {v}, []).append(f)
+        for v in vertex_set(f):
+            counts.setdefault(vertex_set(f) - {v}, []).append(f)
     for ridge, owners in counts.items():
-        if ridge in cube3.split.boundary:
+        if to_mask(ridge) in cube3.split.boundary:
             (owner,) = owners
             assert ridge not in _visible(owner, ext)
 
@@ -126,7 +146,7 @@ def test_visibility_raises_on_degenerate_point(square):
     # midpoint of the diagonal lies on that edge's hull
     t1 = next(f for f in square.tri.maximal)
     other = max(f for f in square.tri.maximal)
-    diag = sorted(t1 & other)
+    diag = sorted(vertex_set(t1 & other))
     mid = tuple((verts[diag[0]][j] + verts[diag[1]][j]) / 2 for j in range(2))
     gp = replace(square.generic_points[0], x=mid)
     with pytest.raises(GenericityError, match=rf"^point lies on the affine hull of facet \[{diag[0]}, {diag[1]}\]$"):
@@ -138,7 +158,7 @@ def test_exterior_partition_simplex_single_interval():
         ext, _ = _partitions(_tri(f"simplex:{d}"))
         assert len(ext.intervals) == 1
         (iv,) = ext.intervals
-        assert iv.lower == frozenset()
+        assert iv.lower == 0
         assert _size(iv) == 2 ** (d + 1)
 
 
@@ -158,17 +178,17 @@ def test_interior_partition_simplex():
     for d in range(1, 5):
         _, intr = _partitions(_tri(f"simplex:{d}"))
         (iv,) = intr.intervals
-        assert iv.lower == iv.upper == frozenset(range(d + 1))
+        assert iv.lower == iv.upper == (1 << d + 1) - 1
 
 
 def test_interior_partition_square(square):
     _, intr = square.partitions[0]
     # brute-force interior: simplices in no proper face of the square
     proper = [f.vertices for f in square.lattice.faces[:-1]]
-    brute = {s for s in square.tri.simplices if not any(s <= pv for pv in proper)}
+    brute = {s for s in frozen(square.tri.simplices) if not any(s <= pv for pv in proper)}
     assert len(brute) == 3
-    covered = {m for iv in intr.intervals for m in iv.members()}
-    assert covered == brute
+    covered = {m for iv in intr.intervals for m in _members(iv)}
+    assert frozen(covered) == brute
     assert sorted(map(_size, intr.intervals)) == [1, 2]
 
 
@@ -200,8 +220,9 @@ def test_f_vector_examples(cube3):
 
 
 def test_e_vector_rejects_empty_simplex():
-    with pytest.raises(ValueError):
-        e_vector({frozenset(), frozenset({1})}, 1)
+    # asked inside a stage, so a failed stage, not a usage error
+    with pytest.raises(RuntimeError, match=r"^an interior complex cannot contain the empty simplex$"):
+        e_vector({0, 0b10}, 1)
 
 
 def test_h_from_f_examples(cube3):
@@ -263,9 +284,9 @@ def test_one_side_test_per_facet_gives_both_partitions(monkeypatch, spec):
 def test_a_failed_cover_raises_and_builds_no_partition(cube3, monkeypatch):
     # a partition exists only verified: a failing certificate raises, naming
     # the partition and its counterexample
-    monkeypatch.setattr(partitions, "verify_partition", lambda intervals, target: PartitionCertificate(False, (frozenset({0}),)))
+    monkeypatch.setattr(partitions, "verify_partition", lambda intervals, target: PartitionCertificate(False, ([0],)))
     gp = cube3.generic_points[0]
-    with pytest.raises(RuntimeError, match=r"^exterior intervals failed to partition their target: .*uncovered=\(frozenset\(\{0\}\),\)"):
+    with pytest.raises(RuntimeError, match=r"^exterior intervals failed to partition their target: .*uncovered=\(\[0\],\)"):
         visibility_partitions(cube3.tri, gp, cube3.split)
 
 
@@ -319,8 +340,45 @@ def test_analysis_vectors_cross_check(cube3):
 
 
 def test_interval_members_enumeration():
-    iv = Interval(frozenset({1}), frozenset({1, 2, 3}))
-    members = set(iv.members())
+    iv = Interval(0b0010, 0b1110)
+    members = set(interval_members(vertex_set(iv.lower), vertex_set(iv.upper)))
     assert members == {
         frozenset({1}), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3})
     }
+    # the submask walk covers exactly these members, each once
+    assert verify_partition([iv], frozenset(map(to_mask, members))).ok
+
+
+def _certificate_of_the_oracle(intervals, target):
+    ref = reference_verify_partition(
+        [(vertex_set(iv.lower), vertex_set(iv.upper)) for iv in intervals], frozen(target)
+    )
+    listed = lambda simplices: tuple(sorted(s) for s in simplices)
+    return PartitionCertificate(ref.ok, listed(ref.uncovered), listed(ref.multiply_covered), listed(ref.foreign))
+
+
+@pytest.mark.parametrize("spec", ["cube:2", "cube:3", "cross:3", "simplex:3", "pyramid:square", "cube:4"])
+def test_submask_check_gives_the_certificate_of_the_combinations_walk(family, spec):
+    b = family[spec]
+    rng = random.Random(spec)
+    full = (1 << len(b.lattice.polytope.vertices)) - 1
+    edge = next(s for s in sorted(b.tri.simplices) if s.bit_count() == 2)
+    for ext, intr in b.partitions:
+        for part, target in ((ext, b.tri.simplices), (intr, b.split.interior)):
+            ivs = list(part.intervals)
+            i = rng.randrange(len(ivs))
+            cases = {
+                "valid": (ivs, target),
+                "dropped": (ivs[:i] + ivs[i + 1:], target),
+                "duplicated": (ivs + [ivs[i]], target),
+                "foreign": (ivs + [Interval(full, full)], target),
+                "foreign and overlapping": (ivs + [Interval(edge, full)], target),
+            }
+            if part is intr:
+                s = rng.choice(sorted(b.split.boundary))
+                cases["boundary interval"] = (ivs + [Interval(s, s)], target)
+                cases["boundary in the target"] = (ivs, target | {s})
+            for case, (intervals, tgt) in cases.items():
+                cert = verify_partition(intervals, tgt)
+                assert cert == _certificate_of_the_oracle(intervals, tgt), (spec, case)
+                assert cert.ok == (case == "valid"), (spec, case)

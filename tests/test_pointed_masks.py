@@ -9,7 +9,8 @@ lattice is built, with a message that names the face or vertex: each check
 of the load-time face-lattice test has a case.
 ``verify_pointed`` must give the verdict of the maximal-simplex scan of
 condition 1 on corrupted per-face complexes, and name the smallest violating
-simplex.
+simplex. The package keeps simplices as vertex masks, and the oracles as
+vertex sets.
 """
 import json
 import random
@@ -27,7 +28,14 @@ from figurate.triangulation import (
     generic_functional,
     verify_pointed,
 )
-from oracles import reference_condition_1, reference_pointed_complexes, unverified_triangulation
+from oracles import (
+    frozen,
+    reference_condition_1,
+    reference_pointed_complexes,
+    to_mask,
+    unverified_triangulation,
+    vertex_set,
+)
 from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
 
@@ -132,14 +140,14 @@ def test_mask_construction_equals_the_frozenset_construction(spec):
     apexes = assign_apexes(lattice, generic_functional(lattice))
     tri = unverified_triangulation(lattice, apexes)
     per_face, simplices, maximal = reference_pointed_complexes(lattice, apexes)
-    assert list(tri.per_face) == list(per_face) == [f.id for f in lattice.faces[1:]]
-    assert tri.per_face == per_face
-    assert tri.simplices == simplices
-    assert tri.maximal == maximal
-    assert all(type(c) is frozenset for c in tri.per_face.values())
-    # equal simplices of different complexes are one object
-    shared = {}
-    assert all(shared.setdefault(s, s) is s for c in tri.per_face.values() for s in c)
+    assert list(per_face) == [f.id for f in lattice.faces[1:]]
+    assert len(tri.complexes) == len(lattice) and tri.complexes[0] == {0}
+    assert {fid: frozen(tri.complexes[fid]) for fid in per_face} == per_face
+    assert frozen(tri.simplices) == simplices
+    assert tuple(map(vertex_set, tri.maximal)) == maximal
+    assert all(type(c) is frozenset for c in tri.complexes)
+    # one facet set gives the maximal simplices and closure under subsets
+    assert tri.closed
 
 
 def _face_detail(detail):
@@ -149,9 +157,14 @@ def _face_detail(detail):
     return json.loads(simplex), json.loads(face), int(apex)
 
 
+def _with_complexes(tri, changed):
+    """The triangulation with the complexes of some faces replaced."""
+    return replace(tri, complexes=tuple(changed.get(i, c) for i, c in enumerate(tri.complexes)))
+
+
 def _drop_simplices(tri, rng):
     f = rng.choice(tri.lattice.faces[1:])
-    cf = sorted(tri.per_face[f.id], key=lambda s: (len(s), sorted(s)))
+    cf = sorted(tri.complexes[f.id], key=lambda s: (s.bit_count(), sorted(vertex_set(s))))
     dropped = set(rng.sample(cf, min(len(cf), rng.randint(1, 3))))
     return {f.id: frozenset(s for s in cf if s not in dropped)}
 
@@ -164,7 +177,7 @@ def _retriangulate(tri, rng):
         apex = dict(tri.apexes.apex)
         apex[f.id] = rng.choice(sorted(f.vertices - {apex[f.id]}))
         per_face = reference_pointed_complexes(tri.lattice, ApexAssignment(tri.apexes.functional, apex))[0]
-        changed[f.id] = per_face[f.id]
+        changed[f.id] = frozenset(map(to_mask, per_face[f.id]))
     return changed
 
 
@@ -176,7 +189,7 @@ def test_condition_1_matches_the_maximal_scan(family, spec):
     verdicts = []
     for trial in range(60):
         corrupt = (_drop_simplices, _retriangulate)[trial % 2]
-        bad = replace(tri, per_face={**tri.per_face, **corrupt(tri, rng)})
+        bad = _with_complexes(tri, corrupt(tri, rng))
         cert = verify_pointed(bad)
         ref = reference_condition_1(bad)
         assert (cert.condition == 1) == (ref is not None), (spec, trial)
@@ -195,7 +208,7 @@ def test_condition_1_names_the_smallest_violating_simplex(cube3):
     # and several miss the apex
     tri = cube3.tri
     top = tri.lattice.top.id
-    bad = replace(tri, per_face={**tri.per_face, top: tri.simplices - set(tri.maximal)})
+    bad = _with_complexes(tri, {top: tri.simplices - set(tri.maximal)})
     fid, missed = reference_condition_1(bad)
     assert fid == top and len(missed) > 1 and missed[0] == {1, 3, 7}
     cert = verify_pointed(bad)

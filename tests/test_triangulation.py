@@ -1,4 +1,7 @@
-"""Pointed triangulation construction, verification, splits and links."""
+"""Pointed triangulation construction, verification, splits and links.
+
+Simplices are vertex masks; the oracles take vertex sets (``oracles.frozen``).
+"""
 import random
 import re
 from dataclasses import replace
@@ -20,7 +23,6 @@ from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
     generic_functional,
-    is_simplicial_complex,
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
@@ -28,12 +30,16 @@ from figurate.triangulation import (
 )
 from oracles import (
     affinely_independent,
+    frozen,
     is_pure,
+    is_simplicial_complex,
     maximal_simplices,
     pairwise_apex_conflict,
     reference_assign_apexes,
     reference_condition_2,
+    to_mask,
     unverified_triangulation,
+    vertex_set,
 )
 from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
@@ -141,7 +147,7 @@ def test_simplex_triangulates_itself():
     for d in range(0, 6):
         sx = parse_builtin(f"simplex:{d}")
         tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
-        assert tri.maximal == (frozenset(range(d + 1)),)
+        assert tri.maximal == ((1 << d + 1) - 1,)
 
 
 def test_verify_pointed_passes_on_family(family):
@@ -154,8 +160,8 @@ def _with_apexes(tri, apex):
     """The triangulation under another apex map, each face carrying only its
     own vertex set: condition 1 holds for any apex inside its face, so
     condition 2 decides whether verification passes the first two checks."""
-    per_face = {f.id: frozenset({f.vertices}) for f in tri.lattice.faces[1:]}
-    return replace(tri, apexes=ApexAssignment(tri.apexes.functional, apex), per_face=per_face)
+    complexes = tuple(frozenset({to_mask(f.vertices)}) for f in tri.lattice.faces)
+    return replace(tri, apexes=ApexAssignment(tri.apexes.functional, apex), complexes=complexes)
 
 
 def _condition_2_detail_is_a_pairwise_violation(detail):
@@ -224,7 +230,7 @@ def _closure(tops):
     out = set()
     for t in tops:
         for k in range(len(t) + 1):
-            out.update(frozenset(c) for c in combinations(sorted(t), k))
+            out.update(to_mask(c) for c in combinations(sorted(t), k))
     return frozenset(out)
 
 
@@ -240,11 +246,10 @@ def test_verify_pointed_rejects_wrong_diagonal(square):
     )
     wing1, wing2 = [i for i in others if i != opposite]
     bad_top = _closure([frozenset({wing1, wing2, apex}), frozenset({wing1, wing2, opposite})])
-    per_face = dict(square.tri.per_face)
-    per_face[square.lattice.top.id] = bad_top
+    complexes = square.tri.complexes[:-1] + (bad_top,)
     bad = PointedTriangulation(
-        square.lattice, square.tri.apexes, bad_top, per_face,
-        tuple(sorted(maximal_simplices(bad_top), key=lambda s: tuple(sorted(s)))),
+        square.lattice, square.tri.apexes, complexes,
+        tuple(sorted(map(to_mask, maximal_simplices(frozen(bad_top))))), True,
     )
     cert = verify_pointed(bad)
     assert not cert.ok
@@ -256,16 +261,16 @@ def test_split_square(square):
     interior = {s for s in split.interior}
     assert len(interior) == 3  # the diagonal and both triangles
     assert len(split.boundary) == 9  # empty face, 4 vertices, 4 sides
-    assert all(len(s) >= 2 for s in interior)
+    assert all(s.bit_count() >= 2 for s in interior)
 
 
 def test_split_cube_interior_counts(cube3):
     assert cube3.e == (0, 1, 6, 6)
     # brute-force oracle: boundary simplices lie in some proper face of the cube
     proper = [f.vertices for f in cube3.lattice.faces[:-1]]
-    brute_boundary = {s for s in cube3.tri.simplices if any(s <= pv for pv in proper)}
-    assert brute_boundary == set(cube3.split.boundary)
-    fb = f_vector(brute_boundary, 2)
+    brute_boundary = {s for s in frozen(cube3.tri.simplices) if any(s <= pv for pv in proper)}
+    assert brute_boundary == frozen(cube3.split.boundary)
+    fb = f_vector(set(map(to_mask, brute_boundary)), 2)
     assert fb == (1, 8, 18, 12)
     f = cube3.f
     assert cube3.e == tuple(f[i + 1] - (fb[i + 1] if i + 1 < len(fb) else 0) for i in range(4))
@@ -276,7 +281,7 @@ def test_split_simplex_interior_is_top_only():
         sx = parse_builtin(f"simplex:{d}")
         tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
         split = split_boundary_interior(tri)
-        assert set(split.interior) == {frozenset(range(d + 1))}
+        assert set(split.interior) == {(1 << d + 1) - 1}
 
 
 def test_split_is_disjoint_union(family):
@@ -284,27 +289,44 @@ def test_split_is_disjoint_union(family):
         assert set(b.split.boundary) | set(b.split.interior) == set(b.tri.simplices)
         assert not set(b.split.boundary) & set(b.split.interior)
         # boundary equals the union of the proper faces' triangulations
-        proper_union = {frozenset()}
+        proper_union = {0}
         for f in b.lattice.faces[1:-1]:
-            proper_union |= set(b.tri.per_face[f.id])
+            proper_union |= b.tri.complexes[f.id]
         assert proper_union == set(b.split.boundary), b.name
 
 
 def test_family_complexes_are_simplicial_and_pure(family):
     for b in family.values():
-        assert is_simplicial_complex(b.tri.simplices), b.name
+        assert b.tri.closed and is_simplicial_complex(frozen(b.tri.simplices)), b.name
         assert all((s & t) in b.tri.simplices for s, t in combinations(b.tri.simplices, 2)), b.name
-        assert is_pure(b.tri.simplices, b.dim), b.name
+        assert is_pure(frozen(b.tri.simplices), b.dim), b.name
         for f in b.lattice.faces[1:]:
-            cf = b.tri.per_face[f.id]
+            cf = frozen(b.tri.complexes[f.id])
             assert is_simplicial_complex(cf), (b.name, f.id)
             assert is_pure(cf, f.dim), (b.name, f.id)
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square"])
+def test_maximal_and_closure_from_one_facet_set_match_the_scans(family, spec):
+    # drop simplices from the complex: a dropped facet breaks closure, and
+    # what it was a facet of no longer hides the simplices below it
+    simplices = family[spec].tri.simplices
+    rng = random.Random(spec)
+    verdicts = []
+    for trial in range(40):
+        bad = simplices - set(rng.sample(sorted(simplices), 1 + trial % 3))
+        maximal, closed = triangulation._maximal_and_closed(bad)
+        assert closed == is_simplicial_complex(frozen(bad)), (spec, trial)
+        scanned = sorted(maximal_simplices(frozen(bad)), key=lambda s: (len(s), sorted(s)))
+        assert list(map(vertex_set, maximal)) == scanned, (spec, trial)
+        verdicts.append(closed)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_all_simplices_affinely_independent(family):
     for b in family.values():
         verts = b.lattice.polytope.vertices
-        for s in b.tri.simplices:
+        for s in frozen(b.tri.simplices):
             if s:
                 assert affinely_independent([verts[i] for i in sorted(s)]), (b.name, sorted(s))
 
@@ -312,34 +334,35 @@ def test_all_simplices_affinely_independent(family):
 def test_every_maximal_simplex_contains_global_apex(family):
     for b in family.values():
         apex = b.tri.apex_vertex
-        assert all(apex in s for s in b.tri.maximal), b.name
+        assert all(1 << apex & s for s in b.tri.maximal), b.name
 
 
 def test_link_maximal_simplices_biject_with_complex(family):
     for b in family.values():
         apex = b.tri.apex_vertex
         lk = link(apex, b.tri.simplices)
-        lifted = {s | {apex} for s in maximal_simplices(lk)}
-        assert lifted == set(b.tri.maximal), b.name
+        lifted = {s | {apex} for s in maximal_simplices(frozen(lk))}
+        assert lifted == set(map(vertex_set, b.tri.maximal)), b.name
 
 
 def test_link_examples(square):
     apex = square.tri.apex_vertex
     lk = link(apex, square.tri.simplices)
-    edges = [s for s in lk if len(s) == 2]
-    vertices = [s for s in lk if len(s) == 1]
+    edges = [s for s in lk if s.bit_count() == 2]
+    vertices = [s for s in lk if s.bit_count() == 1]
     assert len(edges) == 2 and len(vertices) == 3  # a path on the non-apex vertices
-    assert is_pure(lk, 1)
-    assert is_simplicial_complex(lk)
+    assert is_pure(frozen(lk), 1)
+    assert is_simplicial_complex(frozen(lk))
 
 
 def test_link_of_vertex_in_single_simplex():
     sx = parse_builtin("simplex:3")
     tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
-    assert link(0, tri.simplices) == {s for s in tri.simplices if 0 not in s}
-    seg_complex = {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
-    assert link(0, seg_complex) == {frozenset(), frozenset({1})}
-    with pytest.raises(ValueError):
+    assert link(0, tri.simplices) == {s for s in tri.simplices if not s & 1}
+    seg_complex = {0, 0b01, 0b10, 0b11}
+    assert link(0, seg_complex) == {0, 0b10}
+    # asked inside a stage, so a failed stage, not a usage error
+    with pytest.raises(RuntimeError, match=r"^vertex 99 is not in the complex$"):
         link(99, seg_complex)
 
 
