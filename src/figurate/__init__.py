@@ -8,14 +8,10 @@ methods. Everything is exact: rationals for geometry, arbitrary-precision
 integers for counts.
 """
 from .geometry import (
-    Hyperplane,
     Point,
-    Rational,
-    affine_rank,
     evaluate_functional,
     rational,
     rational_str,
-    side_of_hyperplane,
 )
 from .lattice import (
     Face,
@@ -56,8 +52,6 @@ from .partitions import (
 )
 from .sequences import (
     SequenceResult,
-    interior_from_h_reversed,
-    interior_from_k,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,

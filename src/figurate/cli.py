@@ -21,14 +21,7 @@ from .lattice import (
     polytope_to_json,
 )
 from .pipeline import Analysis, all_passed, run_pipeline, summary_record, vector_claims
-from .sequences import (
-    polytope_number_recursive,
-    polytope_number_simplex_sum,
-    sequence_from_h,
-    sequence_interior_from_h,
-    sequence_interior_from_k,
-    sequence_to_json,
-)
+from .sequences import polytope_number_recursive, polytope_number_simplex_sum
 
 N_MAX_GUARD = 10000
 
@@ -107,23 +100,20 @@ def _cmd_sequence(args) -> int:
     lattices = _load_inputs(args)
     if len(lattices) > 1:
         raise ValueError(f"sequence takes one polytope, got {len(lattices)}")
-    a = Analysis(lattices[0], seed=args.seed)
+    a = Analysis(lattices[0], seed=args.seed, n_max=args.n)
     failed = next((r for r in vector_claims(a) if not r["pass"]), None)
     if failed is not None:
         raise RuntimeError(f"claim {failed['claim']} failed: {json.dumps(failed['counterexample'])}")
     if args.method == "recursive":
-        result = polytope_number_recursive(a.lattice, a.apexes, args.n, interior=args.interior)
+        values = polytope_number_recursive(a.lattice, a.apexes, args.n, interior=args.interior).values
     elif args.method == "simplex-sum":
-        result = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior, split=a.split)
-    elif args.method == "h":
-        result = (
-            sequence_interior_from_h(a.name, a.h, a.dim, args.n)
-            if args.interior
-            else sequence_from_h(a.name, a.h, a.dim, args.n)
-        )
+        values = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior, split=a.split).values
+    elif args.method == "k":
+        values = a.closed_form(a.k)
     else:
-        result = sequence_interior_from_k(a.name, a.k, a.dim, args.n)
-    data = sequence_to_json(result, h=a.h, k=a.k)
+        values = a.closed_form(a.h[::-1] if args.interior else a.h)
+    data = {"polytope": a.name, "method": args.method, "interior": args.interior,
+            "h": list(a.h), "k": list(a.k), "values": list(values)}
     _dump(json.dumps(data, separators=(",", ":")), args.out)
     return 0
 

@@ -1,29 +1,27 @@
-"""Exact rational geometry: points, functionals, hyperplanes, predicates.
+"""Exact rational geometry: points and functionals over an integer kernel.
 
 Everything here is exact; there are no floating-point tolerances anywhere in
-the package. Points, normals and functionals are plain tuples of ``Fraction``,
-so equality is structural and results are safe to hash, cache and share
-between threads.
+the package. Points and functionals are plain tuples of ``Fraction``, so
+equality is structural and results are safe to hash, cache and share between
+threads.
 
 Ranks, hyperplanes and side tests run on integers: a point enters as
 ``homogenize(p)`` = (D, D p), D the lcm of its denominators, and callers
 homogenize each point once and reuse the row. The one elimination routine,
 ``_rref``, is fraction-free Gauss-Jordan over ``int`` (E. H. Bareiss, 1968),
-whose divisions are all exact; the plane through homogenized points is read
-off its integer kernel, and the planes opposite each corner of a simplex off
-one inverse.
+whose divisions are all exact. The plane through homogenized points is read
+off its integer kernel, the planes opposite each corner of a simplex off one
+inverse, and the coordinates of points in their affine hull off one
+reduction of their differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Point = tuple[Fraction, ...]
-Vector = tuple[Fraction, ...]
 LinearFunctional = tuple[Fraction, ...]
 
 
@@ -57,39 +55,11 @@ def point(coords: Iterable) -> Point:
     return tuple(rational(c) for c in coords)
 
 
-def vsub(a: Point, b: Point) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vdot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Locus normal . x = offset, with a nonzero normal vector."""
-
-    normal: Vector
-    offset: Fraction
-
-    def __post_init__(self):
-        if not any(self.normal):
-            raise GeometryError("hyperplane normal must be nonzero")
-
-
 def evaluate_functional(c: LinearFunctional, p: Point) -> Fraction:
     """Exact dot product c . p; raises on dimension mismatch."""
     if len(c) != len(p):
         raise GeometryError(f"functional of length {len(c)} applied to point of length {len(p)}")
-    return vdot(c, p)
-
-
-def side_of_hyperplane(h: Hyperplane, p: Point) -> int:
-    """Sign of (normal . p - offset): -1, 0 or +1, computed exactly."""
-    if len(h.normal) != len(p):
-        raise GeometryError(f"hyperplane in dimension {len(h.normal)} tested against point of length {len(p)}")
-    v = vdot(h.normal, p) - h.offset
-    return (v > 0) - (v < 0)
+    return sum(map(mul, c, p), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +99,6 @@ def _rref(rows: list[list[int]]) -> tuple[int, list[int], list[list[int]]]:
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return _rref(list(rows))[0]
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return integer_rank([homogenize(r)[1:] for r in rows])
-
-
-def solve_linear(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve A x = b exactly.
-
-    Returns (particular solution, nullspace basis), or None when the system is
-    inconsistent. Free variables are set to zero in the particular solution.
-    """
-    n = len(a[0]) if a else 0
-    rank, pivots, rows = _rref([homogenize(tuple(row) + (rhs,))[1:] for row, rhs in zip(a, b)])
-    if n in pivots:
-        return None
-    den = rows[0][pivots[0]] if pivots else 1
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = Fraction(rows[r][n], den)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-rows[r][f], den)
-        basis.append(v)
-    return sol, basis
-
-
-# ---------------------------------------------------------------------------
-# Affine predicates.
-
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of the points (0 for a single point)."""
-    if not points:
-        raise GeometryError("affine_rank of an empty point list")
-    return integer_rank([homogenize(p) for p in points]) - 1
 
 
 def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -212,10 +142,27 @@ def _canonical(v: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def hull_coordinates(pts: list[Point]) -> tuple[list[Point], int]:
+    """The points in coordinates for their affine hull, and its dimension.
+
+    An exact affine bijection, from one elimination of the differences
+    p - p0 as columns: its pivot columns are the first differences
+    independent of those before them, a basis of the hull's directions, and
+    column i of the result is D times point i's coordinates in that basis.
+    Points that span their ambient space come back as given.
+    """
+    p0 = pts[0]
+    rank, pivots, rows = _rref([homogenize(tuple(p[j] - c for p in pts))[1:] for j, c in enumerate(p0)])
+    if rank == len(p0):
+        return pts, rank
+    den = rows[0][pivots[0]] if rank else 1
+    return [tuple(Fraction(row[i], den) for row in rows[:rank]) for i in range(len(pts))], rank
+
+
 # ---------------------------------------------------------------------------
 # Integer side tests. A point scaled once to integer homogeneous coordinates,
-# and a hyperplane kept as an integer vector, reduce side_of_hyperplane to the
-# sign of one integer dot product.
+# and a hyperplane kept as an integer vector, reduce a side test to the sign
+# of one integer dot product.
 
 def homogenize(p: Point) -> tuple[int, ...]:
     """(D, D p_1, ..., D p_n) with D > 0 the lcm of the denominators of p."""

@@ -43,14 +43,12 @@ from .geometry import (
     Point,
     barycenter,
     homogenize,
+    hull_coordinates,
     integer_plane_through,
     integer_rank,
     integer_side,
-    matrix_rank,
     point,
     rational_str,
-    solve_linear,
-    vsub,
 )
 
 T = TypeVar("T")
@@ -190,31 +188,6 @@ def _mask(vertices) -> int:
 
 # ---------------------------------------------------------------------------
 # Construction from coordinates.
-
-def _hull_coordinates(pts: list[Point]) -> tuple[list[Point], int]:
-    """Re-coordinatize points inside their affine hull (exact affine bijection)."""
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts]
-    rank = matrix_rank(diffs)
-    ambient = len(p0)
-    if rank == ambient:
-        return pts, rank
-    basis: list[tuple[Fraction, ...]] = []
-    for dvec in diffs:
-        if len(basis) == rank:
-            break
-        if matrix_rank(basis + [dvec]) > len(basis):
-            basis.append(dvec)
-    if not basis:
-        return [() for _ in pts], 0
-    cols = [[b[j] for b in basis] for j in range(ambient)]
-    new_pts = []
-    for p in pts:
-        sol = solve_linear(cols, list(vsub(p, p0)))
-        assert sol is not None
-        new_pts.append(tuple(sol[0]))
-    return new_pts, rank
-
 
 def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Exact facets of a full-dimensional polytope, by gift-wrapping.
@@ -385,13 +358,19 @@ def build_face_lattice(
     masks = [_mask(vs) for _, vs in enumerate_facets(p)]
     if p.dim > 0:
         for i in range(len(p.vertices)):
-            meet = (1 << len(p.vertices)) - 1
-            for m in masks:
-                if m >> i & 1:
-                    meet &= m
-            if meet != 1 << i:
+            if _facet_meet(1 << i, masks, len(p.vertices)) != 1 << i:
                 raise GeometryError(f"vertex {i} of {p.name!r} is not extremal")
     return FaceLattice(p, masks)
+
+
+def _facet_meet(mask: int, facets: list[int], n: int) -> int:
+    """The intersection of the facet masks holding ``mask``, of n vertices;
+    all n when none does."""
+    meet = (1 << n) - 1
+    for m in facets:
+        if not mask & ~m:
+            meet &= m
+    return meet
 
 
 def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
@@ -443,11 +422,7 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
             fail(f"ridge {sorted(lattice.faces[rid].vertices)} lies in {in_facets[rid]} facets, expected 2")
     facet_masks = [_mask(facet) for facet in facets]
     for g in generators:
-        meet = (1 << len(p.vertices)) - 1
-        for m in facet_masks:
-            if not g & ~m:
-                meet &= m
-        if meet != g:
+        if _facet_meet(g, facet_masks, len(p.vertices)) != g:
             fail(f"face {list(pick(g, range(len(p.vertices))))} is not the intersection of the facets containing it")
     vertex_faces = {lattice.faces[i].vertices for i in lattice.by_dim[0]}
     for v in range(len(p.vertices)):
@@ -487,7 +462,7 @@ def polytope_from_vertices(name, coords, face_sets=None) -> FaceLattice:
         raise GeometryError("vertices have mixed ambient dimensions")
     if len(set(pts)) != len(pts):
         raise GeometryError("vertices must be pairwise distinct")
-    hull_pts, dim = _hull_coordinates(pts)
+    hull_pts, dim = hull_coordinates(pts)
     if len(set(hull_pts)) != len(hull_pts):
         raise GeometryError("vertices must be pairwise distinct")
     return build_face_lattice(Polytope(name, tuple(hull_pts), dim), face_sets)
@@ -568,8 +543,10 @@ def _bipyramid(base: FaceLattice) -> FaceLattice:
 
 
 # dimension caps bound the face count (2^11 for simplex:10, 3^7 + 1 for cube:7 and
-# cross:7); the later pipeline stages, not the lattice, are what they keep snappy
+# cross:7); the later pipeline stages, not the lattice, are what they keep snappy.
+# A compound may have no more faces than the largest of these.
 _BASIC_FAMILIES = {"simplex": (_simplex, 0, 10), "cube": (_cube, 0, 7), "cross": (_cross, 1, 7)}
+_MAX_FACES = 3**7 + 1
 _COMPOUND_FAMILIES = {"pyramid": _pyramid, "prism": _prism, "bipyramid": _bipyramid}
 _BASE_ALIASES = {"square": "cube:2", "triangle": "simplex:2", "segment": "simplex:1"}
 
@@ -589,25 +566,45 @@ def builtin(family: str, dim: int | None = None, base: FaceLattice | None = None
         if family == "bipyramid" and base.polytope.dim < 1:
             # the base point would be the midpoint of the two tips, no vertex
             raise ValueError(f"bipyramid base {base.polytope.name!r} must have dimension >= 1")
+        # a pyramid has each face of the base with and without the apex; a prism
+        # each nonempty face at both ends and across, a bipyramid each proper
+        # face alone and with either tip, and both the empty face and the whole
+        faces = 2 * len(base) if family == "pyramid" else 3 * len(base) - 2
+        if faces > _MAX_FACES:
+            raise ValueError(
+                f"builtin {family}:{base.polytope.name} would have {faces} faces, "
+                f"more than the {_MAX_FACES} of the largest basic builtin"
+            )
         return _COMPOUND_FAMILIES[family](base)
     raise ValueError(f"unknown builtin family {family!r}")
 
 
 def parse_builtin(spec: str) -> FaceLattice:
-    """Parse a builtin spec like "cube:3", "pyramid:square" or "bipyramid:cross:3"."""
-    spec = _BASE_ALIASES.get(spec, spec)
-    family, sep, rest = spec.partition(":")
-    if not sep:
-        raise ValueError(f"builtin spec {spec!r} must look like family:dim or family:base")
-    if family in _BASIC_FAMILIES:
-        try:
-            d = int(rest)
-        except ValueError:
-            raise ValueError(f"invalid dimension {rest!r} in builtin spec {spec!r}") from None
-        return builtin(family, d)
-    if family in _COMPOUND_FAMILIES:
-        return builtin(family, base=parse_builtin(rest))
-    raise ValueError(f"unknown builtin family {family!r}")
+    """Parse a builtin spec like "cube:3", "pyramid:square" or "bipyramid:cross:3".
+
+    The compound prefixes are stripped in a loop and applied from the base
+    up, so ``builtin`` checks each level as it is built.
+    """
+    compounds = []
+    while True:
+        spec = _BASE_ALIASES.get(spec, spec)
+        family, sep, rest = spec.partition(":")
+        if not sep:
+            raise ValueError(f"builtin spec {spec!r} must look like family:dim or family:base")
+        if family not in _COMPOUND_FAMILIES:
+            break
+        compounds.append(family)
+        spec = rest
+    if family not in _BASIC_FAMILIES:
+        raise ValueError(f"unknown builtin family {family!r}")
+    try:
+        d = int(rest)
+    except ValueError:
+        raise ValueError(f"invalid dimension {rest!r} in builtin spec {spec!r}") from None
+    lattice = builtin(family, d)
+    for family in reversed(compounds):
+        lattice = builtin(family, base=lattice)
+    return lattice
 
 
 # ---------------------------------------------------------------------------

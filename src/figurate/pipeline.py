@@ -30,8 +30,6 @@ from .sequences import (
     expand,
     face_number_sequences,
     polytope_number_from_h,
-    interior_from_h_reversed,
-    interior_from_k,
     polytope_number_simplex_sum,
 )
 from .triangulation import (
@@ -140,6 +138,11 @@ class Analysis:
     @cached_property
     def face_sequences(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
         return face_number_sequences(self.lattice, self.apexes)
+
+    def closed_form(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """Terms 0..n_max of ``polytope_number_from_h`` on the vector v: the
+        sequence from h, the interior sequence from k or from h reversed."""
+        return tuple(polytope_number_from_h(v, self.dim, n) for n in range(self.n_max + 1))
 
     @property
     def params(self) -> dict:
@@ -271,7 +274,7 @@ def _sequence_three_way(a: Analysis) -> dict:
     n_max, d, h = a.n_max, a.dim, a.h
     rec = expand(a.face_sequences[0][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, split=a.split).values
-    from_h = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
+    from_h = a.closed_form(h)
     mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
     return _record(
         "sequence-three-way", a, a.params, mism is None,
@@ -286,8 +289,8 @@ def _interior_four_way(a: Analysis) -> dict:
     n_max, d, h, k = a.n_max, a.dim, a.h, a.k
     rec = expand(a.face_sequences[1][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True, split=a.split).values
-    from_k = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
-    from_hr = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
+    from_k = a.closed_form(k)
+    from_hr = a.closed_form(h[::-1])
     mism = next(
         (n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_k[n] == from_hr[n]), None
     )

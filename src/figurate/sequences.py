@@ -6,10 +6,11 @@ and index. It runs on generating functions: every face's sequence is a
 numerator of d + 3 integers over the common denominator (1 - x)^(d+1), each
 division by 1 - x is checked to leave no remainder, and only the polytope's
 own numerator is expanded into terms. The simplex-sum method evaluates the
-triangulation's face counts against shifted simplex interior numbers, and the
-decomposition methods evaluate the h- (or k-) vector against shifted simplex
-numbers. All methods must agree exactly; the package's verification pipeline
-asserts that they do.
+triangulation's face counts against shifted simplex interior numbers. The
+decomposition methods are one closed form, a vector's entries as the
+coefficients of shifted simplex numbers: on h it gives the sequence, and on k
+or on h reversed the interior sequence (the paper's reversal). All methods
+must agree exactly; the package's verification pipeline asserts that they do.
 
 Conventions: simplex_number(d, n) is zero for all n <= 0 (the closed form's
 binomial would come back to life for very negative arguments, which the
@@ -172,43 +173,7 @@ def polytope_number_simplex_sum(
 # ---------------------------------------------------------------------------
 # Decomposition methods.
 
-def polytope_number_from_h(h: tuple[int, ...], d: int, n: int) -> int:
-    """Sequence value from the h-vector: sum of h_j alpha^d(n-j)."""
-    return sum(hj * simplex_number(d, n - j) for j, hj in enumerate(h))
-
-
-def interior_from_k(k: tuple[int, ...], d: int, n: int) -> int:
-    """Interior value from the k-vector: sum of k_j alpha^d(n-j)."""
-    return sum(kj * simplex_number(d, n - j) for j, kj in enumerate(k))
-
-
-def interior_from_h_reversed(h: tuple[int, ...], d: int, n: int) -> int:
-    """Interior value from the h-vector read backwards: h_j alpha^d(n-d-1+j)."""
-    return sum(hj * simplex_number(d, n - d - 1 + j) for j, hj in enumerate(h))
-
-
-def sequence_from_h(name: str, h: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
-    values = tuple(polytope_number_from_h(h, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "h", False, values)
-
-
-def sequence_interior_from_k(name: str, k: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
-    values = tuple(interior_from_k(k, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "k", True, values)
-
-
-def sequence_interior_from_h(name: str, h: tuple[int, ...], d: int, n_max: int) -> SequenceResult:
-    values = tuple(interior_from_h_reversed(h, d, n) for n in range(n_max + 1))
-    return SequenceResult(name, "h", True, values)
-
-
-def sequence_to_json(result: SequenceResult, h=None, k=None) -> dict:
-    data = {
-        "polytope": result.polytope,
-        "method": result.method,
-        "interior": result.interior,
-        "h": None if h is None else list(h),
-        "k": None if k is None else list(k),
-        "values": list(result.values),
-    }
-    return data
+def polytope_number_from_h(v: tuple[int, ...], d: int, n: int) -> int:
+    """Sum of v_j alpha^d(n-j): the sequence from h, and the interior sequence
+    from k or from h reversed."""
+    return sum(vj * simplex_number(d, n - j) for j, vj in enumerate(v))

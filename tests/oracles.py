@@ -3,7 +3,11 @@
 ``reference_rref`` is Gauss-Jordan elimination over ``Fraction``, the
 reference for the package's fraction-free integer kernel; the other oracles
 here use it rather than the kernel they check. ``reference_hyperplane_through``
-is the canonical hyperplane computed from a rational nullspace.
+is the canonical hyperplane computed from a rational nullspace, a
+``Hyperplane`` of rational normal and offset, and ``side_of_hyperplane`` its
+side test over ``Fraction``. ``reference_hull_coordinates`` picks a basis of
+the hull's directions one rank test at a time and solves one system per
+point, the reference for the one elimination of ``geometry.hull_coordinates``.
 
 ``segment_first_hit`` classifies a ray against a simplex by solving for the
 hit directly, so it is an oracle for the side-test visibility in
@@ -63,6 +67,7 @@ is the reference for the closure on masks, the grading and the covers of
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -73,15 +78,12 @@ import figurate.triangulation as triangulation
 
 from figurate.geometry import (
     GeometryError,
-    Hyperplane,
     Point,
     evaluate_functional,
     homogenize,
     integer_plane_through,
     integer_side,
     point,
-    vdot,
-    vsub,
 )
 from figurate.lattice import Face, FaceLattice, Polytope, pick
 from figurate.partitions import PartitionCertificate
@@ -110,6 +112,34 @@ def to_mask(vertices) -> int:
 def frozen(complex_) -> Complex:
     """A complex of vertex masks as a set of vertex sets."""
     return frozenset(map(vertex_set, complex_))
+
+
+def vsub(a: Point, b: Point) -> Point:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vdot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """Locus normal . x = offset, with a nonzero normal vector."""
+
+    normal: Point
+    offset: Fraction
+
+    def __post_init__(self):
+        if not any(self.normal):
+            raise GeometryError("hyperplane normal must be nonzero")
+
+
+def side_of_hyperplane(h: Hyperplane, p: Point) -> int:
+    """Sign of (normal . p - offset): -1, 0 or +1, computed over Fraction."""
+    if len(h.normal) != len(p):
+        raise GeometryError(f"hyperplane in dimension {len(h.normal)} tested against point of length {len(p)}")
+    v = vdot(h.normal, p) - h.offset
+    return (v > 0) - (v < 0)
 
 
 def reference_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -160,6 +190,30 @@ def reference_solve_linear(
             v[c] = -rows[r][f]
         basis.append(v)
     return sol, basis
+
+
+def reference_hull_coordinates(pts: list[Point]) -> tuple[list[Point], int]:
+    """The points in coordinates for their affine hull, and its dimension.
+
+    The basis is chosen greedily, each difference p - p0 tested for rank in
+    turn, and each point's coordinates solve a linear system of their own.
+    """
+    p0 = pts[0]
+    diffs = [vsub(p, p0) for p in pts]
+    rank = reference_rank(diffs)
+    ambient = len(p0)
+    if rank == ambient:
+        return pts, rank
+    basis: list[Point] = []
+    for dvec in diffs:
+        if len(basis) == rank:
+            break
+        if reference_rank(basis + [dvec]) > len(basis):
+            basis.append(dvec)
+    if not basis:
+        return [() for _ in pts], 0
+    cols = [[b[j] for b in basis] for j in range(ambient)]
+    return [tuple(reference_solve_linear(cols, list(vsub(p, p0)))[0]) for p in pts], rank
 
 
 def affinely_independent(points: Sequence[Point]) -> bool:

@@ -16,8 +16,6 @@ from figurate.partitions import (
 )
 from figurate.pipeline import run_pipeline
 from figurate.sequences import (
-    interior_from_h_reversed,
-    interior_from_k,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
@@ -61,8 +59,8 @@ def test_criterion_2_interior_four_way_agreement(family):
         k = lower_histogram(b.partitions[0][1])
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE), interior=True).values
         ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), interior=True, split=b.split).values
-        fromk = tuple(interior_from_k(k, b.dim, n) for n in N_RANGE)
-        fromh = tuple(interior_from_h_reversed(b.h, b.dim, n) for n in N_RANGE)
+        fromk = tuple(polytope_number_from_h(k, b.dim, n) for n in N_RANGE)
+        fromh = tuple(polytope_number_from_h(b.h[::-1], b.dim, n) for n in N_RANGE)
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromk[n] == fromh[n]:
                 violations.append((b.name, n, rec[n], ssum[n], fromk[n], fromh[n]))

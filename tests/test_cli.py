@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import figurate.pipeline as pipeline
 import figurate.triangulation as triangulation
 from figurate.cli import main
+from figurate.lattice import parse_builtin
 
 
 def run(capsys, *argv):
@@ -99,7 +100,7 @@ def test_sequence_h_method(capsys):
     data = json.loads(out)
     assert data["values"] == [0, 1, 8, 27, 64, 125]
     assert data["h"] == [1, 4, 1, 0, 0]
-    assert data["interior"] is False
+    assert (data["polytope"], data["method"], data["interior"]) == ("cube:3", "h", False)
 
 
 def test_sequence_interior_clamps_at_small_n(capsys):
@@ -132,6 +133,27 @@ def test_sequence_method_k_requires_interior(capsys):
 def test_unknown_builtin_family(capsys):
     code, _, err = run(capsys, "sequence", "--builtin", "dodecahedron:3")
     assert code == 2 and "unknown builtin" in err
+
+
+@pytest.mark.parametrize("spec, level", [
+    ("prism:cube:7", "prism:cube:7"),
+    ("prism:prism:cube:7", "prism:cube:7"),
+    ("bipyramid:cross:7", "bipyramid:cross:7"),
+    ("pyramid:simplex:10", "pyramid:simplex:10"),
+    ("pyramid:" * 1200 + "simplex:0", "pyramid:" * 11 + "simplex:0"),
+])
+def test_compound_builtin_past_the_face_cap_exits_2(capsys, spec, level):
+    # the first level past 2188 faces, the cube:7 count, is named and never built
+    code, out, err = run(capsys, "pipeline", "--builtin", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"figurate: error: builtin {level} would have ")
+
+
+def test_compound_builtins_up_to_the_face_cap_are_accepted():
+    # prism:cube:6 and bipyramid:cross:6 have the faces of cube:7 and cross:7
+    assert len(parse_builtin("prism:cube:6")) == 2188
+    assert len(parse_builtin("bipyramid:cross:6")) == 2188
+    assert len(parse_builtin("pyramid:simplex:9")) == 2048
 
 
 def test_bad_input_file(tmp_path, capsys):

@@ -1,36 +1,36 @@
-"""Exact predicates: functional evaluation, side tests, ranks, and the ray-hit oracle."""
+"""Exact predicates: functional evaluation, side tests, ranks, hull coordinates,
+and the ray-hit oracle."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from figurate.geometry import (
     GeometryError,
-    Hyperplane,
     _rref,
-    affine_rank,
     evaluate_functional,
     homogenize,
+    hull_coordinates,
     integer_plane_through,
     integer_planes_opposite,
+    integer_rank,
     integer_side,
-    matrix_rank,
     point,
     rational,
     rational_str,
-    side_of_hyperplane,
-    solve_linear,
 )
 from oracles import (
     AT_OR_AFTER_Y,
     BEFORE_Y,
     MISSES,
+    Hyperplane,
     integer_plane,
+    reference_hull_coordinates,
     reference_hyperplane_through,
     reference_rank,
     reference_rref,
-    reference_solve_linear,
     segment_first_hit,
+    side_of_hyperplane,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -119,13 +119,16 @@ def test_integer_side_matches_rational_side(normal, offset, coords):
     assert integer_side(integer_plane(h), homogenize(tuple(on))) == 0
 
 
+def affine_rank(points):
+    """The dimension of the points' affine hull, by the integer kernel."""
+    return integer_rank([homogenize(p) for p in points]) - 1
+
+
 def test_affine_rank_examples():
     assert affine_rank([pt(3, 4)]) == 0
     assert affine_rank([pt(0, 0), pt(1, 1), pt(2, 2)]) == 1
     tetra = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
     assert affine_rank(tetra) == 3
-    with pytest.raises(GeometryError):
-        affine_rank([])
 
 
 def test_affine_rank_of_independent_points():
@@ -216,16 +219,49 @@ def test_planes_opposite_need_a_square_matrix():
 
 
 @settings(max_examples=150)
-@given(a=rational_matrices(), data=st.data())
-def test_integer_kernel_matches_fraction_elimination(a, data):
+@given(a=rational_matrices())
+def test_integer_kernel_matches_fraction_elimination(a):
     rank, pivots, rows = _rref([homogenize(r)[1:] for r in a])
     ref_rank, ref_pivots, ref_rows = reference_rref([list(r) for r in a])
     assert (rank, pivots) == (ref_rank, ref_pivots)
     den = rows[0][pivots[0]] if pivots else 1  # the kernel leaves D times the RREF
     assert [[Fraction(x, den) for x in row] for row in rows] == ref_rows
-    assert matrix_rank(a) == ref_rank
-    b = data.draw(st.lists(small, min_size=len(a), max_size=len(a)))
-    assert solve_linear(a, b) == reference_solve_linear(a, b)
+
+
+def test_hull_coordinates_examples():
+    # points on a line in Q^2, the first difference the basis
+    assert hull_coordinates([pt(0, 0), pt(2, 2), pt(1, 1)]) == ([pt(0), pt(1), pt(Fraction(1, 2))], 1)
+    # a single point, and points that span their space, which come back as given
+    assert hull_coordinates([pt(3, 4, 5)]) == ([()], 0)
+    tri = [pt(0, 0), pt(1, 0), pt(0, 1)]
+    assert hull_coordinates(tri) == (tri, 2)
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """1 to 9 points of an affine space of dimension r <= m, embedded in Q^m,
+    m <= 6, some of them repeated; dependent directions or coefficients give
+    every rank below r too."""
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(0, m))
+    origin = draw(st.lists(small, min_size=m, max_size=m))
+    directions = [draw(st.lists(small, min_size=m, max_size=m)) for _ in range(r)]
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        coeffs = draw(st.lists(small, min_size=r, max_size=r))
+        pts.append(point(o + sum((c * v[j] for c, v in zip(coeffs, directions)), Fraction(0))
+                         for j, o in enumerate(origin)))
+    if draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    return pts
+
+
+@settings(max_examples=200)
+@given(pts=embedded_point_sets())
+def test_hull_coordinates_match_reference(pts):
+    coords, rank = hull_coordinates(pts)
+    event(f"rank {rank} of {len(pts[0])}")
+    assert (coords, rank) == reference_hull_coordinates(pts)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Golden reports: the exact bytes of CLI reports, pinned by sha256.
 
 ``sphere2_6.json`` gives six rational points on S^2 by coordinates only, so
-its report comes through the hull search. cube:4 and bipyramid:cross:3 are
+its report comes through the hull search. ``cube3_in_q4.json`` is cube:3
+under a rational affine map into Q^4, so its points are first put in
+coordinates for their 3-dimensional hull. cube:4 and bipyramid:cross:3 are
 4-polytopes with 24 and 8 maximal simplices. cube:5 + cross:5 and simplex:9 +
 pyramid:simplex:8 are the ``verify-dense`` and ``verify-highdim`` benchmark
 invocations, and ``gen cross 5`` pins the face order of ``polytope_to_json``.
@@ -23,6 +25,8 @@ GOLDEN = {
         "8ee8669bca72c94e02a1ee3a6cced9e9c5d7607bf626fc28dd1248f2f3994821",
     "pipeline --input sphere2_6.json --summary":
         "3bc4cc5a99f3f67a3d90c020f9e540d1655d4d0dff3a13fb17ab0c294f4e3838",
+    "pipeline --input cube3_in_q4.json --summary":
+        "4467f01825bbc0948328526a1517130b0c3277cc2cc8ffabe6561dfcbab39ddc",
     "sequence --builtin cross:4 --method recursive --n 300":
         "83f6d42fad46c76294a0bbdbb55b015a7088b0d19f9b39f8cf597998cfdf5a3b",
     "sequence --builtin cross:4 --method recursive --n 300 --interior":

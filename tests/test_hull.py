@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from figurate.cli import main
-from figurate.geometry import affine_rank, point
+from figurate.geometry import homogenize, integer_rank, point
 from figurate.lattice import Polytope, enumerate_facets, parse_builtin
 from oracles import brute_force_facets
 from test_recursion import BUILTINS
@@ -29,7 +29,7 @@ _RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
 def _check_against_brute_force(points):
     d = len(points[0])
-    assume(affine_rank(points) == d)
+    assume(integer_rank([homogenize(q) for q in points]) == d + 1)
     p = Polytope("points", tuple(points), d)
     facets = enumerate_facets(p)
     assert facets == brute_force_facets(p)

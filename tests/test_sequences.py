@@ -6,12 +6,9 @@ import pytest
 
 from figurate.lattice import parse_builtin
 from figurate.sequences import (
-    interior_from_h_reversed,
-    interior_from_k,
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
-    sequence_from_h,
     simplex_interior,
     simplex_number,
 )
@@ -136,18 +133,13 @@ def test_from_h_examples():
 
 
 def test_interior_from_k_examples():
-    assert interior_from_k((0, 0, 1, 4, 1), 3, 4) == 4 + 4 + 0 == 8
+    # the interior sequence is the same closed form on k, or on h reversed
+    assert polytope_number_from_h((0, 0, 1, 4, 1), 3, 4) == 4 + 4 + 0 == 8
     for d in range(1, 6):
         k = (0,) * (d + 1) + (1,)
         for n in range(0, 12):
-            assert interior_from_k(k, d, n) == simplex_number(d, n - d - 1)
-    assert interior_from_h_reversed((1, 4, 1, 0, 0), 3, 3) == 1
-
-
-def test_sequence_from_h_record():
-    res = sequence_from_h("cube:3", (1, 4, 1, 0, 0), 3, 5)
-    assert res.values == (0, 1, 8, 27, 64, 125)
-    assert (res.polytope, res.method, res.interior) == ("cube:3", "h", False)
+            assert polytope_number_from_h(k, d, n) == simplex_number(d, n - d - 1)
+    assert polytope_number_from_h((1, 4, 1, 0, 0)[::-1], 3, 3) == 1
 
 
 def test_closed_forms_match_recursion():
