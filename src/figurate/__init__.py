@@ -1,7 +1,7 @@
 """Pointed triangulations of convex polytopes and their figurate sequences.
 
 The package constructs face lattices of rational convex polytopes, pointed
-triangulations induced by a generic linear functional, visibility partitions
+triangulations induced by one strict ranking of the vertices, visibility partitions
 from a generic interior point, the f/h/k/e vectors those partitions count,
 and the polytope number sequences generated by several provably-equal
 methods. Everything is exact: rationals for geometry, arbitrary-precision
@@ -9,7 +9,6 @@ integers for counts.
 """
 from .geometry import (
     Point,
-    evaluate_functional,
     rational,
     rational_str,
 )
@@ -32,10 +31,10 @@ from .triangulation import (
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     link,
     split_boundary_interior,
     verify_pointed,
+    vertex_order,
 )
 from .partitions import (
     GenericPoint,

@@ -3,8 +3,8 @@
 Reports are newline-delimited JSON so sweeps over many polytopes stream;
 ``--summary`` appends one aggregate record. Exit status encodes the outcome:
 0 when every claim passed, 1 when a claim failed, 2 for usage or input
-errors. Seeds only steer the generic functional/point searches, never the
-mathematics, and identical invocations produce byte-identical output.
+errors. Seeds only steer the generic point search, never the mathematics,
+and identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -47,7 +47,11 @@ def _load_inputs(args) -> list[FaceLattice]:
 
 
 def _cmd_gen(args) -> int:
-    if args.family in ("pyramid", "prism", "bipyramid"):
+    compound = args.family in ("pyramid", "prism", "bipyramid")
+    unused = ("dimension", args.dim) if compound else ("--base", args.base)
+    if unused[1] is not None:
+        raise ValueError(f"gen {args.family} does not use {unused[0]} {unused[1]}")
+    if compound:
         if args.base is None:
             raise ValueError(f"gen {args.family} requires --base FILE")
         with open(args.base, encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
-"""Exact rational geometry: points and functionals over an integer kernel.
+"""Exact rational geometry: points over an integer kernel.
 
 Everything here is exact; there are no floating-point tolerances anywhere in
-the package. Points and functionals are plain tuples of ``Fraction``, so
+the package. Points are plain tuples of ``Fraction``, so
 equality is structural and results are safe to hash, cache and share between
 threads.
 
@@ -22,7 +22,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
-LinearFunctional = tuple[Fraction, ...]
 
 
 class GeometryError(ValueError):
@@ -53,13 +52,6 @@ def rational_str(x: Fraction) -> str:
 
 def point(coords: Iterable) -> Point:
     return tuple(rational(c) for c in coords)
-
-
-def evaluate_functional(c: LinearFunctional, p: Point) -> Fraction:
-    """Exact dot product c . p; raises on dimension mismatch."""
-    if len(c) != len(p):
-        raise GeometryError(f"functional of length {len(c)} applied to point of length {len(p)}")
-    return sum(map(mul, c, p), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import LinearFunctional
 from .lattice import FaceLattice
 from .partitions import (
     GenericPoint,
@@ -38,10 +37,10 @@ from .triangulation import (
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
+    vertex_order,
 )
 
 
@@ -49,12 +48,12 @@ from .triangulation import (
 class Analysis:
     """The chain for one polytope, each stage computed at most once, on first use.
 
-    functional -> apexes -> verified pointed triangulation -> boundary and
-    interior split -> ``points`` generic points, searched with seeds
-    ``seed``, ``seed + 1``, ... -> the exterior and interior partitions of
-    each point, from one visibility sweep -> f/h/e/k vectors -> the
-    sequences of every face as numerators over (1 - x)^(d+1); the claims
-    expand the polytope's own to ``n_max``.
+    apexes from ``vertex_order`` -> verified pointed triangulation ->
+    boundary and interior split -> ``points`` generic points, the only stage
+    the seed steers, searched with seeds ``seed``, ``seed + 1``, ... -> the
+    exterior and interior partitions of each point, from one visibility
+    sweep -> f/h/e/k vectors -> the sequences of every face as numerators
+    over (1 - x)^(d+1); the claims expand the polytope's own to ``n_max``.
     """
 
     lattice: FaceLattice
@@ -77,12 +76,8 @@ class Analysis:
         return self.lattice.dim
 
     @cached_property
-    def functional(self) -> LinearFunctional:
-        return generic_functional(self.lattice, seed=self.seed)
-
-    @cached_property
     def apexes(self) -> ApexAssignment:
-        return assign_apexes(self.lattice, self.functional)
+        return assign_apexes(self.lattice, vertex_order(self.lattice.polytope))
 
     @cached_property
     def tri(self) -> PointedTriangulation:

@@ -1,7 +1,7 @@
-"""Pointed triangulations built from a generic linear functional.
+"""Pointed triangulations built from one strict ranking of the vertices.
 
-Each nonempty face F of the polytope gets an apex: the vertex minimizing the
-functional over F. Simplices are the convex hulls of apex sets along strictly
+Each nonempty face F of the polytope gets an apex: the first vertex of F in
+``vertex_order``. Simplices are the convex hulls of apex sets along strictly
 decreasing chains of faces G_1 > G_2 > ... with the apex of each G_i outside
 G_{i+1}; the triangulation of a face is the union over chains inside that
 face, closed by the empty simplex. Chains are enumerated bottom-up over the
@@ -21,16 +21,12 @@ apex, s | {apex}, and runs the full maximality test only where that fails.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from operator import mul
 
 from .geometry import (
-    LinearFunctional,
-    evaluate_functional,
     homogenize,
     integer_plane_through,
     integer_planes_opposite,
@@ -43,7 +39,7 @@ Complex = frozenset[Simplex]
 
 
 class GenericityError(RuntimeError):
-    """A functional or point assumed generic turned out not to be.
+    """A point assumed generic turned out not to be, or a construction not pointed.
 
     Every raiser is one of the program's own searches or checks, so this is a
     failed stage, never an input error.
@@ -52,9 +48,9 @@ class GenericityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ApexAssignment:
-    """Apex vertex per nonempty face id, induced by a generic functional."""
+    """Apex vertex per nonempty face id: the face's first vertex in ``order``."""
 
-    functional: LinearFunctional
+    order: tuple[int, ...]
     apex: dict[int, int]
 
 
@@ -101,7 +97,7 @@ class PointedTriangulation:
 
     @property
     def apex_vertex(self) -> int:
-        """Apex of the polytope itself (the global functional's argmin)."""
+        """Apex of the polytope itself (the first vertex of the ranking)."""
         return self.apexes.apex[self.lattice.top.id]
 
 
@@ -118,70 +114,45 @@ class PointedCertificate:
     detail: str = ""
 
 
-def generic_functional(lattice_or_polytope, seed: int = 0) -> LinearFunctional:
-    """A functional taking pairwise distinct values on the polytope's vertices.
+def vertex_order(polytope) -> tuple[int, ...]:
+    """The vertex indices ranked by a rule that never ties; apexes are first in it.
 
-    Tries the weight vector (1, M, M^2, ...) with M = 1 + the largest
-    per-coordinate spread, which provably separates points with integer
-    coordinates; if verification fails (possible for fractional coordinates),
-    falls back to seeded random integer coefficients over a growing range.
+    The rank is the value of (1, M, M^2, ...), M = 1 + the largest
+    per-coordinate spread, where those values are pairwise distinct, as they
+    always are for integer coordinates. Otherwise it is the order of the
+    coordinates read last to first. That is the order of (1, M', M'^2, ...),
+    M' = 1 + L * spread with L the lcm of the denominators: on the integer
+    points L p, two distinct points differ by at most M' - 1 in each
+    coordinate, so their last differing coordinate j decides the sign, as
+    |sum_{i<j} M'^i delta_i| <= (M' - 1)(1 + ... + M'^(j-1)) = M'^j - 1 < M'^j.
+    Scaling by L > 0 keeps the order, and vertices are distinct, so the
+    ranking is strict.
     """
-    p = getattr(lattice_or_polytope, "polytope", lattice_or_polytope)
-    verts = p.vertices
-    amb = p.ambient_dim
-    spread = Fraction(0)
-    for j in range(amb):
-        col = [v[j] for v in verts]
-        spread = max(spread, max(col) - min(col))
-    m = spread + 1
-    candidate = tuple(m**j for j in range(amb))
-    if _separates(candidate, verts):
-        return candidate
-    rng = random.Random(seed)
-    bound = 16
-    for _ in range(64):
-        candidate = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(amb))
-        if _separates(candidate, verts):
-            return candidate
-        bound *= 2
-    raise RuntimeError("could not find a separating functional")
+    verts = polytope.vertices
+    m = 1 + max((max(col) - min(col) for col in zip(*verts)), default=0)
+    weights = [m**j for j in range(polytope.ambient_dim)]
+    value = [sum(map(mul, weights, v)) for v in verts]
+    key = value.__getitem__ if len(set(value)) == len(value) else lambda i: verts[i][::-1]
+    return tuple(sorted(range(len(verts)), key=key))
 
 
-def _separates(c: LinearFunctional, verts) -> bool:
-    values = [evaluate_functional(c, v) for v in verts]
-    return len(set(values)) == len(values)
+def assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
+    """Apex of every nonempty face: its first vertex in ``order``.
 
-
-def assign_apexes(lattice: FaceLattice, c: LinearFunctional) -> ApexAssignment:
-    """Apex of every nonempty face: the strict argmin of the functional.
-
-    The vertices are ranked once by (value, index). Going down that ranking,
-    each vertex is the apex of the faces holding it that no earlier vertex
-    took: one AND of face-id masks per vertex. A face ties when it also holds
-    a later vertex of its apex's value; the first such face in face order
-    raises.
+    Going down the ranking, each vertex is the apex of the faces holding it
+    that no earlier vertex took: one AND of face-id masks per vertex. Raises
+    ``ValueError`` unless ``order`` is a permutation of the vertex indices.
     """
-    verts = lattice.polytope.vertices
-    value = [evaluate_functional(c, v) for v in verts]
-    ranked = sorted(range(len(verts)), key=lambda i: (value[i], i))
+    if sorted(order) != list(range(len(lattice.polytope.vertices))):
+        raise ValueError(f"apex order {list(order)} is no permutation of the polytope's vertex indices")
     apex: dict[int, int] = dict.fromkeys(range(1, len(lattice)))  # keys in face order
     left = (1 << len(lattice)) - 2  # the nonempty faces without an apex yet
-    tied = 0
-    for _, twins in groupby(ranked, key=value.__getitem__):
-        twins = list(twins)
-        for k, v in enumerate(twins):
-            mine = lattice.with_vertex[v] & left
-            left ^= mine
-            for fid in pick(mine, range(len(lattice))):
-                apex[fid] = v
-            for w in twins[k + 1:]:
-                tied |= mine & lattice.with_vertex[w]
-    if tied:
-        first = lattice.faces[(tied & -tied).bit_length() - 1]
-        raise GenericityError(
-            f"functional is not generic: duplicate minimum on face {sorted(first.vertices)}"
-        )
-    return ApexAssignment(c, apex)
+    for v in order:
+        mine = lattice.with_vertex[v] & left
+        left ^= mine
+        for fid in pick(mine, range(len(lattice))):
+            apex[fid] = v
+    return ApexAssignment(tuple(order), apex)
 
 
 def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:

@@ -21,8 +21,12 @@ column sums in ``figurate.sequences``. ``pairwise_apex_conflict`` checks
 pointedness condition 2 over every pair of faces, and
 ``reference_condition_2`` over every face-subface pair by subface ids: the
 references for the one mask test per face in ``verify_pointed``.
-``reference_assign_apexes`` takes each apex by a ``min`` over the face's
-vertices, the reference for the one vertex ranking of ``assign_apexes``.
+``reference_vertex_order`` ranks the vertices by the functional
+(1, M', M'^2, ...), M' = 1 + L * spread with L the lcm of the denominators,
+evaluated by ``evaluate_functional``: the reference for the tie-break of
+``vertex_order``. ``reference_assign_apexes`` takes each apex by a ``min``
+over the face's vertices by rank, the reference for the one pass down the
+ranking in ``assign_apexes``.
 
 ``reference_pointed_complexes`` builds the chains and the per-face complexes
 of a pointed triangulation by ``frozenset`` unions, the reference for the
@@ -71,7 +75,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import figurate.triangulation as triangulation
@@ -79,7 +84,6 @@ import figurate.triangulation as triangulation
 from figurate.geometry import (
     GeometryError,
     Point,
-    evaluate_functional,
     homogenize,
     integer_plane_through,
     integer_side,
@@ -90,7 +94,6 @@ from figurate.partitions import PartitionCertificate
 from figurate.sequences import simplex_interior, simplex_number
 from figurate.triangulation import (
     ApexAssignment,
-    GenericityError,
     PointedTriangulation,
     RidgePlanes,
     vertex_list,
@@ -433,19 +436,30 @@ def reference_condition_2(lattice: FaceLattice, apex: dict[int, int]) -> str | N
     return None
 
 
-def reference_assign_apexes(lattice: FaceLattice, c) -> ApexAssignment:
-    """Apexes by a ``min`` over each face's vertices, and a count of the
-    vertices at that minimum, face by face."""
-    value = {i: evaluate_functional(c, v) for i, v in enumerate(lattice.polytope.vertices)}
-    apex: dict[int, int] = {}
-    for f in lattice.faces[1:]:
-        best = min(f.vertices, key=lambda i: (value[i], i))
-        if sum(1 for i in f.vertices if value[i] == value[best]) > 1:
-            raise GenericityError(
-                f"functional is not generic: duplicate minimum on face {sorted(f.vertices)}"
-            )
-        apex[f.id] = best
-    return ApexAssignment(c, apex)
+def evaluate_functional(c, p: Point) -> Fraction:
+    """Exact dot product c . p; raises on dimension mismatch."""
+    if len(c) != len(p):
+        raise GeometryError(f"functional of length {len(c)} applied to point of length {len(p)}")
+    return sum(map(mul, c, p), Fraction(0))
+
+
+def reference_vertex_order(polytope: Polytope) -> tuple[int, ...]:
+    """The vertex indices sorted by the functional (1, M', M'^2, ...), which
+    must separate them: M' = 1 + L * spread, L the lcm of all denominators."""
+    verts = polytope.vertices
+    scale = lcm(*(x.denominator for v in verts for x in v))
+    spread = max((max(col) - min(col) for col in zip(*verts)), default=0)
+    c = tuple((1 + scale * spread) ** j for j in range(polytope.ambient_dim))
+    value = [evaluate_functional(c, v) for v in verts]
+    assert len(set(value)) == len(value), "the M' functional ties"
+    return tuple(sorted(range(len(verts)), key=value.__getitem__))
+
+
+def reference_assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
+    """Apexes by a ``min`` over each face's vertices by rank in ``order``, face by face."""
+    rank = {v: r for r, v in enumerate(order)}
+    apex = {f.id: min(f.vertices, key=rank.__getitem__) for f in lattice.faces[1:]}
+    return ApexAssignment(tuple(order), apex)
 
 
 def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:

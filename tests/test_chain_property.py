@@ -9,13 +9,19 @@ parameter t in Q^(d-1) such a point:
 Distinct parameters give distinct points. The hull search finds their face
 lattice from coordinates alone, and every claim of the pipeline must pass
 from two generic points.
+
+The paper's theorem holds for every pointed triangulation, so every claim
+must also pass when the apexes come from any other ranking of the vertices.
 """
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from figurate.lattice import polytope_from_vertices
 from figurate.pipeline import run_pipeline
+from test_recursion import _lattice
 
 _PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
@@ -62,3 +68,18 @@ def _check_every_claim(points):
     failed = [r for r in records if not r["pass"]]
     assert not failed, failed[:1]
     assert len(records) == 4 + 4 * 2 + 4 + 2
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "pyramid:square", "sphere2_6.json", "seed_tie7.json"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_every_claim_holds_under_any_vertex_order(spec, data):
+    # 5 drawn orders on each of 4 polytopes: 20 examples in all
+    lattice = _lattice(spec)
+    order = tuple(data.draw(st.permutations(range(len(lattice.polytope.vertices)))))
+    with mock.patch("figurate.pipeline.vertex_order", lambda polytope: order):
+        records = run_pipeline(lattice, n_max=6, points=2)
+    failed = [r for r in records if not r["pass"]]
+    assert not failed, failed[:1]
+    assert records[0]["witness"]["apex_vertex"] == order[0]
+    event(f"h = {next(r['witness']['h'] for r in records if r['claim'] == 'h-top-vanishes')}")

@@ -52,6 +52,16 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and "--base" in err
 
 
+def test_gen_rejects_an_argument_its_family_does_not_use(tmp_path, capsys):
+    base = tmp_path / "square.json"
+    run(capsys, "gen", "cube", "2", "--out", str(base))
+    # the unused --base is refused before the file is opened
+    code, out, err = run(capsys, "gen", "cube", "3", "--base", "/nonexistent")
+    assert (code, out, err) == (2, "", "figurate: error: gen cube does not use --base /nonexistent\n")
+    code, out, err = run(capsys, "gen", "pyramid", "3", "--base", str(base))
+    assert (code, out, err) == (2, "", "figurate: error: gen pyramid does not use dimension 3\n")
+
+
 def test_pipeline_passes_and_reports(capsys):
     code, out, _ = run(capsys, "pipeline", "--builtin", "cube:3", "--n", "12", "--summary")
     assert code == 0
@@ -117,6 +127,30 @@ def test_sequence_methods_agree_byte_for_byte(capsys):
     values_rec = json.dumps(json.loads(out_rec)["values"])
     values_h = json.dumps(json.loads(out_h)["values"])
     assert values_rec == values_h
+
+
+TIE7 = str(Path(__file__).parent / "seed_tie7.json")
+
+
+def test_sequence_bytes_do_not_depend_on_the_seed(capsys):
+    # (1, M, M^2) ties two vertices of seed_tie7, the case the seed once decided
+    outs = {run(capsys, "sequence", "--input", TIE7, "--n", "6", "--seed", seed)[1] for seed in ("0", "1", "3")}
+    assert outs == {'{"polytope":"seed-tie7","method":"recursive","interior":false,'
+                    '"h":[1,3,1,0,0],"k":[0,0,1,3,1],"values":[0,1,7,23,54,105,181]}\n'}
+
+
+def test_pipeline_vectors_and_sequences_do_not_depend_on_the_seed(capsys):
+    witnesses = []
+    for seed in ("0", "1"):
+        code, out, _ = run(capsys, "pipeline", "--input", TIE7, "--n", "8", "--seed", seed)
+        assert code == 0
+        witnesses.append([
+            (r["claim"], r["witness"]) for r in map(json.loads, out.splitlines())
+            if r["claim"] in ("h-from-partition-matches-f", "k-reverses-h", "h-top-vanishes",
+                              "sequence-three-way", "interior-four-way")
+        ])
+    assert len(witnesses[0]) == 2 * 3 + 3
+    assert witnesses[0] == witnesses[1]
 
 
 def test_sequence_takes_one_polytope(capsys):

@@ -1,5 +1,5 @@
-"""Exact predicates: functional evaluation, side tests, ranks, hull coordinates,
-and the ray-hit oracle."""
+"""Exact predicates: side tests, ranks, hull coordinates, and the oracles'
+functional evaluation and ray hits."""
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import event, given, settings, strategies as st
 from figurate.geometry import (
     GeometryError,
     _rref,
-    evaluate_functional,
     homogenize,
     hull_coordinates,
     integer_plane_through,
@@ -24,6 +23,7 @@ from oracles import (
     BEFORE_Y,
     MISSES,
     Hyperplane,
+    evaluate_functional,
     integer_plane,
     reference_hull_coordinates,
     reference_hyperplane_through,

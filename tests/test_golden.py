@@ -3,10 +3,12 @@
 ``sphere2_6.json`` gives six rational points on S^2 by coordinates only, so
 its report comes through the hull search. ``cube3_in_q4.json`` is cube:3
 under a rational affine map into Q^4, so its points are first put in
-coordinates for their 3-dimensional hull. cube:4 and bipyramid:cross:3 are
-4-polytopes with 24 and 8 maximal simplices. cube:5 + cross:5 and simplex:9 +
-pyramid:simplex:8 are the ``verify-dense`` and ``verify-highdim`` benchmark
-invocations, and ``gen cross 5`` pins the face order of ``polytope_to_json``.
+coordinates for their 3-dimensional hull. On ``seed_tie7.json`` the weights
+(1, M, M^2) tie two vertices, so its apexes come from the tie-break of
+``vertex_order``. cube:4 and bipyramid:cross:3 are 4-polytopes with 24 and 8
+maximal simplices. cube:5 + cross:5 and simplex:9 + pyramid:simplex:8 are
+the ``verify-dense`` and ``verify-highdim`` benchmark invocations, and
+``gen cross 5`` pins the face order of ``polytope_to_json``.
 cube:6 has 18,732 simplices and 720 maximal ones, the largest complex pinned.
 Any change to claims, witnesses, generic points, sequence values or face order
 changes these digests. Update them only for a deliberate change of the report.
@@ -27,6 +29,8 @@ GOLDEN = {
         "3bc4cc5a99f3f67a3d90c020f9e540d1655d4d0dff3a13fb17ab0c294f4e3838",
     "pipeline --input cube3_in_q4.json --summary":
         "4467f01825bbc0948328526a1517130b0c3277cc2cc8ffabe6561dfcbab39ddc",
+    "pipeline --input seed_tie7.json --summary":
+        "386c2d0ccc7cfb1ee0fc917bb95972cda06cd3962a9a2ff1ea115d55f8024c96",
     "sequence --builtin cross:4 --method recursive --n 300":
         "83f6d42fad46c76294a0bbdbb55b015a7088b0d19f9b39f8cf597998cfdf5a3b",
     "sequence --builtin cross:4 --method recursive --n 300 --interior":

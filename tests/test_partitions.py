@@ -30,9 +30,9 @@ from figurate.triangulation import (
     GenericityError,
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     link,
     split_boundary_interior,
+    vertex_order,
 )
 from figurate.pipeline import Analysis, vector_claims
 from oracles import (
@@ -50,7 +50,7 @@ from oracles import (
 
 def _tri(spec):
     lat = parse_builtin(spec)
-    return build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+    return build_pointed_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
 
 
 def _partitions(tri):

@@ -25,8 +25,8 @@ from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polyto
 from figurate.triangulation import (
     ApexAssignment,
     assign_apexes,
-    generic_functional,
     verify_pointed,
+    vertex_order,
 )
 from oracles import (
     frozen,
@@ -137,7 +137,7 @@ def test_wrong_faces_are_rejected(spec):
 @pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + LARGE)
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
-    apexes = assign_apexes(lattice, generic_functional(lattice))
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     tri = unverified_triangulation(lattice, apexes)
     per_face, simplices, maximal = reference_pointed_complexes(lattice, apexes)
     assert list(per_face) == [f.id for f in lattice.faces[1:]]
@@ -176,7 +176,7 @@ def _retriangulate(tri, rng):
     for f in rng.sample(faces, min(len(faces), rng.randint(1, 2))):
         apex = dict(tri.apexes.apex)
         apex[f.id] = rng.choice(sorted(f.vertices - {apex[f.id]}))
-        per_face = reference_pointed_complexes(tri.lattice, ApexAssignment(tri.apexes.functional, apex))[0]
+        per_face = reference_pointed_complexes(tri.lattice, ApexAssignment(tri.apexes.order, apex))[0]
         changed[f.id] = frozenset(map(to_mask, per_face[f.id]))
     return changed
 

@@ -16,7 +16,7 @@ import figurate.sequences as sequences
 from figurate.lattice import parse_builtin, polytope_from_json
 from figurate.pipeline import Analysis
 from figurate.sequences import expand, face_number_sequences, polytope_number_recursive
-from figurate.triangulation import assign_apexes, generic_functional
+from figurate.triangulation import assign_apexes, vertex_order
 from oracles import cross_number, measure_number, reference_face_number_sequences
 
 _BASIC = [("simplex", 0, 5), ("cube", 0, 5), ("cross", 1, 5)]
@@ -40,7 +40,7 @@ def _lattice(spec):
 def test_expanded_numerators_equal_the_term_by_term_recursion(spec):
     lattice = _lattice(spec)
     assert lattice.dim <= 5
-    apexes = assign_apexes(lattice, generic_functional(lattice))
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     ext, intr = face_number_sequences(lattice, apexes)
     assert list(ext) == list(intr) == [f.id for f in lattice.faces[1:]]
     order = lattice.dim + 1
@@ -66,7 +66,7 @@ def test_top_numerators_are_x_h_and_x_k(spec):
 @pytest.mark.parametrize("family, number", [("cube", measure_number), ("cross", cross_number)])
 def test_long_prefix_of_the_top_face(family, number):
     lattice = parse_builtin(f"{family}:4")
-    apexes = assign_apexes(lattice, generic_functional(lattice))
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     values = polytope_number_recursive(lattice, apexes, 2000).values
     assert len(values) == 2001
     assert values == tuple(number(4, n) for n in range(2001))
@@ -76,7 +76,7 @@ def test_a_remainder_in_the_division_raises(monkeypatch):
     # a step numerator that is not zero at x = 1 has pole order D, which no
     # face of a valid lattice gives
     lattice = parse_builtin("cube:2")
-    apexes = assign_apexes(lattice, generic_functional(lattice))
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     monkeypatch.setattr(sequences, "pick", lambda mask, rows: [(1, 0, 0, 0, 0)])
     with pytest.raises(RuntimeError, match=r"face \d+: the step numerator is not divisible by 1 - x"):
         face_number_sequences(lattice, apexes)
@@ -86,6 +86,6 @@ def test_negative_n_max_is_rejected():
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         expand((0, 1, 0), 1, -1)
     lattice = parse_builtin("cube:2")
-    apexes = assign_apexes(lattice, generic_functional(lattice))
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         polytope_number_recursive(lattice, apexes, -1)

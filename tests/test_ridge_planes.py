@@ -18,9 +18,9 @@ from figurate.triangulation import (
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     split_boundary_interior,
     vertex_list,
+    vertex_order,
 )
 from oracles import (
     AT_OR_AFTER_Y,
@@ -50,7 +50,7 @@ def _tri(spec):
 
 
 def _triangulated(lat):
-    return build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+    return build_pointed_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
 
 
 def _ridges(tri):
@@ -155,7 +155,7 @@ def test_ridge_spanning_no_hyperplane_raises():
     # the lattice has no vertices, so the only maximal simplex is the edge
     # [0, 1] in the plane: its ridges are points, which span no line
     lat = _square_with_diagonal_faces()
-    tri = unverified_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+    tri = unverified_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
     assert tri.maximal == (0b11,)
     message = r"^ridge \[1\] of maximal simplex \[0, 1\] spans no hyperplane$"
     with pytest.raises(RuntimeError, match=message):

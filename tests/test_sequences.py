@@ -1,4 +1,5 @@
 """Closed forms, the recursion, its reformulations, and the identity checkers."""
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -15,8 +16,8 @@ from figurate.sequences import (
 from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     split_boundary_interior,
+    vertex_order,
 )
 
 from conftest import make_bundle
@@ -120,7 +121,7 @@ def test_simplex_sum_examples(cube3):
 def test_simplex_sum_reduces_to_closed_form():
     for d in range(1, 6):
         lat = parse_builtin(f"simplex:{d}")
-        tri = build_pointed_triangulation(lat, assign_apexes(lat, generic_functional(lat)))
+        tri = build_pointed_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
         ssum = polytope_number_simplex_sum(tri, 10, split=split_boundary_interior(tri))
         assert ssum.values == tuple(simplex_number(d, n) for n in range(11))
 
@@ -160,22 +161,21 @@ def test_decomposition_coefficients_invariants(family):
         assert all(x >= 0 for x in b.h), b.name
 
 
-def test_pyramid_sequence_depends_on_recorded_functional():
+def test_pyramid_sequence_depends_on_the_vertex_order():
     # pyramid over a square is not vertex transitive; record the h-vector under
-    # functionals whose global apex is a base vertex vs. the pyramid apex, and
-    # assert only per-functional validity, not agreement between the two.
-    from fractions import Fraction
+    # an order whose first vertex is a base vertex (the one vertex_order
+    # gives) vs. the pyramid apex, and assert only per-order validity, not
+    # agreement between the two.
+    from figurate.partitions import f_vector, h_from_f
 
     lat = parse_builtin("pyramid:square")
+    assert lat.polytope.vertices[4] == (Fraction(1, 2), Fraction(1, 2), 1)
+    assert vertex_order(lat.polytope) == (0, 2, 1, 3, 4)
     outcomes = {}
-    for tag, c in [
-        ("base-vertex", generic_functional(lat)),
-        ("pyramid-apex", (Fraction(1), Fraction(2), Fraction(-100))),
-    ]:
-        apexes = assign_apexes(lat, c)
+    for tag, order in [("base-vertex", (0, 2, 1, 3, 4)), ("pyramid-apex", (4, 0, 2, 1, 3))]:
+        apexes = assign_apexes(lat, order)
         tri = build_pointed_triangulation(lat, apexes)
-        from figurate.partitions import f_vector, h_from_f
-
+        assert tri.apex_vertex == order[0], tag
         h = h_from_f(f_vector(tri.simplices, 3), 3)
         rec = polytope_number_recursive(lat, apexes, 10)
         fromh = tuple(polytope_number_from_h(h, 3, n) for n in range(11))

@@ -9,11 +9,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import figurate.triangulation as triangulation
-from figurate.geometry import evaluate_functional
-from figurate.lattice import parse_builtin
+from figurate.geometry import point
+from figurate.lattice import Polytope, parse_builtin
 from figurate.partitions import f_vector
 from figurate.triangulation import (
     ApexAssignment,
@@ -22,14 +22,15 @@ from figurate.triangulation import (
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
-    generic_functional,
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
     verify_pointed,
+    vertex_order,
 )
 from oracles import (
     affinely_independent,
+    evaluate_functional,
     frozen,
     is_pure,
     is_simplicial_complex,
@@ -37,6 +38,7 @@ from oracles import (
     pairwise_apex_conflict,
     reference_assign_apexes,
     reference_condition_2,
+    reference_vertex_order,
     to_mask,
     unverified_triangulation,
     vertex_set,
@@ -45,38 +47,72 @@ from test_lattice_oracle import LARGE
 from test_recursion import BUILTINS
 
 
-def test_generic_functional_on_cube_is_binary_weighting():
+def test_vertex_order_on_cube_is_binary_weighting():
+    # (1, 2, 4) separates the unit cube's vertices: rank = the binary number
     cube = parse_builtin("cube:3")
-    c = generic_functional(cube)
-    assert c == (1, 2, 4)
-    values = sorted(evaluate_functional(c, v) for v in cube.polytope.vertices)
-    assert values == list(range(8))
+    order = vertex_order(cube.polytope)
+    verts = cube.polytope.vertices
+    assert [verts[v][0] + 2 * verts[v][1] + 4 * verts[v][2] for v in order] == list(range(8))
 
 
-def test_generic_functional_trivial_cases():
-    pt = parse_builtin("simplex:0")
-    assert generic_functional(pt) == ()
-    seg = parse_builtin("simplex:1")
-    c = generic_functional(seg)
-    vals = [evaluate_functional(c, v) for v in seg.polytope.vertices]
-    assert len(set(vals)) == 2
+def test_vertex_order_trivial_cases():
+    assert vertex_order(parse_builtin("simplex:0").polytope) == (0,)
+    assert sorted(vertex_order(parse_builtin("simplex:1").polytope)) == [0, 1]
 
 
-def test_generic_functional_fallback_on_fractional_coordinates():
+def test_vertex_order_breaks_a_tie_by_coordinates_read_last_to_first():
     # spread-based weights collide here: (1/2, 0).(1, 3/2) == (0, 1/3).(1, 3/2)
-    lat = parse_builtin("cube:2")
-    from figurate.lattice import Polytope
-    from figurate.geometry import point
-
     tricky = Polytope("tricky", (point(["1/2", "0"]), point(["0", "1/3"]), point(["0", "0"])), 2)
-    c = generic_functional(tricky, seed=7)
-    vals = [evaluate_functional(c, v) for v in tricky.vertices]
-    assert len(set(vals)) == 3
+    assert vertex_order(tricky) == (2, 0, 1) == reference_vertex_order(tricky)
+
+
+_COORD = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _points(draw):
+    """Distinct rational points in Q^1..Q^5."""
+    d = draw(st.integers(1, 5))
+    return draw(st.lists(st.tuples(*[_COORD] * d), min_size=1, max_size=9, unique=True))
+
+
+@st.composite
+def _tied_points(draw):
+    """Points in [0, s]^d, d >= 2, with both corners, so M = s + 1, and a pair
+    p, q = p + delta (M e_i - e_(i+1)) on which (1, M, M^2, ...) ties."""
+    d = draw(st.integers(2, 5))
+    s = draw(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+    i = draw(st.integers(0, d - 2))
+    delta = s / (s + 1) * draw(st.fractions(min_value=0, max_value=1, max_denominator=6).filter(bool))
+    box = st.fractions(min_value=0, max_value=s, max_denominator=6)
+    p = draw(st.lists(box, min_size=d, max_size=d))
+    p[i], p[i + 1] = Fraction(0), delta
+    q = list(p)
+    q[i], q[i + 1] = delta * (s + 1), Fraction(0)
+    rest = draw(st.lists(st.tuples(*[box] * d), max_size=5))
+    pts = [(Fraction(0),) * d, (s,) * d, tuple(p), tuple(q)] + rest
+    return list(dict.fromkeys(pts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_points(), _tied_points()))
+def test_vertex_order_is_strict_and_breaks_ties_like_the_scaled_functional(pts):
+    poly = Polytope("points", tuple(pts), len(pts[0]))
+    order = vertex_order(poly)
+    assert sorted(order) == list(range(len(pts)))
+    spread = max(max(col) - min(col) for col in zip(*pts))
+    first = [evaluate_functional(tuple((1 + spread) ** j for j in range(len(pts[0]))), p) for p in pts]
+    separates = len(set(first)) == len(first)
+    event("first candidate separates" if separates else "tie")
+    if separates:
+        assert [first[v] for v in order] == sorted(first)
+    else:
+        assert order == reference_vertex_order(poly)
 
 
 def test_assign_apexes_on_cube():
     cube = parse_builtin("cube:3")
-    apexes = assign_apexes(cube, (Fraction(1), Fraction(2), Fraction(4)))
+    apexes = assign_apexes(cube, vertex_order(cube.polytope))
     verts = cube.polytope.vertices
     origin = verts.index((0, 0, 0))
     assert apexes.apex[cube.top.id] == origin
@@ -88,47 +124,29 @@ def test_assign_apexes_on_cube():
     assert apexes.apex[edge] == origin
 
 
-def test_assign_apexes_rejects_non_generic_functional():
-    cube = parse_builtin("cube:2")
-    with pytest.raises(GenericityError):
-        assign_apexes(cube, (Fraction(1), Fraction(0)))  # ties along vertical edges
-    # duplicate values on vertices sharing no face are harmless
-    apexes = assign_apexes(cube, (Fraction(1), Fraction(-1)))
-    assert len(apexes.apex) == len(cube.faces) - 1
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 2, 3, 3), (0, 1, 2, 4), (3, 2, 1, 0, 0), ()])
+def test_assign_apexes_rejects_an_order_that_is_no_permutation(order):
+    square = parse_builtin("cube:2")
+    with pytest.raises(ValueError, match=r"^apex order \[.*\] is no permutation of the polytope's vertex indices$"):
+        assign_apexes(square, order)
 
 
 @pytest.mark.parametrize("spec", BUILTINS + LARGE)
 def test_ranked_apexes_equal_the_per_face_scan(spec):
     lattice = parse_builtin(spec)
-    c = generic_functional(lattice)
-    ranked, scanned = assign_apexes(lattice, c), reference_assign_apexes(lattice, c)
+    order = vertex_order(lattice.polytope)
+    ranked, scanned = assign_apexes(lattice, order), reference_assign_apexes(lattice, order)
     assert ranked == scanned
     assert list(ranked.apex) == list(scanned.apex)
 
 
-@pytest.mark.parametrize(
-    "spec, c",
-    [("cube:2", (1, 0)), ("cube:2", (0, 1)), ("cube:2", (0, 0)), ("cube:2", (-1, 0)),
-     ("cube:3", (0, 1, 1)), ("cross:3", (1, 1, 0)), ("prism:triangle", (1, 1, 0))],
-)
-def test_ties_raise_like_the_per_face_scan(spec, c):
-    # each of these is constant along some face at its minimum
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["cube:3", "cross:3", "pyramid:square", "prism:triangle", "bipyramid:cube:3"]), st.randoms())
+def test_apexes_of_any_order_equal_the_per_face_scan(spec, rng):
     lattice = parse_builtin(spec)
-    c = tuple(map(Fraction, c))
-    with pytest.raises(GenericityError) as ranked:
-        assign_apexes(lattice, c)
-    with pytest.raises(GenericityError) as scanned:
-        reference_assign_apexes(lattice, c)
-    assert str(ranked.value) == str(scanned.value)
-
-
-@pytest.mark.parametrize("c", [(1, 1), (1, -1), (-1, -1)])
-def test_ties_off_every_face_are_harmless_like_the_per_face_scan(c):
-    # the tied vertices are opposite corners, which share only the square
-    # and are not its minimum
-    cube = parse_builtin("cube:2")
-    c = tuple(map(Fraction, c))
-    assert assign_apexes(cube, c) == reference_assign_apexes(cube, c)
+    order = list(range(len(lattice.polytope.vertices)))
+    rng.shuffle(order)
+    assert assign_apexes(lattice, order) == reference_assign_apexes(lattice, order)
 
 
 def test_square_triangulation_shape(square):
@@ -146,7 +164,7 @@ def test_cube_triangulation_shape(cube3):
 def test_simplex_triangulates_itself():
     for d in range(0, 6):
         sx = parse_builtin(f"simplex:{d}")
-        tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
+        tri = build_pointed_triangulation(sx, assign_apexes(sx, vertex_order(sx.polytope)))
         assert tri.maximal == ((1 << d + 1) - 1,)
 
 
@@ -161,7 +179,7 @@ def _with_apexes(tri, apex):
     own vertex set: condition 1 holds for any apex inside its face, so
     condition 2 decides whether verification passes the first two checks."""
     complexes = tuple(frozenset({to_mask(f.vertices)}) for f in tri.lattice.faces)
-    return replace(tri, apexes=ApexAssignment(tri.apexes.functional, apex), complexes=complexes)
+    return replace(tri, apexes=ApexAssignment(tri.apexes.order, apex), complexes=complexes)
 
 
 def _condition_2_detail_is_a_pairwise_violation(detail):
@@ -196,9 +214,8 @@ def test_condition_2_names_the_nested_pair(cube3):
     # the cube takes its highest vertex as apex; the first edge through that
     # vertex keeps its lower end as apex, and is reported with the cube
     lattice = cube3.lattice
-    value = {v: evaluate_functional(cube3.apexes.functional, p) for v, p in enumerate(lattice.polytope.vertices)}
     top = lattice.top
-    highest = max(top.vertices, key=value.get)
+    highest = cube3.apexes.order[-1]
     apex = dict(cube3.apexes.apex)
     apex[top.id] = highest
     edge = next(g for g in lattice.faces if g.dim == 1 and highest in g.vertices)
@@ -213,7 +230,7 @@ def test_condition_2_names_the_nested_pair(cube3):
 
 def test_construction_raises_on_a_pointedness_violation(monkeypatch):
     cube = parse_builtin("cube:3")
-    apexes = assign_apexes(cube, generic_functional(cube))
+    apexes = assign_apexes(cube, vertex_order(cube.polytope))
     assert build_pointed_triangulation(cube, apexes) == unverified_triangulation(cube, apexes)
     monkeypatch.setattr(triangulation, "verify_pointed", lambda tri: PointedCertificate(False, 1, "forced"))
     with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 1: forced$"):
@@ -222,7 +239,7 @@ def test_construction_raises_on_a_pointedness_violation(monkeypatch):
 
 def test_verify_pointed_vacuous_on_a_point():
     pt = parse_builtin("simplex:0")
-    tri = build_pointed_triangulation(pt, assign_apexes(pt, generic_functional(pt)))
+    tri = build_pointed_triangulation(pt, assign_apexes(pt, vertex_order(pt.polytope)))
     assert verify_pointed(tri).ok
 
 
@@ -279,7 +296,7 @@ def test_split_cube_interior_counts(cube3):
 def test_split_simplex_interior_is_top_only():
     for d in range(1, 6):
         sx = parse_builtin(f"simplex:{d}")
-        tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
+        tri = build_pointed_triangulation(sx, assign_apexes(sx, vertex_order(sx.polytope)))
         split = split_boundary_interior(tri)
         assert set(split.interior) == {(1 << d + 1) - 1}
 
@@ -357,7 +374,7 @@ def test_link_examples(square):
 
 def test_link_of_vertex_in_single_simplex():
     sx = parse_builtin("simplex:3")
-    tri = build_pointed_triangulation(sx, assign_apexes(sx, generic_functional(sx)))
+    tri = build_pointed_triangulation(sx, assign_apexes(sx, vertex_order(sx.polytope)))
     assert link(0, tri.simplices) == {s for s in tri.simplices if not s & 1}
     seg_complex = {0, 0b01, 0b10, 0b11}
     assert link(0, seg_complex) == {0, 0b10}
@@ -370,12 +387,3 @@ def test_pseudomanifold_certificate(family):
     for b in family.values():
         ok, detail = pseudomanifold_certificate(b.tri, b.split)
         assert ok, (b.name, detail)
-
-
-@settings(max_examples=25, deadline=None)
-@given(scale=st.fractions(min_value=Fraction(1, 7), max_value=20, max_denominator=9))
-def test_apex_assignment_invariant_under_positive_scaling(scale):
-    lat = parse_builtin("bipyramid:square")
-    c = generic_functional(lat)
-    scaled = tuple(scale * x for x in c)
-    assert assign_apexes(lat, c).apex == assign_apexes(lat, scaled).apex
