@@ -54,8 +54,6 @@ from .sequences import (
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
-    simplex_interior,
-    simplex_number,
 )
 from .pipeline import Analysis, run_pipeline
 

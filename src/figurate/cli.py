@@ -9,6 +9,7 @@ and identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -122,7 +123,10 @@ def _cmd_sequence(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones:
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="figurate",
         description="Pointed triangulations of convex polytopes and their figurate number sequences.",

@@ -110,23 +110,25 @@ def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] |
     v[free] = rows[0][pivots[0]]
     for r, c in enumerate(pivots):
         v[c] = -rows[r][free]
-    return _canonical(v)
+    return canonical_plane(v)
 
 
-def integer_planes_opposite(hpoints: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
-    """``integer_plane_through`` all the points but point j, for each j, from
-    one elimination: on n points of length n as the rows of M, [M | I] leaves
+def integer_planes_opposite(hpoints: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """A plane through all the points but point j, for each j, from one
+    elimination: on n points of length n as the rows of M, [M | I] leaves
     D M^-1 on the right, whose column j is orthogonal to every point but
-    point j. None when M is not square or is singular."""
+    point j. Each is a nonzero multiple of ``integer_plane_through`` those
+    points; ``canonical_plane`` makes it equal. None when M is not square
+    or is singular."""
     n = len(hpoints)
     if len(hpoints[0]) == n:
         _, pivots, rows = _rref([list(p) + [int(i == j) for j in range(n)] for i, p in enumerate(hpoints)])
         if pivots[-1] < n:
-            return [_canonical([row[n + j] for row in rows]) for j in range(n)]
+            return [[row[n + j] for row in rows] for j in range(n)]
     return None
 
 
-def _canonical(v: list[int]) -> tuple[int, ...]:
+def canonical_plane(v: list[int]) -> tuple[int, ...]:
     """The primitive multiple of a plane with its first nonzero normal entry positive."""
     g = gcd(*v)
     if next(x for x in v[1:] if x) < 0:

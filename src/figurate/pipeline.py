@@ -137,7 +137,7 @@ class Analysis:
     def closed_form(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Terms 0..n_max of ``polytope_number_from_h`` on the vector v: the
         sequence from h, the interior sequence from k or from h reversed."""
-        return tuple(polytope_number_from_h(v, self.dim, n) for n in range(self.n_max + 1))
+        return polytope_number_from_h(v, self.dim, self.n_max)
 
     @property
     def params(self) -> dict:

@@ -9,22 +9,26 @@ own numerator is expanded into terms. The simplex-sum method evaluates the
 triangulation's face counts against shifted simplex interior numbers. The
 decomposition methods are one closed form, a vector's entries as the
 coefficients of shifted simplex numbers: on h it gives the sequence, and on k
-or on h reversed the interior sequence (the paper's reversal). All methods
-must agree exactly; the package's verification pipeline asserts that they do.
+or on h reversed the interior sequence (the paper's reversal). The closed
+form and the simplex sums read whole simplex-number columns, each built once
+per call from one ``comb`` over a range, and add them up scaled by their
+coefficients; they take no running sums, so they stay independent of the
+recursion they check. All methods must agree exactly; the package's
+verification pipeline asserts that they do.
 
-Conventions: simplex_number(d, n) is zero for all n <= 0 (the closed form's
-binomial would come back to life for very negative arguments, which the
-shifted sums here must not see). The dimension-0 interior sequence is 1 for
-all n >= 1, matching the recursive definition's base case; the shift formula
-n -> n - d - 1 applies from dimension 1 up. The simplex-sum identity holds
-for n = 0 and n >= 2, so that method takes its n = 1 value from the base
-case of the definition, where it is 1 for every polytope.
+Conventions: the d-simplex number alpha^d(m) = C(m+d-1, d) is zero for all
+m <= 0 (the binomial would come back to life for very negative arguments,
+which the shifted sums here must not see). The dimension-0 interior sequence
+is 1 for all n >= 1, matching the recursive definition's base case; the
+shift formula n -> n - d - 1 applies from dimension 1 up. The simplex-sum
+identity holds for n = 0 and n >= 2, so that method takes its n = 1 value
+from the base case of the definition, where it is 1 for every polytope.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 
 from .lattice import FaceLattice, pick
@@ -40,23 +44,16 @@ class SequenceResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms.
+# Simplex-number columns.
 
-def simplex_number(d: int, n: int) -> int:
-    """n-th d-simplex number C(n+d-1, d), zero-extended to all n <= 0."""
+def _simplex_column(d: int, shift: int, n_max: int) -> list[int]:
+    """alpha^d(n - shift) = C(n - shift + d - 1, d) for n = 0..n_max, zero
+    where n - shift <= 0."""
     if d < 0:
         raise ValueError("simplex dimension must be nonnegative")
-    if n <= 0:
-        return 0
-    return comb(n + d - 1, d)
-
-
-def simplex_interior(d: int, n: int) -> int:
-    """Interior d-simplex numbers: the shift n -> n-d-1, except that the
-    0-dimensional sequence is identically 1 from n = 1 on."""
-    if d == 0:
-        return 1 if n >= 1 else 0
-    return simplex_number(d, n - d - 1)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return [0] * min(shift + 1, n_max + 1) + list(map(comb, range(d, n_max - shift + d), repeat(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +147,26 @@ def polytope_number_simplex_sum(
     definition). The interior sum runs over the interior complex and is valid
     for every n.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     d = tri.dim
-    name = tri.lattice.polytope.name
-    if interior:
-        e = e_vector(split.interior, d)
-        values = tuple(
-            sum(e[i] * simplex_interior(i, n) for i in range(d + 1))
-            for n in range(n_max + 1)
-        )
-        return SequenceResult(name, "simplex-sum", True, values)
-    f = f_vector(tri.simplices, d)
+    counts = e_vector(split.interior, d) if interior else f_vector(tri.simplices, d)[1:]
     values = [0] * (n_max + 1)
-    if n_max >= 1:
+    for i, c in enumerate(counts):  # the interior i-simplex numbers; for i = 0, 1 from n = 1 on
+        column = _simplex_column(i, i + 1 if i else 0, n_max)
+        values = list(map(operator.add, values, map(operator.mul, column, repeat(c))))
+    if n_max >= 1 and not interior:
         values[1] = 1
-    for n in range(2, n_max + 1):
-        values[n] = sum(f[i + 1] * simplex_interior(i, n) for i in range(d + 1))
-    return SequenceResult(name, "simplex-sum", False, tuple(values))
+    return SequenceResult(tri.lattice.polytope.name, "simplex-sum", interior, tuple(values))
 
 
 # ---------------------------------------------------------------------------
 # Decomposition methods.
 
-def polytope_number_from_h(v: tuple[int, ...], d: int, n: int) -> int:
-    """Sum of v_j alpha^d(n-j): the sequence from h, and the interior sequence
-    from k or from h reversed."""
-    return sum(vj * simplex_number(d, n - j) for j, vj in enumerate(v))
+def polytope_number_from_h(v: tuple[int, ...], d: int, n_max: int) -> tuple[int, ...]:
+    """Terms 0..n_max of the sum of v_j alpha^d(n - j): the sequence from h,
+    and the interior sequence from k or from h reversed. One alpha^d column,
+    shifted by j for v_j."""
+    alpha = _simplex_column(d, 0, n_max)
+    values = [0] * (n_max + 1)
+    for j, vj in enumerate(v[: n_max + 1]):
+        values[j:] = map(operator.add, values[j:], map(operator.mul, alpha, repeat(vj)))
+    return tuple(values)

@@ -27,6 +27,7 @@ from functools import cached_property
 from operator import mul
 
 from .geometry import (
+    canonical_plane,
     homogenize,
     integer_plane_through,
     integer_planes_opposite,
@@ -209,9 +210,14 @@ def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
                 f"ridge {vertex_list(f ^ 1 << flat[0])} of maximal simplex {vs} spans no hyperplane" if flat
                 else f"the vertices of maximal simplex {vs} lie in one hyperplane"
             )
-        entries = tuple((v, f ^ 1 << v, plane, integer_side(plane, hv[v])) for v, plane in zip(vs, opposite))
-        planes.update((g, plane) for _, g, plane, _ in entries)
-        facets[f] = entries
+        entries = []
+        for v, column in zip(vs, opposite):
+            g = f ^ 1 << v
+            plane = planes.get(g)
+            if plane is None:  # an interior ridge is met twice, and made canonical once
+                plane = planes[g] = canonical_plane(column)
+            entries.append((v, g, plane, integer_side(plane, hv[v])))
+        facets[f] = tuple(entries)
     return RidgePlanes(planes, facets)
 
 

@@ -57,6 +57,11 @@ the inverse of the f-to-h transform.
 ``brute_force_facets`` tests a plane through every ``dim`` of the points
 against all of them, the reference for the gift-wrapping hull search.
 
+``simplex_number`` and ``simplex_interior`` evaluate the simplex numbers one
+``comb`` per term, and ``reference_from_h`` the sum of v_j alpha^d(n - j) one
+n at a time: the references for the simplex-number columns of the closed
+form and the simplex sums in ``figurate.sequences``.
+
 ``eulerian_number``, ``measure_number`` and ``cross_number`` are the closed
 forms of the cube and cross-polytope sequences; ``facet_cut_check``,
 ``vandermonde_check`` and ``alpha_difference_check`` are the simplex-number
@@ -91,7 +96,6 @@ from figurate.geometry import (
 )
 from figurate.lattice import Face, FaceLattice, Polytope, pick
 from figurate.partitions import PartitionCertificate
-from figurate.sequences import simplex_interior, simplex_number
 from figurate.triangulation import (
     ApexAssignment,
     PointedTriangulation,
@@ -641,6 +645,28 @@ def reference_verify_partition(
 def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
     """``build_pointed_triangulation`` without the pointedness check."""
     return triangulation._triangulate(lattice, apexes)
+
+
+def simplex_number(d: int, n: int) -> int:
+    """n-th d-simplex number C(n+d-1, d), zero-extended to all n <= 0."""
+    if d < 0:
+        raise ValueError("simplex dimension must be nonnegative")
+    if n <= 0:
+        return 0
+    return comb(n + d - 1, d)
+
+
+def simplex_interior(d: int, n: int) -> int:
+    """Interior d-simplex numbers: the shift n -> n-d-1, except that the
+    0-dimensional sequence is identically 1 from n = 1 on."""
+    if d == 0:
+        return 1 if n >= 1 else 0
+    return simplex_number(d, n - d - 1)
+
+
+def reference_from_h(v: Sequence[int], d: int, n: int) -> int:
+    """Sum of v_j alpha^d(n-j), one term at a time."""
+    return sum(vj * simplex_number(d, n - j) for j, vj in enumerate(v))
 
 
 @cache

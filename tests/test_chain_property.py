@@ -24,6 +24,12 @@ from figurate.pipeline import run_pipeline
 from test_recursion import _lattice
 
 _PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+# The distinct values of _PARAMETER, simplest first, and its triples by index.
+_VALUES = sorted({Fraction(a, b) for a in range(-12, 13) for b in range(1, 5)},
+                 key=lambda c: (c.denominator, abs(c), c < 0))
+_TRIPLES = st.sampled_from(range(len(_VALUES) ** 3)).map(
+    lambda i: tuple(_VALUES[i // len(_VALUES) ** k % len(_VALUES)] for k in (2, 1, 0))
+)
 
 
 def _on_sphere(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -33,8 +39,11 @@ def _on_sphere(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 @st.composite
 def sphere_points_4d(draw):
-    """6 to 8 points on S^3, so d = 4 whenever they do not lie in one hyperplane."""
-    ts = draw(st.lists(st.tuples(*[_PARAMETER] * 3), min_size=6, max_size=8, unique=True))
+    """6 to 8 points on S^3, so d = 4 whenever they do not lie in one hyperplane.
+
+    Distinct triples come from sampling indices without replacement, which
+    no draw has to retry, where a unique list of tuples often did."""
+    ts = draw(st.lists(_TRIPLES, min_size=6, max_size=8, unique=True))
     return [_on_sphere(t) for t in ts]
 
 

@@ -1,5 +1,8 @@
 """CLI surface: generation, pipelines, sequences, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import figurate.pipeline as pipeline
 import figurate.triangulation as triangulation
-from figurate.cli import main
+from figurate.cli import build_parser, main
 from figurate.lattice import parse_builtin
 
 
@@ -127,6 +130,24 @@ def test_sequence_methods_agree_byte_for_byte(capsys):
     values_rec = json.dumps(json.loads(out_rec)["values"])
     values_h = json.dumps(json.loads(out_h)["values"])
     assert values_rec == values_h
+
+
+def test_calls_that_share_the_parser_print_the_bytes_of_a_fresh_process(capsys):
+    # one parser serves every call in a process: no appended --builtin list,
+    # --interior flag or default may carry over from an earlier call
+    calls = [
+        ("pipeline", "--builtin", "cube:2", "--builtin", "cross:3", "--n", "5", "--summary"),
+        ("sequence", "--builtin", "cube:3", "--method", "simplex-sum", "--interior", "--n", "7"),
+        ("pipeline", "--builtin", "simplex:2", "--n", "4"),
+        ("sequence", "--builtin", "cross:3", "--method", "k", "--n", "6"),
+        ("sequence", "--builtin", "cross:3", "--n", "6"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "figurate.cli", *argv], capture_output=True, env=env)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
 
 
 TIE7 = str(Path(__file__).parent / "seed_tie7.json")

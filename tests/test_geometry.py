@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from figurate.geometry import (
     GeometryError,
     _rref,
+    canonical_plane,
     homogenize,
     hull_coordinates,
     integer_plane_through,
@@ -210,7 +211,8 @@ def test_planes_opposite_each_point_match_one_plane_per_ridge(corners):
     if reference_rank([(1,) + c for c in corners]) < len(corners):
         assert opposite is None
     else:
-        assert opposite == [integer_plane_through(hp[:j] + hp[j + 1:]) for j in range(len(hp))]
+        through = [integer_plane_through(hp[:j] + hp[j + 1:]) for j in range(len(hp))]
+        assert [canonical_plane(c) for c in opposite] == through
         assert all(integer_side(plane, q) != 0 for plane, q in zip(opposite, hp))
 
 

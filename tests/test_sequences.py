@@ -2,16 +2,18 @@
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from figurate import sequences
 from figurate.lattice import parse_builtin
 from figurate.sequences import (
     polytope_number_from_h,
     polytope_number_recursive,
     polytope_number_simplex_sum,
-    simplex_interior,
-    simplex_number,
 )
 from figurate.triangulation import (
     assign_apexes,
@@ -27,6 +29,9 @@ from oracles import (
     eulerian_number,
     facet_cut_check,
     measure_number,
+    reference_from_h,
+    simplex_interior,
+    simplex_number,
     vandermonde_check,
 )
 
@@ -127,20 +132,58 @@ def test_simplex_sum_reduces_to_closed_form():
 
 
 def test_from_h_examples():
-    assert polytope_number_from_h((1, 4, 1), 3, 2) == 4 + 4 + 0 == 8 == measure_number(3, 2)
-    assert polytope_number_from_h((1, 2, 1), 3, 3) == 10 + 8 + 1 == 19
+    assert polytope_number_from_h((1, 4, 1), 3, 2)[2] == 4 + 4 + 0 == 8 == measure_number(3, 2)
+    assert polytope_number_from_h((1, 2, 1), 3, 3)[3] == 10 + 8 + 1 == 19
     for h in [(1, 4, 1, 0, 0), (1, 2, 1, 0, 0), (1, 0, 0)]:
-        assert polytope_number_from_h(h, len(h) - 2, 1) == 1
+        assert polytope_number_from_h(h, len(h) - 2, 1) == (0, 1)
+    assert polytope_number_from_h((), 3, 2) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        polytope_number_from_h((1, 4, 1), 3, -1)
+    with pytest.raises(ValueError):
+        polytope_number_from_h((1,), -1, 3)
 
 
 def test_interior_from_k_examples():
     # the interior sequence is the same closed form on k, or on h reversed
-    assert polytope_number_from_h((0, 0, 1, 4, 1), 3, 4) == 4 + 4 + 0 == 8
+    assert polytope_number_from_h((0, 0, 1, 4, 1), 3, 4)[4] == 4 + 4 + 0 == 8
     for d in range(1, 6):
         k = (0,) * (d + 1) + (1,)
-        for n in range(0, 12):
-            assert polytope_number_from_h(k, d, n) == simplex_number(d, n - d - 1)
-    assert polytope_number_from_h((1, 4, 1, 0, 0)[::-1], 3, 3) == 1
+        assert polytope_number_from_h(k, d, 11) == tuple(simplex_number(d, n - d - 1) for n in range(12))
+    assert polytope_number_from_h((1, 4, 1, 0, 0)[::-1], 3, 3)[3] == 1
+
+
+_COEFFICIENTS = st.lists(st.integers(-50, 50), max_size=50)
+
+
+@settings(max_examples=150)
+@given(d=st.integers(1, 8), n_max=st.integers(0, 40), v=_COEFFICIENTS)
+def test_closed_form_equals_the_per_term_sum(d, n_max, v):
+    assert polytope_number_from_h(tuple(v), d, n_max) == tuple(
+        reference_from_h(v, d, n) for n in range(n_max + 1)
+    )
+
+
+@settings(max_examples=150)
+@given(d=st.integers(1, 8), n_max=st.integers(0, 40), data=st.data())
+def test_simplex_sums_equal_the_per_term_sums(d, n_max, data):
+    # any face counts, negative ones too: the sums only read f and e
+    f = (1, *data.draw(st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1), label="f"))
+    e = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1), label="e"))
+    tri = SimpleNamespace(dim=d, simplices=None, lattice=SimpleNamespace(polytope=SimpleNamespace(name="t")))
+    split = SimpleNamespace(interior=None)
+    with mock.patch.object(sequences, "f_vector", lambda c, dim: f), \
+            mock.patch.object(sequences, "e_vector", lambda c, dim: e):
+        ext = polytope_number_simplex_sum(tri, n_max, split=split)
+        intr = polytope_number_simplex_sum(tri, n_max, interior=True, split=split)
+    # the exterior identity fails at n = 1, where the definition sets 1
+    assert ext.values == tuple(
+        1 if n == 1 else sum(f[i + 1] * simplex_interior(i, n) for i in range(d + 1))
+        for n in range(n_max + 1)
+    )
+    assert intr.values == tuple(
+        sum(e[i] * simplex_interior(i, n) for i in range(d + 1)) for n in range(n_max + 1)
+    )
+    assert (ext.interior, intr.interior) == (False, True)
 
 
 def test_closed_forms_match_recursion():
@@ -178,7 +221,7 @@ def test_pyramid_sequence_depends_on_the_vertex_order():
         assert tri.apex_vertex == order[0], tag
         h = h_from_f(f_vector(tri.simplices, 3), 3)
         rec = polytope_number_recursive(lat, apexes, 10)
-        fromh = tuple(polytope_number_from_h(h, 3, n) for n in range(11))
+        fromh = polytope_number_from_h(h, 3, 10)
         assert rec.values == fromh, tag
         assert h[0] == 1 and all(x >= 0 for x in h), tag
         outcomes[tag] = (h, rec.values)
