@@ -5,7 +5,7 @@ Each nonempty face F of the polytope gets an apex: the first vertex of F in
 decreasing chains of faces G_1 > G_2 > ... with the apex of each G_i outside
 G_{i+1}; the triangulation of a face is the union over chains inside that
 face, closed by the empty simplex. Chains are enumerated bottom-up over the
-lattice with one memoized simplex set per face, and duplicate simplices from
+lattice, face by face in order of dimension, and duplicate simplices from
 different chains are merged by vertex set.
 
 Simplices are ``int`` vertex masks (bit i for vertex i, 0 the empty simplex)
@@ -14,10 +14,12 @@ chain grows by ``s | 1 << apex`` over the complexes of the face's covers (its
 maximal proper subfaces) that miss the apex, and each face's complex is its
 own chains united with the complexes of all its covers. On a face lattice
 every subface missing the apex lies in a cover missing it, since each face
-is the intersection of the facets containing it. One set of facets, each
-simplex less one vertex, gives both the maximal simplices and closure under
-subsets. Pointedness condition 1 needs one lookup per simplex missing the
-apex, s | {apex}, and runs the full maximality test only where that fails.
+is the intersection of the facets containing it. Pointedness condition 2
+reads only the apexes and is checked first; conditions 1 and 3 on each
+face's complex as soon as it is built. Covers lie one dimension down, so a
+face's complex is dropped as the first face two dimensions up is built: only
+the polytope's own is kept. One set of facets, each simplex less one vertex,
+gives its maximal simplices and its closure under subsets.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .geometry import (
     integer_planes_opposite,
     integer_side,
 )
-from .lattice import FaceLattice, pick
+from .lattice import Face, FaceLattice, pick
 
 Simplex = int
 Complex = frozenset[Simplex]
@@ -74,18 +76,14 @@ class RidgePlanes:
 
 @dataclass(frozen=True)
 class PointedTriangulation:
-    """The complex of each face by face id, and whether the polytope's own
-    is closed under subsets, read off the facet set that gives ``maximal``."""
+    """The polytope's own complex (each face's is its restriction to the face), and whether
+    it is closed under subsets, read off the facet set that gives ``maximal``."""
 
     lattice: FaceLattice
     apexes: ApexAssignment
-    complexes: tuple[Complex, ...]
+    simplices: Complex
     maximal: tuple[Simplex, ...]
     closed: bool
-
-    @property
-    def simplices(self) -> Complex:
-        return self.complexes[self.lattice.top.id]
 
     @property
     def dim(self) -> int:
@@ -113,6 +111,9 @@ class PointedCertificate:
     ok: bool
     condition: int | None = None
     detail: str = ""
+
+
+_POINTED = PointedCertificate(True)  # shared by the faces that pass: a frozen dataclass is slow to build
 
 
 def vertex_order(polytope) -> tuple[int, ...]:
@@ -159,19 +160,16 @@ def assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
 def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
     """Construct the pointed triangulation determined by an apex assignment.
 
-    The three pointedness conditions are checked after construction and a
-    violation raises, so every triangulation it returns is pointed.
+    Condition 2 is checked first, conditions 1 and 3 on each face's complex
+    as it is built, and a violation raises, so every triangulation it returns
+    is pointed. Each dimension's first face drops the complexes two down.
     """
-    tri = _triangulate(lattice, apexes)
-    cert = verify_pointed(tri)
-    if not cert.ok:
-        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
-    return tri
-
-
-def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
-    complexes: list[Complex] = [frozenset((0,))]  # in face order
+    _require(verify_pointed(lattice, apexes))
+    complexes: list[Complex | None] = [frozenset((0,))]  # by face id, None once dropped
     for f in lattice.faces[1:]:
+        if f.dim > lattice.faces[f.id - 1].dim:  # no face left to build covers those two down
+            for gid in lattice.by_dim.get(f.dim - 2, ()):
+                complexes[gid] = None
         v = apexes.apex[f.id]
         bit = 1 << v
         covers = lattice.covers[f.id]
@@ -179,9 +177,16 @@ def _triangulate(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangu
         for c in pick(covers & ~lattice.with_vertex[v], complexes):
             chain.update(map(bit.__or__, c))
         chain.update(*pick(covers, complexes))
-        complexes.append(frozenset(chain))
-    maximal, closed = _maximal_and_closed(complexes[lattice.top.id])
-    return PointedTriangulation(lattice, apexes, tuple(complexes), maximal, closed)
+        cf = frozenset(chain)
+        _require(_verify_face(f, v, cf))
+        complexes.append(cf)
+    maximal, closed = _maximal_and_closed(complexes[-1])
+    return PointedTriangulation(lattice, apexes, complexes[-1], maximal, closed)
+
+
+def _require(cert: PointedCertificate) -> None:
+    if not cert.ok:
+        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
 
 
 def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
@@ -230,48 +235,22 @@ def _simplex_key(s: Simplex):
     return (s.bit_count(), vertex_list(s))
 
 
-def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
-    """Check the three pointedness conditions; reports the first violation.
+def verify_pointed(lattice: FaceLattice, apexes: ApexAssignment) -> PointedCertificate:
+    """Check pointedness condition 2, which reads only the apexes: if the
+    apexes of two faces both lie in the intersection of those faces, they
+    coincide. Conditions 1 and 3 are checked per face as it is built.
 
-    1. Every maximal simplex of each face's triangulation contains that
-       face's apex.
-    2. If the apexes of two faces both lie in the intersection of those
-       faces, they coincide.
-    3. For each face F, every edge from the apex of F to another vertex of F
-       belongs to F's triangulation.
-
-    Condition 1 needs the maximality test only for a simplex s missing the
-    apex v whose extension s | {v} is not in the complex: when it is, s is
-    not maximal. On a pointed triangulation every simplex missing v lies in a
-    maximal simplex holding v, so that lookup settles every simplex. Of the
-    violating simplices of the first violating face, the smallest by (size,
-    sorted vertices) is reported.
-
-    Condition 2 is checked only on nested pairs: each proper subface G of F
-    that contains apex(F) must have apex(G) = apex(F). Per face that is one
-    AND of face-id masks, the subfaces of F holding apex(F) less the faces
+    It is checked only on nested pairs: each proper subface G of F that
+    contains apex(F) must have apex(G) = apex(F). Per face that is one AND
+    of face-id masks, the subfaces of F holding apex(F) less the faces
     apexed there, and the lowest set bit is the G reported. The nested check
-    is the pairwise condition, since every apex lies in its face. A nested violation is a
-    pair whose intersection G holds both apexes. Conversely, if two distinct
-    apexes v1, v2 of faces f1, f2 lie in H = f1 & f2, then H is a face (the
-    lattice is closed under intersection) and apex(H) differs from some v_i;
-    so H is a proper subface of f_i containing apex(f_i) with another apex.
-    """
-    lattice = tri.lattice
-    apex = tri.apexes.apex
-    for f in lattice.faces[1:]:
-        cf = tri.complexes[f.id]
-        v = apex[f.id]
-        bit = 1 << v
-        unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
-        if not unsure:
-            continue
-        missed = [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
-        if missed:
-            s = min(missed, key=_simplex_key)
-            return PointedCertificate(
-                False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
-            )
+    is the pairwise condition, since every apex lies in its face. A nested
+    violation is a pair whose intersection G holds both apexes. Conversely,
+    if two distinct apexes v1, v2 of faces f1, f2 lie in H = f1 & f2, then H
+    is a face (the lattice is closed under intersection) and apex(H) differs
+    from some v_i; so H is a proper subface of f_i containing apex(f_i) with
+    another apex."""
+    apex = apexes.apex
     apexed = [0] * len(lattice.polytope.vertices)  # face-id mask of the faces apexed at each vertex
     for fid, v in apex.items():
         apexed[v] |= 1 << fid
@@ -283,15 +262,35 @@ def verify_pointed(tri: PointedTriangulation) -> PointedCertificate:
             return PointedCertificate(
                 False, 2, f"faces {sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
             )
-    for f in lattice.faces[1:]:
-        cf = tri.complexes[f.id]
-        v = apex[f.id]
-        for w in f.vertices - {v}:
-            if (1 << v | 1 << w) not in cf:
-                return PointedCertificate(
-                    False, 3, f"edge [{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
-                )
-    return PointedCertificate(True)
+    return _POINTED
+
+
+def _verify_face(f: Face, v: int, cf: Complex) -> PointedCertificate:
+    """Check conditions 1 and 3 on the complex ``cf`` of face ``f`` with apex
+    ``v``, in that order, and report the first violation.
+
+    1. Every maximal simplex of ``cf`` contains ``v``.
+    3. Every edge from ``v`` to another vertex of ``f`` is in ``cf``.
+
+    Condition 1 needs the maximality test only for a simplex s missing v
+    whose extension s | {v} is not in the complex: when it is, s is not
+    maximal. On a pointed triangulation every simplex missing v lies in a
+    maximal simplex holding v, so that lookup settles every simplex. Of the
+    violating simplices, the smallest by (size, sorted vertices) is reported."""
+    bit = 1 << v
+    unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
+    missed = unsure and [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
+    if missed:
+        s = min(missed, key=_simplex_key)
+        return PointedCertificate(
+            False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
+        )
+    for w in f.vertices - {v}:
+        if (bit | 1 << w) not in cf:
+            return PointedCertificate(
+                False, 3, f"edge [{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
+            )
+    return _POINTED
 
 
 def split_boundary_interior(tri: PointedTriangulation) -> ComplexSplit:

@@ -30,12 +30,13 @@ ranking in ``assign_apexes``.
 
 ``reference_pointed_complexes`` builds the chains and the per-face complexes
 of a pointed triangulation by ``frozenset`` unions, the reference for the
-construction on vertex masks in ``build_pointed_triangulation``; ``frozen``
-and ``vertex_set`` turn the package's masks into those vertex sets, and
-``to_mask`` turns a vertex set back. ``maximal_simplices`` scans every
-simplex against every vertex of the complex; ``reference_condition_1`` runs
-it on the complex of every face, the reference for the one-lookup check of
-pointedness condition 1. ``is_simplicial_complex`` tests closure under
+construction on vertex masks in ``build_pointed_triangulation``, which keeps
+only the polytope's complex; ``frozen`` and ``vertex_set`` turn the
+package's masks into those vertex sets, and ``to_mask`` turns a vertex set
+back. ``maximal_simplices`` scans every simplex against every vertex of the
+complex; ``reference_condition_1`` runs it on the complex of every face in
+a per-face dict, the reference for the one-lookup check of pointedness
+condition 1. ``is_simplicial_complex`` tests closure under
 subsets one vertex set at a time, the reference for the facet set that
 gives the maximal simplices.
 
@@ -47,12 +48,12 @@ the one elimination per maximal simplex.
 ``reference_verify_partition`` counts every member in a dict of vertex
 sets, the reference for the submask walk of ``verify_partition``.
 
-``unverified_triangulation`` is the construction of
-``build_pointed_triangulation`` without its pointedness check, for tests
-that corrupt or inspect a triangulation the check would reject or that only
-compare the construction. ``integer_plane`` converts a ``Hyperplane`` to the
-integer vector of ``geometry.integer_plane_through``, and ``f_from_h`` is
-the inverse of the f-to-h transform.
+``unverified_triangulation`` is the polytope's complex of
+``reference_pointed_complexes`` on vertex masks, with no pointedness check,
+for tests that inspect a triangulation on lattices the package rejects.
+``integer_plane`` converts a ``Hyperplane`` to the integer vector of
+``geometry.integer_plane_through``, and ``f_from_h`` is the inverse of the
+f-to-h transform.
 
 ``brute_force_facets`` tests a plane through every ``dim`` of the points
 against all of them, the reference for the gift-wrapping hull search.
@@ -83,8 +84,6 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
-
-import figurate.triangulation as triangulation
 
 from figurate.geometry import (
     GeometryError,
@@ -509,12 +508,14 @@ def reference_pointed_complexes(
     return per_face, top, tuple(sorted(maximal_simplices(top), key=_simplex_key))
 
 
-def reference_condition_1(tri: PointedTriangulation) -> tuple[int, list[Simplex]] | None:
-    """The first face, in face order, with maximal simplices missing its apex,
-    and those simplices sorted by (size, sorted vertices); or None."""
-    for f in tri.lattice.faces[1:]:
-        v = tri.apexes.apex[f.id]
-        missed = [s for s in maximal_simplices(frozen(tri.complexes[f.id])) if v not in s]
+def reference_condition_1(
+    lattice: FaceLattice, apex: dict[int, int], per_face: dict[int, Complex]
+) -> tuple[int, list[Simplex]] | None:
+    """The first face, in face order, whose complex in ``per_face`` has maximal
+    simplices missing its apex, and those simplices sorted by (size, sorted
+    vertices); or None."""
+    for f in lattice.faces[1:]:
+        missed = [s for s in maximal_simplices(per_face[f.id]) if apex[f.id] not in s]
         if missed:
             return f.id, sorted(missed, key=_simplex_key)
     return None
@@ -643,8 +644,12 @@ def reference_verify_partition(
 
 
 def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
-    """``build_pointed_triangulation`` without the pointedness check."""
-    return triangulation._triangulate(lattice, apexes)
+    """The polytope's complex of ``reference_pointed_complexes`` on vertex
+    masks, unchecked: the package builds only from lattices it accepts."""
+    _, top, maximal = reference_pointed_complexes(lattice, apexes)
+    return PointedTriangulation(
+        lattice, apexes, frozenset(map(to_mask, top)), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
+    )
 
 
 def simplex_number(d: int, n: int) -> int:

@@ -289,7 +289,7 @@ _FORCED = "construction violated pointedness condition 3: forced"
 
 @pytest.fixture
 def failing_construction(monkeypatch):
-    monkeypatch.setattr(triangulation, "verify_pointed", lambda tri: triangulation.PointedCertificate(False, 3, "forced"))
+    monkeypatch.setattr(triangulation, "_verify_face", lambda f, v, cf: triangulation.PointedCertificate(False, 3, "forced"))
 
 
 def test_stage_failure_is_a_failed_pipeline_record(failing_construction, capsys):

@@ -1,16 +1,18 @@
 """Pointed triangulations built on vertex masks, checked against frozenset oracles.
 
-``build_pointed_triangulation`` must give the per-face complexes, the
-polytope's complex and its maximal simplices of the frozenset construction in
-``oracles.py`` on every builtin of dimension at most 5 and on a polytope
-given only by rational coordinates, and on simplex:9, pyramid:simplex:8,
-cube:6, cross:6 and prism:cube:5. Wrong ``faces`` are rejected when the
-lattice is built, with a message that names the face or vertex: each check
-of the load-time face-lattice test has a case.
-``verify_pointed`` must give the verdict of the maximal-simplex scan of
-condition 1 on corrupted per-face complexes, and name the smallest violating
-simplex. The package keeps simplices as vertex masks, and the oracles as
-vertex sets.
+``build_pointed_triangulation`` must give the polytope's complex and its
+maximal simplices of the frozenset construction in ``oracles.py`` on every
+builtin of dimension at most 5 and on a polytope given only by rational
+coordinates, and on simplex:9, pyramid:simplex:8, cube:6, cross:6 and
+prism:cube:5. On the same inputs each face's complex, as the construction
+checks it and as the oracle builds it, is the polytope's complex restricted
+to the face. Wrong ``faces`` are rejected when the lattice is built, with a
+message that names the face or vertex: each check of the load-time
+face-lattice test has a case.
+The per-face pointedness check must give the verdict of the maximal-simplex
+scan of condition 1 on corrupted per-face complexes from the oracle, and
+name the smallest violating simplex and the missing edge of condition 3.
+The package keeps simplices as vertex masks, and the oracles as vertex sets.
 """
 import json
 import random
@@ -20,12 +22,13 @@ from pathlib import Path
 
 import pytest
 
+import figurate.triangulation as triangulation
 from figurate.geometry import GeometryError, point
 from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polytope_from_json
 from figurate.triangulation import (
     ApexAssignment,
     assign_apexes,
-    verify_pointed,
+    build_pointed_triangulation,
     vertex_order,
 )
 from oracles import (
@@ -33,7 +36,6 @@ from oracles import (
     reference_condition_1,
     reference_pointed_complexes,
     to_mask,
-    unverified_triangulation,
     vertex_set,
 )
 from test_lattice_oracle import LARGE
@@ -138,16 +140,39 @@ def test_wrong_faces_are_rejected(spec):
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
-    tri = unverified_triangulation(lattice, apexes)
-    per_face, simplices, maximal = reference_pointed_complexes(lattice, apexes)
-    assert list(per_face) == [f.id for f in lattice.faces[1:]]
-    assert len(tri.complexes) == len(lattice) and tri.complexes[0] == {0}
-    assert {fid: frozen(tri.complexes[fid]) for fid in per_face} == per_face
-    assert frozen(tri.simplices) == simplices
+    tri = build_pointed_triangulation(lattice, apexes)
+    _, simplices, maximal = reference_pointed_complexes(lattice, apexes)
+    assert type(tri.simplices) is frozenset and frozen(tri.simplices) == simplices
     assert tuple(map(vertex_set, tri.maximal)) == maximal
-    assert all(type(c) is frozenset for c in tri.complexes)
     # one facet set gives the maximal simplices and closure under subsets
     assert tri.closed
+
+
+@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + LARGE)
+def test_each_face_complex_is_the_restriction_of_the_polytope_complex(monkeypatch, spec):
+    lattice = _lattice(spec)
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
+    checked = {}
+    original = triangulation._verify_face
+
+    def recorded(f, v, cf):
+        checked[f.id] = cf
+        return original(f, v, cf)
+
+    monkeypatch.setattr(triangulation, "_verify_face", recorded)
+    tri = build_pointed_triangulation(lattice, apexes)
+    per_face = reference_pointed_complexes(lattice, apexes)[0]
+    assert list(per_face) == list(checked) == [f.id for f in lattice.faces[1:]]
+    # top down, each face restricts the complex of a face that covers it,
+    # which is the polytope's complex restricted to that face
+    restricted = {lattice.top.id: tri.simplices}
+    for g in reversed(lattice.faces[1:]):
+        for fid in lattice.cover_ids(g.id):
+            if fid and fid not in restricted:
+                face_mask = to_mask(lattice.faces[fid].vertices)
+                restricted[fid] = {s for s in restricted[g.id] if not s & ~face_mask}
+    for f in lattice.faces[1:]:
+        assert checked[f.id] == restricted[f.id] == set(map(to_mask, per_face[f.id])), (spec, sorted(f.vertices))
 
 
 def _face_detail(detail):
@@ -157,48 +182,60 @@ def _face_detail(detail):
     return json.loads(simplex), json.loads(face), int(apex)
 
 
-def _with_complexes(tri, changed):
-    """The triangulation with the complexes of some faces replaced."""
-    return replace(tri, complexes=tuple(changed.get(i, c) for i, c in enumerate(tri.complexes)))
+def _mask_complexes(lattice, apexes):
+    """The oracle's complex of every nonempty face, as vertex masks, by face id."""
+    per_face = reference_pointed_complexes(lattice, apexes)[0]
+    return {fid: frozenset(map(to_mask, c)) for fid, c in per_face.items()}
 
 
-def _drop_simplices(tri, rng):
-    f = rng.choice(tri.lattice.faces[1:])
-    cf = sorted(tri.complexes[f.id], key=lambda s: (s.bit_count(), sorted(vertex_set(s))))
+def _first_condition_1(lattice, apex, per_face):
+    """The first face, in face order, on whose complex the per-face check
+    reports condition 1, and its certificate; or None."""
+    for f in lattice.faces[1:]:
+        cert = triangulation._verify_face(f, apex[f.id], per_face[f.id])
+        if cert.condition == 1:
+            return f.id, cert
+    return None
+
+
+def _drop_simplices(b, per_face, rng):
+    f = rng.choice(b.lattice.faces[1:])
+    cf = sorted(per_face[f.id], key=lambda s: (s.bit_count(), sorted(vertex_set(s))))
     dropped = set(rng.sample(cf, min(len(cf), rng.randint(1, 3))))
     return {f.id: frozenset(s for s in cf if s not in dropped)}
 
 
-def _retriangulate(tri, rng):
+def _retriangulate(b, per_face, rng):
     """Retriangulate a few faces as if another of their vertices were the apex."""
-    faces = [f for f in tri.lattice.faces[1:] if f.dim >= 2]
+    faces = [f for f in b.lattice.faces[1:] if f.dim >= 2]
     changed = {}
     for f in rng.sample(faces, min(len(faces), rng.randint(1, 2))):
-        apex = dict(tri.apexes.apex)
+        apex = dict(b.apexes.apex)
         apex[f.id] = rng.choice(sorted(f.vertices - {apex[f.id]}))
-        per_face = reference_pointed_complexes(tri.lattice, ApexAssignment(tri.apexes.order, apex))[0]
-        changed[f.id] = frozenset(map(to_mask, per_face[f.id]))
+        changed[f.id] = _mask_complexes(b.lattice, ApexAssignment(b.apexes.order, apex))[f.id]
     return changed
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle"])
 def test_condition_1_matches_the_maximal_scan(family, spec):
-    tri = family[spec].tri
-    faces = {f.id: f for f in tri.lattice.faces}
+    b = family[spec]
+    lattice, apex = b.lattice, b.apexes.apex
+    faces = {f.id: f for f in lattice.faces}
+    per_face = _mask_complexes(lattice, b.apexes)
     rng = random.Random(spec)
     verdicts = []
     for trial in range(60):
         corrupt = (_drop_simplices, _retriangulate)[trial % 2]
-        bad = _with_complexes(tri, corrupt(tri, rng))
-        cert = verify_pointed(bad)
-        ref = reference_condition_1(bad)
-        assert (cert.condition == 1) == (ref is not None), (spec, trial)
+        bad = {**per_face, **corrupt(b, per_face, rng)}
+        found = _first_condition_1(lattice, apex, bad)
+        ref = reference_condition_1(lattice, apex, {fid: frozen(c) for fid, c in bad.items()})
+        assert (found is not None) == (ref is not None), (spec, trial)
         if ref is not None:
             fid, missed = ref
-            simplex, face, apex = _face_detail(cert.detail)
-            assert face == sorted(faces[fid].vertices)
-            assert apex == tri.apexes.apex[fid] and apex not in missed[0]
-            assert simplex == sorted(missed[0]), (spec, trial, cert.detail)
+            simplex, face, v = _face_detail(found[1].detail)
+            assert found[0] == fid and face == sorted(faces[fid].vertices)
+            assert v == apex[fid] and v not in missed[0]
+            assert simplex == sorted(missed[0]), (spec, trial, found[1].detail)
         verdicts.append(ref is not None)
     assert any(verdicts) and not all(verdicts)
 
@@ -207,10 +244,24 @@ def test_condition_1_names_the_smallest_violating_simplex(cube3):
     # with its tetrahedra gone, the cube's maximal simplices are triangles,
     # and several miss the apex
     tri = cube3.tri
-    top = tri.lattice.top.id
-    bad = _with_complexes(tri, {top: tri.simplices - set(tri.maximal)})
-    fid, missed = reference_condition_1(bad)
-    assert fid == top and len(missed) > 1 and missed[0] == {1, 3, 7}
-    cert = verify_pointed(bad)
+    top = tri.lattice.top
+    per_face = _mask_complexes(tri.lattice, tri.apexes)
+    bad = {**per_face, top.id: tri.simplices - set(tri.maximal)}
+    fid, missed = reference_condition_1(tri.lattice, tri.apexes.apex, {i: frozen(c) for i, c in bad.items()})
+    assert fid == top.id and len(missed) > 1 and missed[0] == {1, 3, 7}
+    assert _first_condition_1(tri.lattice, tri.apexes.apex, bad)[0] == top.id
+    cert = triangulation._verify_face(top, tri.apex_vertex, bad[top.id])
     assert (cert.ok, cert.condition) == (False, 1)
     assert cert.detail == "maximal simplex [1, 3, 7] of face [0, 1, 2, 3, 4, 5, 6, 7] misses apex 0"
+
+
+def test_condition_3_names_the_missing_edge(square):
+    # without the diagonal from the apex, both triangles still hold the apex,
+    # so condition 1 holds and the edge is reported
+    tri = square.tri
+    top, apex = tri.lattice.top, tri.apex_vertex
+    (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s not in square.split.boundary)
+    cert = triangulation._verify_face(top, apex, tri.simplices - {diagonal})
+    w = (diagonal ^ 1 << apex).bit_length() - 1
+    assert (cert.ok, cert.condition) == (False, 3)
+    assert cert.detail == f"edge [{apex}, {w}] missing from triangulation of face [0, 1, 2, 3]"

@@ -4,7 +4,6 @@ Simplices are vertex masks; the oracles take vertex sets (``oracles.frozen``).
 """
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +18,6 @@ from figurate.triangulation import (
     ApexAssignment,
     GenericityError,
     PointedCertificate,
-    PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
     link,
@@ -170,16 +168,8 @@ def test_simplex_triangulates_itself():
 
 def test_verify_pointed_passes_on_family(family):
     for b in family.values():
-        assert verify_pointed(b.tri).ok, b.name
+        assert verify_pointed(b.lattice, b.apexes).ok, b.name
         assert pairwise_apex_conflict(b.lattice, b.apexes.apex) is None, b.name
-
-
-def _with_apexes(tri, apex):
-    """The triangulation under another apex map, each face carrying only its
-    own vertex set: condition 1 holds for any apex inside its face, so
-    condition 2 decides whether verification passes the first two checks."""
-    complexes = tuple(frozenset({to_mask(f.vertices)}) for f in tri.lattice.faces)
-    return replace(tri, apexes=ApexAssignment(tri.apexes.order, apex), complexes=complexes)
 
 
 def _condition_2_detail_is_a_pairwise_violation(detail):
@@ -200,7 +190,7 @@ def test_condition_2_catches_corrupted_apexes_like_the_pairwise_check(family, sp
         apex = dict(b.apexes.apex)
         for f in rng.sample(faces, 1 + trial % 3):
             apex[f.id] = rng.choice(sorted(f.vertices))
-        cert = verify_pointed(_with_apexes(b.tri, apex))
+        cert = verify_pointed(b.lattice, ApexAssignment(b.apexes.order, apex))
         conflict = pairwise_apex_conflict(b.lattice, apex)
         assert (cert.condition == 2) == (conflict is not None), (spec, apex)
         if conflict is not None:
@@ -219,7 +209,7 @@ def test_condition_2_names_the_nested_pair(cube3):
     apex = dict(cube3.apexes.apex)
     apex[top.id] = highest
     edge = next(g for g in lattice.faces if g.dim == 1 and highest in g.vertices)
-    cert = verify_pointed(_with_apexes(cube3.tri, apex))
+    cert = verify_pointed(lattice, ApexAssignment(cube3.apexes.order, apex))
     assert (cert.ok, cert.condition) == (False, 2)
     assert cert.detail == (
         f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
@@ -232,15 +222,30 @@ def test_construction_raises_on_a_pointedness_violation(monkeypatch):
     cube = parse_builtin("cube:3")
     apexes = assign_apexes(cube, vertex_order(cube.polytope))
     assert build_pointed_triangulation(cube, apexes) == unverified_triangulation(cube, apexes)
-    monkeypatch.setattr(triangulation, "verify_pointed", lambda tri: PointedCertificate(False, 1, "forced"))
+    monkeypatch.setattr(triangulation, "verify_pointed", lambda lattice, apexes: PointedCertificate(False, 2, "forced"))
+    with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 2: forced$"):
+        build_pointed_triangulation(cube, apexes)
+
+
+def test_construction_raises_on_a_face_violation(monkeypatch):
+    # the per-face check runs on every face as it is built, the polytope last
+    cube = parse_builtin("cube:3")
+    apexes = assign_apexes(cube, vertex_order(cube.polytope))
+    seen = []
+
+    def failing_at_the_top(f, v, cf):
+        seen.append(f.id)
+        return PointedCertificate(False, 1, "forced") if f is cube.top else PointedCertificate(True)
+
+    monkeypatch.setattr(triangulation, "_verify_face", failing_at_the_top)
     with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 1: forced$"):
         build_pointed_triangulation(cube, apexes)
+    assert seen == [f.id for f in cube.faces[1:]]
 
 
 def test_verify_pointed_vacuous_on_a_point():
     pt = parse_builtin("simplex:0")
-    tri = build_pointed_triangulation(pt, assign_apexes(pt, vertex_order(pt.polytope)))
-    assert verify_pointed(tri).ok
+    assert verify_pointed(pt, assign_apexes(pt, vertex_order(pt.polytope))).ok
 
 
 def _closure(tops):
@@ -251,7 +256,7 @@ def _closure(tops):
     return frozenset(out)
 
 
-def test_verify_pointed_rejects_wrong_diagonal(square):
+def test_face_check_rejects_wrong_diagonal(square):
     # retriangulate the square along the diagonal that avoids the apex
     apex = square.tri.apex_vertex
     others = sorted(frozenset(range(4)) - {apex})
@@ -263,12 +268,7 @@ def test_verify_pointed_rejects_wrong_diagonal(square):
     )
     wing1, wing2 = [i for i in others if i != opposite]
     bad_top = _closure([frozenset({wing1, wing2, apex}), frozenset({wing1, wing2, opposite})])
-    complexes = square.tri.complexes[:-1] + (bad_top,)
-    bad = PointedTriangulation(
-        square.lattice, square.tri.apexes, complexes,
-        tuple(sorted(map(to_mask, maximal_simplices(frozen(bad_top))))), True,
-    )
-    cert = verify_pointed(bad)
+    cert = triangulation._verify_face(square.lattice.top, apex, bad_top)
     assert not cert.ok
     assert cert.condition == 1
 
@@ -305,11 +305,10 @@ def test_split_is_disjoint_union(family):
     for b in family.values():
         assert set(b.split.boundary) | set(b.split.interior) == set(b.tri.simplices)
         assert not set(b.split.boundary) & set(b.split.interior)
-        # boundary equals the union of the proper faces' triangulations
-        proper_union = {0}
-        for f in b.lattice.faces[1:-1]:
-            proper_union |= b.tri.complexes[f.id]
-        assert proper_union == set(b.split.boundary), b.name
+        # boundary equals the union of the proper faces' triangulations,
+        # each the complex restricted to the face
+        proper = [to_mask(f.vertices) for f in b.lattice.faces[1:-1]]
+        assert {s for s in b.tri.simplices if any(not s & ~m for m in proper)} == set(b.split.boundary), b.name
 
 
 def test_family_complexes_are_simplicial_and_pure(family):
@@ -318,7 +317,8 @@ def test_family_complexes_are_simplicial_and_pure(family):
         assert all((s & t) in b.tri.simplices for s, t in combinations(b.tri.simplices, 2)), b.name
         assert is_pure(frozen(b.tri.simplices), b.dim), b.name
         for f in b.lattice.faces[1:]:
-            cf = frozen(b.tri.complexes[f.id])
+            face_mask = to_mask(f.vertices)
+            cf = frozen({s for s in b.tri.simplices if not s & ~face_mask})
             assert is_simplicial_complex(cf), (b.name, f.id)
             assert is_pure(cf, f.dim), (b.name, f.id)
 
