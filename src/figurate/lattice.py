@@ -7,11 +7,11 @@ face is an intersection of facets, so the lattice is built from the facets'
 vertex sets alone (V. Kaibel, M. E. Pfetsch, "Computing the face lattice of a
 polytope from its vertex-facet incidences", Comput. Geom. 23, 2002): closure
 under intersection on ``int`` masks, dimensions from the grading, and
-subfaces and covers from each face's intersections with the facets. Subfaces,
-covers and the faces holding each vertex are kept as face-id masks, so the
-triangulation grows its chains over covers, checks pointedness condition 2
-with one mask test per face, and the recursion splits each face's subfaces
-by apex with one AND.
+subfaces and covers from each face's intersections with the facets. Subfaces
+and the faces holding each vertex are kept as face-id masks, so pointedness
+condition 2 is one mask test per face and the recursion splits each face's
+subfaces by apex with one AND. Covers are kept as id tuples, so the
+triangulation grows each face's chains over its covers by id.
 
 The builtin families (simplex, cube, cross, pyramid, prism, bipyramid) list
 their facets combinatorially. Supplied ``faces`` generate the lattice the
@@ -99,11 +99,12 @@ class FaceLattice:
       has a smaller dimension than its face.
     - ``below[i]`` is the face-id mask (bit j for face j) of the proper
       subfaces of face i, the empty face included, OR-ed bottom up over the
-      children. ``covers[i]`` masks its maximal proper subfaces: the children
-      under no other child, which on a face lattice are the children one
-      dimension down. ``with_vertex[v]`` masks the faces that hold vertex v.
+      children. ``with_vertex[v]`` masks the faces that hold vertex v.
       Consumers AND these masks and read out only the ids they need
-      (``pick``); ``cover_ids`` is such a readout.
+      (``pick``).
+    - ``covers[i]`` is the ascending tuple of the ids of its maximal proper
+      subfaces, made in the same loop: the children under no other child,
+      which on a face lattice are the children one dimension down.
     """
 
     def __init__(self, polytope: Polytope, generators: Iterable[int]):
@@ -142,14 +143,15 @@ class FaceLattice:
         id_of = dict(zip(order, ids))
         below, covers = [], []
         for f in order:
-            kids = under = 0
-            for k in map(id_of.__getitem__, children[f]):
-                kids |= 1 << k
+            kids = sorted(map(id_of.__getitem__, children[f]))
+            mask = under = 0
+            for k in kids:
+                mask |= 1 << k
                 under |= below[k]
-            below.append(kids | under)
-            covers.append(kids & ~under)
+            below.append(mask | under)
+            covers.append(tuple([k for k in kids if not under >> k & 1]))
         self.below: tuple[int, ...] = tuple(below)
-        self.covers: tuple[int, ...] = tuple(covers)
+        self.covers: tuple[tuple[int, ...], ...] = tuple(covers)
         with_vertex = [0] * len(polytope.vertices)
         for i, f in enumerate(order):
             for v in verts[f]:
@@ -159,10 +161,6 @@ class FaceLattice:
     @property
     def top(self) -> Face:
         return self.faces[-1]
-
-    def cover_ids(self, fid: int) -> tuple[int, ...]:
-        """Ids of the maximal proper subfaces of face ``fid``; (0,) for a vertex."""
-        return pick(self.covers[fid], range(len(self)))
 
     def facet_ids(self) -> tuple[int, ...]:
         return self.by_dim.get(self.dim - 1, ())
@@ -415,7 +413,7 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
             fail(f"the hyperplane of facet {sorted(facet)} also holds vertex {min(held - facet)}")
     in_facets = [0] * len(lattice)
     for fid in lattice.facet_ids():
-        for rid in lattice.cover_ids(fid):
+        for rid in lattice.covers[fid]:
             in_facets[rid] += 1
     for rid in lattice.by_dim.get(p.dim - 2, ()):
         if in_facets[rid] != 2:
@@ -432,10 +430,11 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
     ids = range(len(lattice))
     of_dim = {d: sum(1 << i for i in fids) for d, fids in lattice.by_dim.items()}
     for f in lattice.faces[1:-1]:
+        # the grading is strict, so a subface one dimension down is a cover, and one two down
+        # lies in a cover of f exactly when that cover covers it
         between = Counter()
-        for c in pick(lattice.below[f.id] & of_dim.get(f.dim - 1, 0), ids):
-            for g in pick(lattice.below[c] & of_dim.get(f.dim - 2, 0), ids):
-                between[g] += 1
+        for c in lattice.covers[f.id]:
+            between.update(lattice.covers[c])
         for g in pick(lattice.below[f.id] & of_dim.get(f.dim - 2, 0), ids):
             if between[g] != 2:
                 fail(

@@ -11,15 +11,16 @@ different chains are merged by vertex set.
 Simplices are ``int`` vertex masks (bit i for vertex i, 0 the empty simplex)
 from construction to the claim records, and complexes are sets of them. A
 chain grows by ``s | 1 << apex`` over the complexes of the face's covers (its
-maximal proper subfaces) that miss the apex, and each face's complex is its
-own chains united with the complexes of all its covers. On a face lattice
-every subface missing the apex lies in a cover missing it, since each face
-is the intersection of the facets containing it. Pointedness condition 2
-reads only the apexes and is checked first; conditions 1 and 3 on each
-face's complex as soon as it is built. Covers lie one dimension down, so a
-face's complex is dropped as the first face two dimensions up is built: only
-the polytope's own is kept. One set of facets, each simplex less one vertex,
-gives its maximal simplices and its closure under subsets.
+maximal proper subfaces, read by id from ``FaceLattice.covers``) that miss
+the apex, and each face's complex is its own chains united with the complexes
+of all its covers. On a face lattice every subface missing the apex lies in a
+cover missing it, since each face is the intersection of the facets
+containing it. Pointedness condition 2 reads only the apexes and is checked
+first; conditions 1 and 3 on each face's complex as soon as it is built.
+Covers lie one dimension down, so a face's complex is dropped as the first
+face two dimensions up is built: only the polytope's own is kept. One set of
+facets, each simplex less one vertex, gives its maximal simplices and its
+closure under subsets.
 """
 from __future__ import annotations
 
@@ -162,7 +163,8 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) ->
 
     Condition 2 is checked first, conditions 1 and 3 on each face's complex
     as it is built, and a violation raises, so every triangulation it returns
-    is pointed. Each dimension's first face drops the complexes two down.
+    is pointed. A face cones its covers' complexes that miss its apex and
+    unions them all, by cover id; a dimension's first face drops those two down.
     """
     _require(verify_pointed(lattice, apexes))
     complexes: list[Complex | None] = [frozenset((0,))]  # by face id, None once dropped
@@ -172,11 +174,12 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) ->
                 complexes[gid] = None
         v = apexes.apex[f.id]
         bit = 1 << v
-        covers = lattice.covers[f.id]
         chain = {bit}
-        for c in pick(covers & ~lattice.with_vertex[v], complexes):
-            chain.update(map(bit.__or__, c))
-        chain.update(*pick(covers, complexes))
+        for g in lattice.covers[f.id]:
+            c = complexes[g]
+            if v not in lattice.faces[g].vertices:
+                chain.update(map(bit.__or__, c))
+            chain.update(c)
         cf = frozenset(chain)
         _require(_verify_face(f, v, cf))
         complexes.append(cf)
@@ -275,16 +278,19 @@ def _verify_face(f: Face, v: int, cf: Complex) -> PointedCertificate:
     Condition 1 needs the maximality test only for a simplex s missing v
     whose extension s | {v} is not in the complex: when it is, s is not
     maximal. On a pointed triangulation every simplex missing v lies in a
-    maximal simplex holding v, so that lookup settles every simplex. Of the
-    violating simplices, the smallest by (size, sorted vertices) is reported."""
+    maximal simplex holding v, so one superset test, every s | {v} in the
+    complex, settles condition 1. Only when it fails are the simplices
+    scanned, to find the violating ones; of those, the smallest by (size,
+    sorted vertices) is reported."""
     bit = 1 << v
-    unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
-    missed = unsure and [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
-    if missed:
-        s = min(missed, key=_simplex_key)
-        return PointedCertificate(
-            False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
-        )
+    if not cf.issuperset(map(bit.__or__, cf)):
+        unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
+        missed = [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
+        if missed:
+            s = min(missed, key=_simplex_key)
+            return PointedCertificate(
+                False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
+            )
     for w in f.vertices - {v}:
         if (bit | 1 << w) not in cf:
             return PointedCertificate(

@@ -35,8 +35,9 @@ only the polytope's complex; ``frozen`` and ``vertex_set`` turn the
 package's masks into those vertex sets, and ``to_mask`` turns a vertex set
 back. ``maximal_simplices`` scans every simplex against every vertex of the
 complex; ``reference_condition_1`` runs it on the complex of every face in
-a per-face dict, the reference for the one-lookup check of pointedness
-condition 1. ``is_simplicial_complex`` tests closure under
+a per-face dict, the reference for the check of pointedness condition 1
+(one superset test, then a scan only to name the smallest violating
+simplex). ``is_simplicial_complex`` tests closure under
 subsets one vertex set at a time, the reference for the facet set that
 gives the maximal simplices.
 
@@ -71,8 +72,8 @@ identities behind the paper's sums.
 ``reference_face_lattice`` is the original lattice construction: pairwise
 intersection closure of ``frozenset`` vertex sets, one rank per face for its
 dimension, and a pairwise scan for subfaces and maximal proper subfaces. It
-is the reference for the closure on masks, the grading and the covers of
-``FaceLattice``, and it builds a lattice from any sets, face lattice or not.
+is the reference for the closure on masks, the grading and the covers (as
+ascending id tuples) of ``FaceLattice``, and it builds a lattice from any sets, face lattice or not.
 """
 from __future__ import annotations
 
@@ -559,22 +560,18 @@ class _ReferenceLattice(FaceLattice):
         for ids in subfaces:
             under = set().union(*(below[h] for h in ids))  # subfaces of subfaces
             covers.append(tuple(g for g in ids if g not in under))
-        self._covers = tuple(covers)
         self.below = tuple(sum(1 << g for g in ids) for ids in subfaces)
-        self.covers = tuple(sum(1 << g for g in ids) for ids in self._covers)
+        self.covers = tuple(covers)
         self.with_vertex = tuple(
             sum(1 << f.id for f in self.faces if v in f.vertices) for v in range(len(polytope.vertices))
         )
-
-    def cover_ids(self, fid: int) -> tuple[int, ...]:
-        return self._covers[fid]
 
 
 def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
     """The lattice of the intersection closure of ``face_sets``, the polytope
     and the empty face, with dimensions from ranks, and subfaces, covers
     (maximal proper subfaces) and the faces holding each vertex from pairwise
-    scans, the covers kept both as tuples and as face-id masks."""
+    scans, the covers kept as ascending id tuples."""
     return _ReferenceLattice(polytope, face_sets)
 
 

@@ -5,9 +5,9 @@ takes dimensions from the grading and subfaces from the children of each
 face. ``reference_face_lattice`` in ``oracles.py`` closes ``frozenset``s
 pairwise, ranks every face and scans every pair of faces. Both must give the
 same face ids, vertex sets, dimensions, subfaces and facets, and the covers
-must be the maximal proper subfaces. Subfaces and covers must agree both as
-face-id masks and as the id tuples read out of them, and so must the faces
-holding each vertex. This holds on every builtin of dimension at most 5, on
+must be the maximal proper subfaces. Subfaces and the faces holding each
+vertex must agree as face-id masks, and covers as ascending id tuples. This
+holds on every builtin of dimension at most 5, on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5, on a
 polytope given only by rational coordinates, and on the JSON round trip of
 each. A bipyramid over a point is rejected: its base point would lie between
@@ -48,8 +48,6 @@ def _assert_equal_lattices(lattice, ref):
     assert lattice.below == ref.below
     assert lattice.covers == ref.covers
     assert lattice.with_vertex == ref.with_vertex
-    for f in ref.faces:
-        assert lattice.cover_ids(f.id) == ref.cover_ids(f.id), sorted(f.vertices)
 
 
 @pytest.mark.parametrize("spec", SPECS)

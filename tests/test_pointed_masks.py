@@ -12,6 +12,9 @@ face-lattice test has a case.
 The per-face pointedness check must give the verdict of the maximal-simplex
 scan of condition 1 on corrupted per-face complexes from the oracle, and
 name the smallest violating simplex and the missing edge of condition 3.
+Both branches of condition 1 have cases: a complex missing a cone s | {v}
+over a non-maximal s fails the one superset test but passes the scan, and
+one missing a maximal simplex fails both, naming the scan's simplex.
 The package keeps simplices as vertex masks, and the oracles as vertex sets.
 """
 import json
@@ -167,7 +170,7 @@ def test_each_face_complex_is_the_restriction_of_the_polytope_complex(monkeypatc
     # which is the polytope's complex restricted to that face
     restricted = {lattice.top.id: tri.simplices}
     for g in reversed(lattice.faces[1:]):
-        for fid in lattice.cover_ids(g.id):
+        for fid in lattice.covers[g.id]:
             if fid and fid not in restricted:
                 face_mask = to_mask(lattice.faces[fid].vertices)
                 restricted[fid] = {s for s in restricted[g.id] if not s & ~face_mask}
@@ -253,6 +256,43 @@ def test_condition_1_names_the_smallest_violating_simplex(cube3):
     cert = triangulation._verify_face(top, tri.apex_vertex, bad[top.id])
     assert (cert.ok, cert.condition) == (False, 1)
     assert cert.detail == "maximal simplex [1, 3, 7] of face [0, 1, 2, 3, 4, 5, 6, 7] misses apex 0"
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
+def test_a_missing_cone_over_a_non_maximal_simplex_passes_condition_1(family, spec):
+    # dropping t = s | {v} below a maximal simplex M fails the one superset
+    # test, but s | {w} for w in M - t is kept, so s is no maximal simplex:
+    # the complex is pointed, or only the edge [v, w] is missing
+    tri = family[spec].tri
+    top, v = tri.lattice.top, tri.apex_vertex
+    bit = 1 << v
+    cones = [t for t in tri.simplices if t & bit and t != bit and t not in tri.maximal]
+    assert cones
+    for t in cones:
+        cf = tri.simplices - {t}
+        assert not cf.issuperset(map(bit.__or__, cf))
+        cert = triangulation._verify_face(top, v, cf)
+        if t.bit_count() > 2:
+            assert cert.ok, (spec, vertex_set(t), cert.detail)
+        else:
+            w = (t ^ bit).bit_length() - 1
+            assert (cert.ok, cert.condition) == (False, 3), (spec, vertex_set(t))
+            assert cert.detail == f"edge [{v}, {w}] missing from triangulation of face {sorted(top.vertices)}"
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
+def test_dropping_a_maximal_simplex_names_the_scan_s_smallest_violator(family, spec):
+    # its facet opposite the apex lies in no other maximal simplex, so it
+    # becomes maximal and misses the apex
+    tri = family[spec].tri
+    top, v = tri.lattice.top, tri.apex_vertex
+    per_face = _mask_complexes(tri.lattice, tri.apexes)
+    for m in tri.maximal:
+        bad = {**per_face, top.id: tri.simplices - {m}}
+        fid, missed = reference_condition_1(tri.lattice, tri.apexes.apex, {i: frozen(c) for i, c in bad.items()})
+        cert = triangulation._verify_face(top, v, bad[top.id])
+        assert fid == top.id and (cert.ok, cert.condition) == (False, 1)
+        assert cert.detail == f"maximal simplex {sorted(missed[0])} of face {sorted(top.vertices)} misses apex {v}"
 
 
 def test_condition_3_names_the_missing_edge(square):
