@@ -340,13 +340,13 @@ def build_face_lattice(
 
     When ``face_sets`` is given (maximal faces per dimension, or the full
     list), hyperplane enumeration is skipped and the given sets generate the
-    lattice. Each must list vertex indices, and their closure must pass
-    ``_check_face_lattice``; otherwise a GeometryError names the bad face or
-    vertex. Without ``face_sets``, the enumerated facets generate the lattice,
-    and every vertex is checked to be extremal: the facets holding it meet in
-    it alone. A point that is no vertex lies in the relative interior of a
-    face with at least two vertices, and every facet through it holds that
-    whole face.
+    lattice. Each must list distinct vertex indices, and their closure must
+    pass ``_check_face_lattice``; otherwise a GeometryError names the bad face
+    or vertex. Without ``face_sets``, the enumerated facets generate the
+    lattice, and every vertex is checked to be extremal: the facets holding it
+    meet in it alone. A point that is no vertex lies in the relative interior
+    of a face with at least two vertices, and every facet through it holds
+    that whole face.
     """
     if face_sets is not None:
         generators = [_face_mask(p, face) for face in face_sets]
@@ -449,7 +449,13 @@ def _face_mask(p: Polytope, face) -> int:
         type(i) is int and 0 <= i < n for i in face
     ):
         raise GeometryError(f"face {face!r} of {p.name!r} must list vertex indices in [0, {n - 1}]")
-    return _mask(set(face))
+    mask = _mask(set(face))
+    if mask.bit_count() < len(face):
+        again = next(i for i in face if face.count(i) > 1)
+        raise GeometryError(
+            f"faces of {p.name!r} are not a face lattice: face {face!r} lists vertex {again} more than once"
+        )
+    return mask
 
 
 def polytope_from_vertices(name, coords, face_sets=None) -> FaceLattice:

@@ -3,13 +3,15 @@
 The recursive method is the definition: the sequence of a face is built from
 the interior sequences of its proper faces, by double induction on dimension
 and index. It runs on generating functions: every face's sequence is a
-numerator of d + 3 integers over the common denominator (1 - x)^(d+1), each
-division by 1 - x is checked to leave no remainder, and only the polytope's
-own numerator is expanded into terms. The simplex-sum method evaluates the
-triangulation's face counts against shifted simplex interior numbers. The
-decomposition methods are one closed form, a vector's entries as the
-coefficients of shifted simplex numbers: on h it gives the sequence, and on k
-or on h reversed the interior sequence (the paper's reversal). The closed
+numerator of d + 3 integers over the common denominator (1 - x)^(d+1),
+computed once for all faces with the same count tuple (how many of their
+proper faces, and of those missing their apex, have each interior numerator),
+each division by 1 - x is checked to leave no remainder, and only the
+polytope's own numerator is expanded into terms. The simplex-sum method
+evaluates the triangulation's face counts against shifted simplex interior
+numbers. The decomposition methods are one closed form, a vector's entries as
+the coefficients of shifted simplex numbers: on h it gives the sequence, and
+on k or on h reversed the interior sequence (the paper's reversal). The closed
 form and the simplex sums read whole simplex-number columns, each built once
 per call from one ``comb`` over a range, and add them up scaled by their
 coefficients; they take no running sums, so they stay independent of the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import comb
 
-from .lattice import FaceLattice, pick
+from .lattice import FaceLattice
 from .triangulation import ApexAssignment, ComplexSplit, PointedTriangulation
 from .partitions import e_vector, f_vector
 
@@ -72,42 +74,61 @@ def face_number_sequences(
     G(n)# over faces G of F missing F's apex; the interior values start 0, 0
     and continue with F(n) minus the interior values of all proper faces.
 
-    One AND of face-id masks splits F's proper subfaces into those missing the
-    apex and those holding it; the step is the sum of the first part's
-    interior numerators, the total the sum of both. Every sequence is 0 at
-    n = 0, so every numerator starts with 0, and a numerator's term at n = 1
-    is its coefficient of x. With s_1 the step's term at n = 1, F's numerator
-    is [x (1-x)^D + step - s_1 x (1-x)^D] / (1 - x), divided by running sums.
-    The remainder is the step numerator at x = 1, which is 0 because no
-    proper face has pole order D; a face where it is not raises
-    ``RuntimeError``. The interior numerator is F's minus the total minus
-    c_1 x (1-x)^D, c_1 being the difference's term at n = 1, which the
-    definition sets to 0. ``expand`` gives the terms.
+    The faces done so far fall into *classes*, one per distinct interior
+    numerator, each kept as that numerator and the mask of its face ids.
+    With ``sub`` F's proper subfaces and ``far`` those missing the apex, the
+    step sums the interior numerators over ``far`` and the total over
+    ``sub``: class numerators weighted by ``(far & mask).bit_count()`` and
+    ``(sub & mask).bit_count()``. Faces with the same *count tuple* (the far
+    counts, then the sub counts) get the same numerators, so each distinct
+    tuple is computed and checked once. This is exact: both sums depend only
+    on the multiset of subface numerators, subfaces come first in face
+    order, and a class numerator never changes. A face costs O(#classes)
+    mask ANDs.
+
+    Every sequence is 0 at n = 0, so every numerator starts with 0, and a
+    numerator's term at n = 1 is its coefficient of x. With s_1 the step's
+    term at n = 1, F's numerator is [x (1-x)^D + step - s_1 x (1-x)^D] /
+    (1 - x), divided by running sums. The remainder is the step numerator at
+    x = 1, which is 0 because no proper face has pole order D; a face where
+    it is not raises ``RuntimeError``. The interior numerator is F's minus
+    the total minus c_1 x (1-x)^D, c_1 being the difference's term at n = 1,
+    which the definition sets to 0. ``expand`` gives the terms.
     """
     order = lattice.dim + 1
     xw = [0, 1] + [0] * order  # x (1 - x)^D, in D + 2 coefficients
     for _ in range(order):
         xw = [0, *map(operator.sub, xw[1:], xw)]  # times 1 - x
     vertex = tuple(accumulate(xw))  # x / (1 - x), the constant-1 sequence
-    rows: list[tuple[int, ...] | None] = [None]  # interior numerator of each face, in face order
-    ext: dict[int, tuple[int, ...]] = {}
-    for f in lattice.faces[1:]:
-        if f.dim == 0:
-            ext[f.id] = vertex
-            rows.append(vertex)
-            continue
+    vertices = lattice.by_dim.get(0, ())  # ids 1..n: faces sort by dimension
+    ext = dict.fromkeys(vertices, vertex)
+    intr = dict(ext)
+    classes = {vertex: 0}  # interior numerator -> its position in ``masks``
+    masks = [(1 << len(vertices) + 1) - 2]  # the face ids of each class
+    done = {}  # count tuple -> (numerator, interior numerator, class)
+    for f in lattice.faces[1 + len(vertices):]:
         sub = lattice.below[f.id] & ~1
-        near = sub & lattice.with_vertex[apexes.apex[f.id]]
-        step = list(map(sum, zip(*pick(sub ^ near, rows))))
-        total = map(operator.add, step, map(sum, zip(*pick(near, rows))))
-        lift = 1 - step[1]
-        e = tuple(accumulate(a + lift * b for a, b in zip(step, xw)))
-        if e[-1]:  # the remainder of the division by 1 - x
-            raise RuntimeError(f"face {f.id}: the step numerator is not divisible by 1 - x")
-        ext[f.id] = e
-        diff = list(map(operator.sub, e, total))
-        rows.append(tuple(a - diff[1] * b for a, b in zip(diff, xw)))
-    return ext, dict(zip(ext, rows[1:]))
+        far = sub & ~lattice.with_vertex[apexes.apex[f.id]]
+        counts = (*[(far & m).bit_count() for m in masks], *[(sub & m).bit_count() for m in masks])
+        got = done.get(counts)
+        if got is None:
+            in_far, in_sub = counts[: len(masks)], counts[len(masks) :]
+            columns = list(zip(*classes))
+            step = [sum(map(operator.mul, in_far, c)) for c in columns]
+            total = [sum(map(operator.mul, in_sub, c)) for c in columns]
+            lift = 1 - step[1]
+            e = tuple(accumulate(a + lift * b for a, b in zip(step, xw)))
+            if e[-1]:  # the remainder of the division by 1 - x
+                raise RuntimeError(f"face {f.id}: the step numerator is not divisible by 1 - x")
+            diff = list(map(operator.sub, e, total))
+            row = tuple(a - diff[1] * b for a, b in zip(diff, xw))
+            if row not in classes:
+                classes[row] = len(masks)
+                masks.append(0)
+            got = done[counts] = e, row, classes[row]
+        ext[f.id], intr[f.id], c = got
+        masks[c] |= 1 << f.id
+    return ext, intr
 
 
 def expand(numerator: tuple[int, ...], order: int, n_max: int) -> tuple[int, ...]:

@@ -12,6 +12,16 @@ from two generic points.
 
 The paper's theorem holds for every pointed triangulation, so every claim
 must also pass when the apexes come from any other ranking of the vertices.
+
+What settles h. The top apex, the first vertex of the order, is a vertex of
+every maximal simplex, and the triangulation is the cone from it over the
+triangulations of the facets that miss it. Where those facets are simplices,
+as on every simplicial input, the top apex alone settles h. Where they are
+not, their own triangulations follow the rest of the order, and so may h:
+on the prism over ``sphere2_6.json`` (d = 4, 12 vertices) the facets missing
+vertex 0 are three prisms over triangles and the far copy of the base, and
+the orders 0, 1, ..., 11 and the same with 1 and 7 swapped give
+h = (1, 7, 4, 0, 0, 0) and (1, 7, 5, 0, 0, 0). Every claim holds on both.
 """
 from fractions import Fraction
 from unittest import mock
@@ -79,11 +89,13 @@ def _check_every_claim(points):
     assert len(records) == 4 + 4 * 2 + 4 + 2
 
 
-@pytest.mark.parametrize("spec", ["cube:3", "pyramid:square", "sphere2_6.json", "seed_tie7.json"])
+@pytest.mark.parametrize(
+    "spec", ["cube:3", "pyramid:square", "sphere2_6.json", "seed_tie7.json", "prism_sphere2_6.json"]
+)
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_every_claim_holds_under_any_vertex_order(spec, data):
-    # 5 drawn orders on each of 4 polytopes: 20 examples in all
+    # 5 drawn orders on each of 5 polytopes: 25 examples in all
     lattice = _lattice(spec)
     order = tuple(data.draw(st.permutations(range(len(lattice.polytope.vertices)))))
     with mock.patch("figurate.pipeline.vertex_order", lambda polytope: order):
@@ -92,3 +104,22 @@ def test_every_claim_holds_under_any_vertex_order(spec, data):
     assert not failed, failed[:1]
     assert records[0]["witness"]["apex_vertex"] == order[0]
     event(f"h = {next(r['witness']['h'] for r in records if r['claim'] == 'h-top-vanishes')}")
+
+
+@pytest.mark.parametrize(
+    "order, h",
+    [
+        (tuple(range(12)), [1, 7, 4, 0, 0, 0]),
+        ((0, 7, 2, 3, 4, 5, 6, 1, 8, 9, 10, 11), [1, 7, 5, 0, 0, 0]),
+    ],
+)
+def test_one_top_apex_gives_two_h_vectors_on_the_prism(order, h):
+    # the top apex 0 misses facets that are no simplices, so the rest of the
+    # order moves h; h_1 = 12 - 5 is fixed, since every vertex is used
+    lattice = _lattice("prism_sphere2_6.json")
+    with mock.patch("figurate.pipeline.vertex_order", lambda polytope: order):
+        records = run_pipeline(lattice, n_max=6, points=2)
+    failed = [r for r in records if not r["pass"]]
+    assert not failed, failed[:1]
+    assert records[0]["witness"]["apex_vertex"] == 0
+    assert next(r["witness"]["h"] for r in records if r["claim"] == "h-top-vanishes") == h

@@ -239,13 +239,14 @@ def _square_with_faces(tmp_path, name, faces):
 
 
 def test_wrong_faces_square_exit_codes(tmp_path, capsys):
-    # the diagonals as faces, a triangle as a face, and a crossed
-    # quadrilateral whose diagonal supports nothing: rejected at load,
-    # naming the face
+    # the diagonals as faces, a triangle as a face, a crossed quadrilateral
+    # whose diagonal supports nothing, and an edge that lists a vertex
+    # twice: rejected at load, naming the face
     wrong = {
         "sqdiag": ([[0, 3], [1, 2]], "face [0, 3] has dimension 1, but the faces inside it grade it as 0"),
         "sqtri": ([[0, 1, 3]], "face [0, 1, 3] has dimension 2, but the faces inside it grade it as 0"),
         "sqbowtie": ([[0, 3], [1, 3], [1, 2], [0, 2]], "facet [0, 3] has vertices on both sides of its hyperplane"),
+        "sqtwice": ([[0, 1], [0, 2], [1, 3, 1], [2, 3]], "face [1, 3, 1] lists vertex 1 more than once"),
     }
     for name, (faces, detail) in wrong.items():
         path = _square_with_faces(tmp_path, name, faces)

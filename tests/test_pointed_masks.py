@@ -8,7 +8,7 @@ prism:cube:5. On the same inputs each face's complex, as the construction
 checks it and as the oracle builds it, is the polytope's complex restricted
 to the face. Wrong ``faces`` are rejected when the lattice is built, with a
 message that names the face or vertex: each check of the load-time
-face-lattice test has a case.
+face-lattice test has a case, and so does a face that lists a vertex twice.
 The per-face pointedness check must give the verdict of the maximal-simplex
 scan of condition 1 on corrupted per-face complexes from the oracle, and
 name the smallest violating simplex and the missing edge of condition 3.
@@ -57,7 +57,15 @@ def _facets_of(spec):
 _CUBE3, _CUBE3_FACETS = _facets_of("cube:3")
 _CUBE4, _CUBE4_FACETS = _facets_of("cube:4")
 _OCTAHEDRON, _OCTAHEDRON_FACETS = _facets_of("cross:3")
+_TRIANGLE = tuple(point(v) for v in [(0, 0), (1, 0), (0, 1)])
 WRONG_FACES = {
+    # a valid triangle plus a face that lists vertex 0 twice: read as the
+    # face [0], it would pass every check below
+    "tri00": (
+        _TRIANGLE,
+        [[0, 1], [1, 2], [0, 2], [0, 1, 2], [0, 0]],
+        "face [0, 0] lists vertex 0 more than once",
+    ),
     # the diagonals as faces: each grades as a vertex, but spans a line
     "sqdiag": (
         _SQUARE,
