@@ -25,7 +25,6 @@ from .lattice import (
     polytope_to_json,
 )
 from .triangulation import (
-    ApexAssignment,
     ComplexSplit,
     GenericityError,
     PointedTriangulation,

@@ -22,7 +22,7 @@ from .lattice import (
     polytope_to_json,
 )
 from .pipeline import Analysis, all_passed, run_pipeline, summary_record, vector_claims
-from .sequences import polytope_number_recursive, polytope_number_simplex_sum
+from .sequences import polytope_number_from_h, polytope_number_recursive, polytope_number_simplex_sum
 
 N_MAX_GUARD = 10000
 
@@ -114,9 +114,9 @@ def _cmd_sequence(args) -> int:
     elif args.method == "simplex-sum":
         values = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior, split=a.split).values
     elif args.method == "k":
-        values = a.closed_form(a.k)
+        values = polytope_number_from_h(a.k, args.n)
     else:
-        values = a.closed_form(a.h[::-1] if args.interior else a.h)
+        values = polytope_number_from_h(a.h[::-1] if args.interior else a.h, args.n)
     data = {"polytope": a.name, "method": args.method, "interior": args.interior,
             "h": list(a.h), "k": list(a.k), "values": list(values)}
     _dump(json.dumps(data, separators=(",", ":")), args.out)

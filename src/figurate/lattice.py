@@ -225,9 +225,9 @@ def _wrap(hv: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
 
     From a first facet, each facet's ridges are pivoted over once (ridges
     already crossed are skipped by mask) to the facet on their other side.
+    On a line the lowest point's one ridge is empty, and its pivot finds the
+    highest point.
     """
-    if len(hv[0]) == 2:
-        return dict(_ends(hv))
     mask, plane = _first_facet(hv)
     facets = {mask: plane}
     todo = [mask]
@@ -247,23 +247,6 @@ def _wrap(hv: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
                 facets[g] = pg
                 todo.append(g)
     return facets
-
-
-def _ends(hv: list[tuple[int, int]]) -> list[tuple[int, tuple[int, int]]]:
-    """The facets of points on a line, its lowest and highest points."""
-    lo = min(hv, key=_on_line)
-    hi = max(hv, key=_on_line)
-    return [_touching(hv, (-lo[1], lo[0])), _touching(hv, (hi[1], -hi[0]))]
-
-
-def _on_line(q: tuple[int, int]) -> Fraction:
-    return Fraction(q[1], q[0])
-
-
-def _touching(hv: list[tuple[int, ...]], plane: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(mask of the points on a plane, the plane made primitive)."""
-    g = gcd(*plane)
-    return _mask(i for i, q in enumerate(hv) if not _dot(plane, q)), tuple(x // g for x in plane)
 
 
 def _plane_off(hv, ridge: int, out, toward) -> tuple[int, ...] | None:
@@ -319,9 +302,13 @@ def _first_facet(hv: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
     A facet of the projection that drops the last coordinate, lifted with a
     0 coefficient, supports the points in a facet or in a ridge. A ridge is
     pivoted over once more, turning away from p + e_m for a point p on it.
+    Points on a line have their lowest one as a facet.
     """
     if len(hv[0]) == 2:
-        return _ends(hv)[0]
+        lo = min(hv, key=lambda q: Fraction(q[1], q[0]))
+        g = gcd(*lo)
+        plane = (-lo[1] // g, lo[0] // g)
+        return _mask(i for i, q in enumerate(hv) if not _dot(plane, q)), plane
     t, plane = _first_facet([q[:-1] for q in hv])
     plane += (0,)
     a = [_dot(plane, q) for q in hv]

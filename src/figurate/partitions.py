@@ -51,7 +51,6 @@ class GenericPoint:
 
     x: Point
     certificate: tuple[tuple[int, ...], ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,10 @@ class PartitionCertificate:
 
 @dataclass(frozen=True)
 class Partition:
-    """Intervals that cover their target exactly once, and the certificate
-    of that; only ``visibility_partitions`` builds one, after it verifies."""
+    """Intervals that cover their target exactly once; only
+    ``visibility_partitions`` builds one, after it verifies."""
 
     intervals: tuple[Interval, ...]
-    certificate: PartitionCertificate
 
 
 def generic_point(
@@ -112,7 +110,7 @@ def generic_point(
             for j in range(len(corners[0]))
         )
         if x not in avoid and off_every_hull(x):
-            return GenericPoint(x, planes, seed)
+            return GenericPoint(x, planes)
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
     raise RuntimeError("could not find a generic point")
@@ -150,7 +148,7 @@ def _verified(kind: str, intervals: list[Interval], target: Complex) -> Partitio
     cert = verify_partition(intervals, target)
     if not cert.ok:
         raise RuntimeError(f"{kind} intervals failed to partition their target: {cert}")
-    return Partition(tuple(intervals), cert)
+    return Partition(tuple(intervals))
 
 
 def verify_partition(intervals: Iterable[Interval], target: Complex) -> PartitionCertificate:
@@ -201,12 +199,13 @@ def e_vector(interior: Complex, dim: int) -> tuple[int, ...]:
     return f_vector(interior, dim)[1:]
 
 
-def h_from_f(f: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """Binomial transform of the f-vector; h_k for k in 0..dim+1.
+def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
+    """Binomial transform of the f-vector (f_{-1}, ..., f_dim); h_k for k in 0..dim+1.
 
     h_k = sum_{i=0..k} (-1)^(k-i) C(dim+1-i, k-i) f_{i-1}, the convention
     inverse to f_i = sum_j h_j C(dim+1-j, i+1-j).
     """
+    dim = len(f) - 2
     return tuple(
         sum((-1) ** (k - i) * comb(dim + 1 - i, k - i) * f[i] for i in range(k + 1))
         for k in range(dim + 2)
@@ -227,8 +226,10 @@ def euler_characteristic(f: tuple[int, ...]) -> int:
     return sum((-1) ** j * fj for j, fj in enumerate(f[1:]))
 
 
-def interior_counts_from_k(k: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """e_i = sum_{j<=i+1} k_j C(dim+1-j, i+1-j): interval sizes sorted by dimension."""
+def interior_counts_from_k(k: tuple[int, ...]) -> tuple[int, ...]:
+    """e_i = sum_{j<=i+1} k_j C(dim+1-j, i+1-j), dim = len(k) - 2: interval
+    sizes sorted by dimension."""
+    dim = len(k) - 2
     return tuple(
         sum(k[j] * comb(dim + 1 - j, i + 1 - j) for j in range(i + 2))
         for i in range(dim + 1)

@@ -9,7 +9,7 @@ configuration. A failed claim always carries its first counterexample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 from .lattice import FaceLattice
@@ -32,7 +32,7 @@ from .sequences import (
     polytope_number_simplex_sum,
 )
 from .triangulation import (
-    ApexAssignment,
+    Apexes,
     ComplexSplit,
     PointedTriangulation,
     assign_apexes,
@@ -54,9 +54,11 @@ class Analysis:
     exterior and interior partitions of each point, from one visibility
     sweep -> f/h/e/k vectors -> the sequences of every face as numerators
     over (1 - x)^(d+1); the claims expand the polytope's own to ``n_max``.
+    Every option after ``lattice`` is keyword-only.
     """
 
     lattice: FaceLattice
+    _: KW_ONLY
     seed: int = 0
     points: int = 1
     n_max: int = 15
@@ -76,7 +78,7 @@ class Analysis:
         return self.lattice.dim
 
     @cached_property
-    def apexes(self) -> ApexAssignment:
+    def apexes(self) -> Apexes:
         return assign_apexes(self.lattice, vertex_order(self.lattice.polytope))
 
     @cached_property
@@ -105,7 +107,7 @@ class Analysis:
 
     @cached_property
     def h(self) -> tuple[int, ...]:
-        return h_from_f(self.f, self.dim)
+        return h_from_f(self.f)
 
     @cached_property
     def e(self) -> tuple[int, ...]:
@@ -133,11 +135,6 @@ class Analysis:
     @cached_property
     def face_sequences(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
         return face_number_sequences(self.lattice, self.apexes)
-
-    def closed_form(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Terms 0..n_max of ``polytope_number_from_h`` on the vector v: the
-        sequence from h, the interior sequence from k or from h reversed."""
-        return polytope_number_from_h(v, self.dim, self.n_max)
 
     @property
     def params(self) -> dict:
@@ -248,7 +245,7 @@ def _h_top_vanishes(a: Analysis) -> dict:
 
 
 def _link_h(a: Analysis) -> dict:
-    hlink = h_from_f(a.link_f, a.dim - 1)
+    hlink = h_from_f(a.link_f)
     return _record(
         "link-h-equality", a, a.params, all(a.h[i] == hlink[i] for i in range(a.dim)),
         witness={"h_link": list(hlink)},
@@ -257,7 +254,7 @@ def _link_h(a: Analysis) -> dict:
 
 
 def _e_from_k(a: Analysis) -> dict:
-    from_k = interior_counts_from_k(a.k, a.dim)
+    from_k = interior_counts_from_k(a.k)
     return _record(
         "e-vector-from-k", a, a.params, a.e == from_k,
         witness={"e": list(a.e)},
@@ -269,7 +266,7 @@ def _sequence_three_way(a: Analysis) -> dict:
     n_max, d, h = a.n_max, a.dim, a.h
     rec = expand(a.face_sequences[0][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, split=a.split).values
-    from_h = a.closed_form(h)
+    from_h = polytope_number_from_h(h, n_max)
     mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
     return _record(
         "sequence-three-way", a, a.params, mism is None,
@@ -284,8 +281,8 @@ def _interior_four_way(a: Analysis) -> dict:
     n_max, d, h, k = a.n_max, a.dim, a.h, a.k
     rec = expand(a.face_sequences[1][a.lattice.top.id], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True, split=a.split).values
-    from_k = a.closed_form(k)
-    from_hr = a.closed_form(h[::-1])
+    from_k = polytope_number_from_h(k, n_max)
+    from_hr = polytope_number_from_h(h[::-1], n_max)
     mism = next(
         (n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_k[n] == from_hr[n]), None
     )
@@ -308,9 +305,9 @@ def vector_claims(a: Analysis) -> list[dict]:
     return [_h_matches_f(a, 0), _k_reverses_h(a, 0), _e_from_k(a)]
 
 
-def run_pipeline(lattice: FaceLattice, seed: int = 0, n_max: int = 15, points: int = 3) -> list[dict]:
+def run_pipeline(lattice: FaceLattice, *, seed: int = 0, n_max: int = 15, points: int = 3) -> list[dict]:
     """Run every verification claim for one polytope; returns claim records."""
-    a = Analysis(lattice, seed, points, n_max)
+    a = Analysis(lattice, seed=seed, points=points, n_max=n_max)
     records = [_pointed(a), _pure_complex(a), _pseudomanifold(a), _euler(a)]
     for i in range(points):
         records += _covers(a, i) + [_h_matches_f(a, i), _k_reverses_h(a, i)]

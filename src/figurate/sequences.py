@@ -34,7 +34,7 @@ from itertools import accumulate, repeat
 from math import comb
 
 from .lattice import FaceLattice
-from .triangulation import ApexAssignment, ComplexSplit, PointedTriangulation
+from .triangulation import Apexes, ComplexSplit, PointedTriangulation
 from .partitions import e_vector, f_vector
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _simplex_column(d: int, shift: int, n_max: int) -> list[int]:
 # Recursive method (the definition).
 
 def face_number_sequences(
-    lattice: FaceLattice, apexes: ApexAssignment
+    lattice: FaceLattice, apexes: Apexes
 ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """Sequences and interior sequences of every nonempty face, bottom-up, as
     numerators over the common denominator (1 - x)^D, D = d + 1.
@@ -108,7 +108,7 @@ def face_number_sequences(
     done = {}  # count tuple -> (numerator, interior numerator, class)
     for f in lattice.faces[1 + len(vertices):]:
         sub = lattice.below[f.id] & ~1
-        far = sub & ~lattice.with_vertex[apexes.apex[f.id]]
+        far = sub & ~lattice.with_vertex[apexes[f.id]]
         counts = (*[(far & m).bit_count() for m in masks], *[(sub & m).bit_count() for m in masks])
         got = done.get(counts)
         if got is None:
@@ -143,7 +143,7 @@ def expand(numerator: tuple[int, ...], order: int, n_max: int) -> tuple[int, ...
 
 
 def polytope_number_recursive(
-    lattice: FaceLattice, apexes: ApexAssignment, n_max: int, interior: bool = False
+    lattice: FaceLattice, apexes: Apexes, n_max: int, interior: bool = False
 ) -> SequenceResult:
     ext, intr = face_number_sequences(lattice, apexes)
     top = (intr if interior else ext)[lattice.top.id]
@@ -182,11 +182,11 @@ def polytope_number_simplex_sum(
 # ---------------------------------------------------------------------------
 # Decomposition methods.
 
-def polytope_number_from_h(v: tuple[int, ...], d: int, n_max: int) -> tuple[int, ...]:
-    """Terms 0..n_max of the sum of v_j alpha^d(n - j): the sequence from h,
-    and the interior sequence from k or from h reversed. One alpha^d column,
-    shifted by j for v_j."""
-    alpha = _simplex_column(d, 0, n_max)
+def polytope_number_from_h(v: tuple[int, ...], n_max: int) -> tuple[int, ...]:
+    """Terms 0..n_max of the sum of v_j alpha^d(n - j), d = len(v) - 2: the
+    sequence from h, and the interior sequence from k or from h reversed.
+    One alpha^d column, shifted by j for v_j."""
+    alpha = _simplex_column(len(v) - 2, 0, n_max)
     values = [0] * (n_max + 1)
     for j, vj in enumerate(v[: n_max + 1]):
         values[j:] = map(operator.add, values[j:], map(operator.mul, alpha, repeat(vj)))

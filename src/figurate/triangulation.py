@@ -16,7 +16,8 @@ the apex, and each face's complex is its own chains united with the complexes
 of all its covers. On a face lattice every subface missing the apex lies in a
 cover missing it, since each face is the intersection of the facets
 containing it. Pointedness condition 2 reads only the apexes and is checked
-first; conditions 1 and 3 on each face's complex as soon as it is built.
+first; conditions 1 and 3 on each face's complex as soon as it is built. Each
+check raises ``GenericityError`` where it finds a violation.
 Covers lie one dimension down, so a face's complex is dropped as the first
 face two dimensions up is built: only the polytope's own is kept. One set of
 facets, each simplex less one vertex, gives its maximal simplices and its
@@ -40,6 +41,7 @@ from .lattice import Face, FaceLattice, pick
 
 Simplex = int
 Complex = frozenset[Simplex]
+Apexes = tuple[int | None, ...]  # the apex of each face by face id, None for the empty face
 
 
 class GenericityError(RuntimeError):
@@ -48,14 +50,6 @@ class GenericityError(RuntimeError):
     Every raiser is one of the program's own searches or checks, so this is a
     failed stage, never an input error.
     """
-
-
-@dataclass(frozen=True)
-class ApexAssignment:
-    """Apex vertex per nonempty face id: the face's first vertex in ``order``."""
-
-    order: tuple[int, ...]
-    apex: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class PointedTriangulation:
     it is closed under subsets, read off the facet set that gives ``maximal``."""
 
     lattice: FaceLattice
-    apexes: ApexAssignment
+    apexes: Apexes
     simplices: Complex
     maximal: tuple[Simplex, ...]
     closed: bool
@@ -98,23 +92,13 @@ class PointedTriangulation:
     @property
     def apex_vertex(self) -> int:
         """Apex of the polytope itself (the first vertex of the ranking)."""
-        return self.apexes.apex[self.lattice.top.id]
+        return self.apexes[self.lattice.top.id]
 
 
 @dataclass(frozen=True)
 class ComplexSplit:
     boundary: Complex
     interior: Complex
-
-
-@dataclass(frozen=True)
-class PointedCertificate:
-    ok: bool
-    condition: int | None = None
-    detail: str = ""
-
-
-_POINTED = PointedCertificate(True)  # shared by the faces that pass: a frozen dataclass is slow to build
 
 
 def vertex_order(polytope) -> tuple[int, ...]:
@@ -139,8 +123,9 @@ def vertex_order(polytope) -> tuple[int, ...]:
     return tuple(sorted(range(len(verts)), key=key))
 
 
-def assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
-    """Apex of every nonempty face: its first vertex in ``order``.
+def assign_apexes(lattice: FaceLattice, order) -> Apexes:
+    """Apex of every face by face id: its first vertex in ``order``, None for
+    the empty face.
 
     Going down the ranking, each vertex is the apex of the faces holding it
     that no earlier vertex took: one AND of face-id masks per vertex. Raises
@@ -148,31 +133,31 @@ def assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
     """
     if sorted(order) != list(range(len(lattice.polytope.vertices))):
         raise ValueError(f"apex order {list(order)} is no permutation of the polytope's vertex indices")
-    apex: dict[int, int] = dict.fromkeys(range(1, len(lattice)))  # keys in face order
+    apex: list[int | None] = [None] * len(lattice)
     left = (1 << len(lattice)) - 2  # the nonempty faces without an apex yet
     for v in order:
         mine = lattice.with_vertex[v] & left
         left ^= mine
         for fid in pick(mine, range(len(lattice))):
             apex[fid] = v
-    return ApexAssignment(tuple(order), apex)
+    return tuple(apex)
 
 
-def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
-    """Construct the pointed triangulation determined by an apex assignment.
+def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> PointedTriangulation:
+    """Construct the pointed triangulation determined by the apexes.
 
     Condition 2 is checked first, conditions 1 and 3 on each face's complex
     as it is built, and a violation raises, so every triangulation it returns
     is pointed. A face cones its covers' complexes that miss its apex and
     unions them all, by cover id; a dimension's first face drops those two down.
     """
-    _require(verify_pointed(lattice, apexes))
+    verify_pointed(lattice, apexes)
     complexes: list[Complex | None] = [frozenset((0,))]  # by face id, None once dropped
     for f in lattice.faces[1:]:
         if f.dim > lattice.faces[f.id - 1].dim:  # no face left to build covers those two down
             for gid in lattice.by_dim.get(f.dim - 2, ()):
                 complexes[gid] = None
-        v = apexes.apex[f.id]
+        v = apexes[f.id]
         bit = 1 << v
         chain = {bit}
         for g in lattice.covers[f.id]:
@@ -181,15 +166,10 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: ApexAssignment) ->
                 chain.update(map(bit.__or__, c))
             chain.update(c)
         cf = frozenset(chain)
-        _require(_verify_face(f, v, cf))
+        _verify_face(f, v, cf)
         complexes.append(cf)
     maximal, closed = _maximal_and_closed(complexes[-1])
     return PointedTriangulation(lattice, apexes, complexes[-1], maximal, closed)
-
-
-def _require(cert: PointedCertificate) -> None:
-    if not cert.ok:
-        raise GenericityError(f"construction violated pointedness condition {cert.condition}: {cert.detail}")
 
 
 def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
@@ -238,10 +218,11 @@ def _simplex_key(s: Simplex):
     return (s.bit_count(), vertex_list(s))
 
 
-def verify_pointed(lattice: FaceLattice, apexes: ApexAssignment) -> PointedCertificate:
+def verify_pointed(lattice: FaceLattice, apexes: Apexes) -> None:
     """Check pointedness condition 2, which reads only the apexes: if the
     apexes of two faces both lie in the intersection of those faces, they
-    coincide. Conditions 1 and 3 are checked per face as it is built.
+    coincide. A violation raises ``GenericityError``. Conditions 1 and 3 are
+    checked per face as it is built.
 
     It is checked only on nested pairs: each proper subface G of F that
     contains apex(F) must have apex(G) = apex(F). Per face that is one AND
@@ -253,24 +234,23 @@ def verify_pointed(lattice: FaceLattice, apexes: ApexAssignment) -> PointedCerti
     is a face (the lattice is closed under intersection) and apex(H) differs
     from some v_i; so H is a proper subface of f_i containing apex(f_i) with
     another apex."""
-    apex = apexes.apex
     apexed = [0] * len(lattice.polytope.vertices)  # face-id mask of the faces apexed at each vertex
-    for fid, v in apex.items():
+    for fid, v in enumerate(apexes[1:], 1):
         apexed[v] |= 1 << fid
     for f in lattice.faces[1:]:
-        v = apex[f.id]
+        v = apexes[f.id]
         wrong = lattice.below[f.id] & lattice.with_vertex[v] & ~apexed[v]
         if wrong:
             gid = (wrong & -wrong).bit_length() - 1
-            return PointedCertificate(
-                False, 2, f"faces {sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
+            raise GenericityError(
+                "construction violated pointedness condition 2: faces "
+                f"{sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apexes[gid]}, {v}"
             )
-    return _POINTED
 
 
-def _verify_face(f: Face, v: int, cf: Complex) -> PointedCertificate:
+def _verify_face(f: Face, v: int, cf: Complex) -> None:
     """Check conditions 1 and 3 on the complex ``cf`` of face ``f`` with apex
-    ``v``, in that order, and report the first violation.
+    ``v``, in that order; the first violation raises ``GenericityError``.
 
     1. Every maximal simplex of ``cf`` contains ``v``.
     3. Every edge from ``v`` to another vertex of ``f`` is in ``cf``.
@@ -287,16 +267,16 @@ def _verify_face(f: Face, v: int, cf: Complex) -> PointedCertificate:
         unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
         missed = [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
         if missed:
-            s = min(missed, key=_simplex_key)
-            return PointedCertificate(
-                False, 1, f"maximal simplex {vertex_list(s)} of face {sorted(f.vertices)} misses apex {v}"
+            raise GenericityError(
+                "construction violated pointedness condition 1: maximal simplex "
+                f"{vertex_list(min(missed, key=_simplex_key))} of face {sorted(f.vertices)} misses apex {v}"
             )
     for w in f.vertices - {v}:
         if (bit | 1 << w) not in cf:
-            return PointedCertificate(
-                False, 3, f"edge [{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
+            raise GenericityError(
+                "construction violated pointedness condition 3: edge "
+                f"[{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
             )
-    return _POINTED
 
 
 def split_boundary_interior(tri: PointedTriangulation) -> ComplexSplit:

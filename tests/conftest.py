@@ -15,7 +15,7 @@ ACCEPTANCE_FAMILY = (
 
 
 def make_bundle(spec: str, seed: int = 0, points: int = 3) -> Analysis:
-    return Analysis(parse_builtin(spec), seed, points)
+    return Analysis(parse_builtin(spec), seed=seed, points=points)
 
 
 @pytest.fixture(scope="session")

@@ -52,6 +52,9 @@ sets, the reference for the submask walk of ``verify_partition``.
 ``unverified_triangulation`` is the polytope's complex of
 ``reference_pointed_complexes`` on vertex masks, with no pointedness check,
 for tests that inspect a triangulation on lattices the package rejects.
+``pointedness_violation`` runs one of the package's pointedness checks and
+reads the condition and detail off the ``GenericityError`` it raises, for
+comparison with ``reference_condition_1`` and ``reference_condition_2``.
 ``integer_plane`` converts a ``Hyperplane`` to the integer vector of
 ``geometry.integer_plane_through``, and ``f_from_h`` is the inverse of the
 f-to-h transform.
@@ -78,6 +81,7 @@ ascending id tuples) of ``FaceLattice``, and it builds a lattice from any sets, 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -97,7 +101,8 @@ from figurate.geometry import (
 from figurate.lattice import Face, FaceLattice, Polytope, pick
 from figurate.partitions import PartitionCertificate
 from figurate.triangulation import (
-    ApexAssignment,
+    Apexes,
+    GenericityError,
     PointedTriangulation,
     RidgePlanes,
     vertex_list,
@@ -388,7 +393,7 @@ def full_scan_generic_point(
 
 
 def reference_face_number_sequences(
-    lattice: FaceLattice, apexes: ApexAssignment, n_max: int
+    lattice: FaceLattice, apexes: Apexes, n_max: int
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """Sequences and interior sequences of every nonempty face, one n at a time."""
     if n_max < 0:
@@ -402,7 +407,7 @@ def reference_face_number_sequences(
             intr[f.id] = list(seq)
             continue
         sub = pick(lattice.below[f.id] & ~1, range(len(lattice)))
-        apex = apexes.apex[f.id]
+        apex = apexes[f.id]
         away = [g for g in sub if apex not in lattice.faces[g].vertices]
         e = [0] * (n_max + 1)
         it = [0] * (n_max + 1)
@@ -416,7 +421,7 @@ def reference_face_number_sequences(
     return ext, intr
 
 
-def pairwise_apex_conflict(lattice: FaceLattice, apex: dict[int, int]) -> tuple[int, int] | None:
+def pairwise_apex_conflict(lattice: FaceLattice, apex: Apexes) -> tuple[int, int] | None:
     """The first pair of face ids whose apexes differ and both lie in the
     intersection of the two faces, or None (pointedness condition 2)."""
     for f1, f2 in combinations(lattice.faces[1:], 2):
@@ -427,7 +432,7 @@ def pairwise_apex_conflict(lattice: FaceLattice, apex: dict[int, int]) -> tuple[
     return None
 
 
-def reference_condition_2(lattice: FaceLattice, apex: dict[int, int]) -> str | None:
+def reference_condition_2(lattice: FaceLattice, apex: Apexes) -> str | None:
     """The nested-pair scan of pointedness condition 2 over each face's
     subface ids: the detail of the first face, and its first subface, whose
     apexes differ while the subface holds the face's apex; or None."""
@@ -459,11 +464,10 @@ def reference_vertex_order(polytope: Polytope) -> tuple[int, ...]:
     return tuple(sorted(range(len(verts)), key=value.__getitem__))
 
 
-def reference_assign_apexes(lattice: FaceLattice, order) -> ApexAssignment:
+def reference_assign_apexes(lattice: FaceLattice, order) -> Apexes:
     """Apexes by a ``min`` over each face's vertices by rank in ``order``, face by face."""
     rank = {v: r for r, v in enumerate(order)}
-    apex = {f.id: min(f.vertices, key=rank.__getitem__) for f in lattice.faces[1:]}
-    return ApexAssignment(tuple(order), apex)
+    return (None, *(min(f.vertices, key=rank.__getitem__) for f in lattice.faces[1:]))
 
 
 def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:
@@ -485,12 +489,12 @@ def _simplex_key(s: Simplex):
 
 
 def reference_pointed_complexes(
-    lattice: FaceLattice, apexes: ApexAssignment
+    lattice: FaceLattice, apexes: Apexes
 ) -> tuple[dict[int, Complex], Complex, tuple[Simplex, ...]]:
     """(per-face complexes, the polytope's complex, its sorted maximal simplices)."""
     chain: dict[int, set[Simplex]] = {}
     for f in lattice.faces[1:]:
-        v = apexes.apex[f.id]
+        v = apexes[f.id]
         grown: set[Simplex] = {frozenset({v})}
         for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
             if v in lattice.faces[gid].vertices:
@@ -510,7 +514,7 @@ def reference_pointed_complexes(
 
 
 def reference_condition_1(
-    lattice: FaceLattice, apex: dict[int, int], per_face: dict[int, Complex]
+    lattice: FaceLattice, apex: Apexes, per_face: dict[int, Complex]
 ) -> tuple[int, list[Simplex]] | None:
     """The first face, in face order, whose complex in ``per_face`` has maximal
     simplices missing its apex, and those simplices sorted by (size, sorted
@@ -640,13 +644,23 @@ def reference_verify_partition(
     )
 
 
-def unverified_triangulation(lattice: FaceLattice, apexes: ApexAssignment) -> PointedTriangulation:
+def unverified_triangulation(lattice: FaceLattice, apexes: Apexes) -> PointedTriangulation:
     """The polytope's complex of ``reference_pointed_complexes`` on vertex
     masks, unchecked: the package builds only from lattices it accepts."""
     _, top, maximal = reference_pointed_complexes(lattice, apexes)
     return PointedTriangulation(
         lattice, apexes, frozenset(map(to_mask, top)), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
     )
+
+
+def pointedness_violation(check, *args) -> tuple[int, str] | None:
+    """(condition, detail) of the violation ``check(*args)`` raises, or None when it passes."""
+    try:
+        check(*args)
+    except GenericityError as exc:
+        condition, detail = re.fullmatch(r"construction violated pointedness condition (\d): (.*)", str(exc)).groups()
+        return int(condition), detail
+    return None
 
 
 def simplex_number(d: int, n: int) -> int:

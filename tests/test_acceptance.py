@@ -46,7 +46,7 @@ def test_criterion_1_three_way_sequence_agreement(family):
     for b in family.values():
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE)).values
         ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), split=b.split).values
-        fromh = polytope_number_from_h(b.h, b.dim, max(N_RANGE))
+        fromh = polytope_number_from_h(b.h, max(N_RANGE))
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromh[n]:
                 violations.append((b.name, n, rec[n], ssum[n], fromh[n]))
@@ -59,8 +59,8 @@ def test_criterion_2_interior_four_way_agreement(family):
         k = lower_histogram(b.partitions[0][1])
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE), interior=True).values
         ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), interior=True, split=b.split).values
-        fromk = polytope_number_from_h(k, b.dim, max(N_RANGE))
-        fromh = polytope_number_from_h(b.h[::-1], b.dim, max(N_RANGE))
+        fromk = polytope_number_from_h(k, max(N_RANGE))
+        fromh = polytope_number_from_h(b.h[::-1], max(N_RANGE))
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromk[n] == fromh[n]:
                 violations.append((b.name, n, rec[n], ssum[n], fromk[n], fromh[n]))
@@ -121,7 +121,7 @@ def test_criterion_6_h_top_zero_and_link_equality(family):
         if b.h[d] != 0 or b.h[d + 1] != 0:
             violations.append((b.name, "top", b.h))
         lk = link(b.tri.apex_vertex, b.tri.simplices)
-        hlink = h_from_f(f_vector(lk, d - 1), d - 1)
+        hlink = h_from_f(f_vector(lk, d - 1))
         if b.h[:d] != hlink[:d]:
             violations.append((b.name, "link", b.h, hlink))
     _report(6, "h_d = h_{d+1} = 0 and h(C_P) == h(link) below d", violations)

@@ -21,12 +21,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_gen_cube(tmp_path, capsys):
+@pytest.mark.parametrize("options, name", [((), "cube:3"), (("--name", "X"), "X")])
+def test_gen_cube(tmp_path, capsys, options, name):
     out = tmp_path / "cube3.json"
-    code, _, _ = run(capsys, "gen", "cube", "3", "--out", str(out))
+    code, _, _ = run(capsys, "gen", "cube", "3", *options, "--out", str(out))
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["name"] == "cube:3"
+    assert data["name"] == name
     assert len(data["vertices"]) == 8
     assert all(isinstance(c, str) for v in data["vertices"] for c in v)
 
@@ -102,9 +103,11 @@ def test_pipeline_without_polytope_is_usage_error(capsys):
     assert code == 2 and "no polytope" in err
 
 
-def test_pipeline_rejects_huge_n(capsys):
-    code, _, err = run(capsys, "pipeline", "--builtin", "cube:2", "--n", "10001")
-    assert code == 2 and "10000" in err
+@pytest.mark.parametrize("command", ["pipeline", "sequence"])
+@pytest.mark.parametrize("n", ["10001", "-1"])
+def test_n_outside_its_range_exits_2(capsys, command, n):
+    code, out, err = run(capsys, command, "--builtin", "cube:2", "--n", n)
+    assert (code, out, err) == (2, "", "figurate: error: --n must lie in [0, 10000]\n")
 
 
 def test_sequence_h_method(capsys):
@@ -290,7 +293,10 @@ _FORCED = "construction violated pointedness condition 3: forced"
 
 @pytest.fixture
 def failing_construction(monkeypatch):
-    monkeypatch.setattr(triangulation, "_verify_face", lambda f, v, cf: triangulation.PointedCertificate(False, 3, "forced"))
+    def failing(f, v, cf):
+        raise triangulation.GenericityError(_FORCED)
+
+    monkeypatch.setattr(triangulation, "_verify_face", failing)
 
 
 def test_stage_failure_is_a_failed_pipeline_record(failing_construction, capsys):
@@ -364,7 +370,7 @@ def test_negative_face_index_exits_2(tmp_path, capsys):
 
 def test_sequence_runs_the_vector_cross_checks(monkeypatch, capsys):
     # an h-vector that disagrees with the partitions fails the first check
-    monkeypatch.setattr(pipeline, "h_from_f", lambda f, dim: (1,) * (dim + 2))
+    monkeypatch.setattr(pipeline, "h_from_f", lambda f: (1,) * len(f))
     code, out, err = run(capsys, "sequence", "--builtin", "cube:2", "--method", "h")
     assert code == 1 and out == ""
     assert err == (

@@ -6,12 +6,16 @@ of the points against all of them. Both must give the same facets, planes
 and point sets alike, on random rational point sets in dimensions 2 to 5,
 on point sets with four or more points in one plane, and on every builtin
 given by its coordinates. Points that are no vertex may be among them: a
-facet's set holds every point on its plane.
+facet's set holds every point on its plane. On a line the wrap has no special
+case: pivoting over the empty ridge of the lowest point finds the highest
+one, both on seeded random rational points and on polygon edges that hold
+three or more points, which are wrapped one dimension down.
 
 A point that is no vertex of the hull of the input is rejected when the
 input is loaded: ``figurate`` exits 2 naming the first such point.
 """
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -75,6 +79,38 @@ def test_gift_wrapping_finds_the_builtin_facets(spec):
         (lattice.faces[i].vertices for i in lattice.facet_ids()), key=sorted
     )
     if comb(len(p.vertices), p.dim) <= 500:
+        assert facets == brute_force_facets(p)
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def test_gift_wrapping_on_a_line_finds_the_lowest_and_highest_points():
+    rng = random.Random(1)
+    for _ in range(300):
+        xs = list({_rational(rng) for _ in range(rng.randint(2, 8))})
+        if len(xs) < 2:
+            continue
+        p = Polytope("line", tuple(point([x]) for x in xs), 1)
+        facets = enumerate_facets(p)
+        ends = sorted([frozenset({xs.index(min(xs))}), frozenset({xs.index(max(xs))})], key=sorted)
+        assert [vs for _, vs in facets] == ends, xs
+        assert facets == brute_force_facets(p), xs
+
+
+def test_gift_wrapping_wraps_an_edge_with_extra_points_on_a_line():
+    rng = random.Random(2)
+    for _ in range(60):
+        corners = [point([_rational(rng), _rational(rng)]) for _ in range(3)]
+        a, b, c = corners
+        if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
+            continue
+        ts = {Fraction(rng.randint(1, 19), 20) for _ in range(rng.randint(1, 3))}
+        on_edge = [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in ts]
+        p = Polytope("triangle", tuple(corners + on_edge), 2)
+        facets = enumerate_facets(p)
+        assert max(len(vs) for _, vs in facets) == 2 + len(ts)  # the edge a, b was wrapped on its line
         assert facets == brute_force_facets(p)
 
 

@@ -226,20 +226,20 @@ def test_e_vector_rejects_empty_simplex():
 
 
 def test_h_from_f_examples(cube3):
-    assert h_from_f(cube3.f, 3) == (1, 4, 1, 0, 0)
+    assert h_from_f(cube3.f) == (1, 4, 1, 0, 0)
     for d in range(1, 5):
         tri = _tri(f"simplex:{d}")
-        assert h_from_f(f_vector(tri.simplices, d), d) == (1,) + (0,) * (d + 1)
+        assert h_from_f(f_vector(tri.simplices, d)) == (1,) + (0,) * (d + 1)
     cross = _tri("cross:3")
-    assert h_from_f(f_vector(cross.simplices, 3), 3) == (1, 2, 1, 0, 0)
+    assert h_from_f(f_vector(cross.simplices, 3)) == (1, 2, 1, 0, 0)
 
 
 @given(st.integers(1, 5), st.data())
 def test_h_f_round_trip(d, data):
     f = tuple(data.draw(st.integers(-40, 40)) for _ in range(d + 2))
-    assert f_from_h(h_from_f(f, d), d) == f
+    assert f_from_h(h_from_f(f), d) == f
     h = tuple(data.draw(st.integers(-40, 40)) for _ in range(d + 2))
-    assert h_from_f(f_from_h(h, d), d) == h
+    assert h_from_f(f_from_h(h, d)) == h
 
 
 def test_h_from_partition_matches_transform(family):
@@ -308,7 +308,7 @@ def test_link_h_equality(family):
     for b in family.values():
         d = b.dim
         lk = link(b.tri.apex_vertex, b.tri.simplices)
-        hlink = h_from_f(f_vector(lk, d - 1), d - 1)
+        hlink = h_from_f(f_vector(lk, d - 1))
         assert hlink[: d] == b.h[: d], b.name
         # the link's own top entry vanishes too
         assert hlink[d] == 0, b.name
@@ -326,7 +326,7 @@ def test_h_sums_to_maximal_count(family):
 def test_e_vector_from_k_expansion(family):
     for b in family.values():
         k = lower_histogram(b.partitions[0][1])
-        assert b.e == interior_counts_from_k(k, b.dim), b.name
+        assert b.e == interior_counts_from_k(k), b.name
 
 
 def test_analysis_vectors_cross_check(cube3):

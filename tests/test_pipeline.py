@@ -3,9 +3,12 @@ certificate and the recursion once.
 
 The maximal simplices come from construction: no scan of the complex for
 them runs in the pipeline. Both partitions of a point come from one stage,
-which verifies each of them once.
+which verifies each of them once. Options after the lattice are
+keyword-only. When one sequence method disagrees, both sequence claims fail
+and name the first n and every method's value there.
 """
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,7 +18,9 @@ import figurate.sequences as sequences
 import figurate.triangulation as triangulation
 from figurate.cli import main
 from figurate.lattice import parse_builtin
+from figurate.partitions import GenericPoint, Partition, verify_partition
 from figurate.pipeline import Analysis, all_passed, run_pipeline
+from figurate.sequences import SequenceResult
 import oracles
 
 
@@ -66,8 +71,52 @@ def test_analysis_rejects_what_the_chain_cannot_run(spec, points):
         Analysis(parse_builtin(spec), points=points)
 
 
-def test_partitions_carry_their_certificates(cube3):
-    for pair in cube3.partitions:
-        for part in pair:
-            assert part.certificate.ok
-            assert not part.certificate.foreign
+def test_partitions_are_their_verified_intervals(cube3):
+    # a partition is built only after its check passes, so it keeps no certificate
+    assert [f.name for f in fields(Partition)] == ["intervals"]
+    assert [f.name for f in fields(GenericPoint)] == ["x", "certificate"]
+    for ext, intr in cube3.partitions:
+        assert verify_partition(ext.intervals, cube3.tri.simplices).ok
+        assert verify_partition(intr.intervals, cube3.split.interior).ok
+
+
+def test_options_after_the_lattice_are_keyword_only():
+    lattice = parse_builtin("cube:2")
+    with pytest.raises(TypeError):
+        Analysis(lattice, 0)
+    with pytest.raises(TypeError):
+        run_pipeline(lattice, 0)
+    a = Analysis(lattice, seed=1, points=2, n_max=4)
+    assert (a.seed, a.points, a.n_max) == (1, 2, 4)
+
+
+def _one_more_at_4(result):
+    """Values off by one at n = 4, as a tuple or in a ``SequenceResult``."""
+    if isinstance(result, SequenceResult):
+        return replace(result, values=_one_more_at_4(result.values))
+    return tuple(v + (n == 4) for n, v in enumerate(result))
+
+
+# one method's values off by one at n = 4, on cube:3: n^3 and (n - 2)^3
+@pytest.mark.parametrize("name, exterior, interior", [
+    ("expand",
+     {"recursive": 65, "simplex_sum": 64, "from_h": 64},
+     {"recursive": 9, "simplex_sum": 8, "from_k": 8, "from_h_reversed": 8}),
+    ("polytope_number_simplex_sum",
+     {"recursive": 64, "simplex_sum": 65, "from_h": 64},
+     {"recursive": 8, "simplex_sum": 9, "from_k": 8, "from_h_reversed": 8}),
+    ("polytope_number_from_h",
+     {"recursive": 64, "simplex_sum": 64, "from_h": 65},
+     {"recursive": 8, "simplex_sum": 8, "from_k": 9, "from_h_reversed": 9}),
+])
+def test_a_sequence_mismatch_names_the_first_n_and_every_method(monkeypatch, name, exterior, interior):
+    original = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: _one_more_at_4(original(*args, **kwargs)))
+    records = {r["claim"]: r for r in run_pipeline(parse_builtin("cube:3"), n_max=6, points=1)}
+    params = {"d": 3, "seed": 0, "n_max": 6}
+    for claim, values in [("sequence-three-way", exterior), ("interior-four-way", interior)]:
+        assert records[claim] == {
+            "record": "claim", "claim": claim, "polytope": "cube:3", "params": params, "pass": False,
+            "counterexample": {"n": 4, **values},
+        }
+    assert [c for c, r in records.items() if not r["pass"]] == ["sequence-three-way", "interior-four-way"]

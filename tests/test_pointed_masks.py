@@ -29,13 +29,13 @@ import figurate.triangulation as triangulation
 from figurate.geometry import GeometryError, point
 from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polytope_from_json
 from figurate.triangulation import (
-    ApexAssignment,
     assign_apexes,
     build_pointed_triangulation,
     vertex_order,
 )
 from oracles import (
     frozen,
+    pointedness_violation,
     reference_condition_1,
     reference_pointed_complexes,
     to_mask,
@@ -168,7 +168,7 @@ def test_each_face_complex_is_the_restriction_of_the_polytope_complex(monkeypatc
 
     def recorded(f, v, cf):
         checked[f.id] = cf
-        return original(f, v, cf)
+        original(f, v, cf)
 
     monkeypatch.setattr(triangulation, "_verify_face", recorded)
     tri = build_pointed_triangulation(lattice, apexes)
@@ -201,11 +201,11 @@ def _mask_complexes(lattice, apexes):
 
 def _first_condition_1(lattice, apex, per_face):
     """The first face, in face order, on whose complex the per-face check
-    reports condition 1, and its certificate; or None."""
+    reports condition 1, and the detail of that; or None."""
     for f in lattice.faces[1:]:
-        cert = triangulation._verify_face(f, apex[f.id], per_face[f.id])
-        if cert.condition == 1:
-            return f.id, cert
+        found = pointedness_violation(triangulation._verify_face, f, apex[f.id], per_face[f.id])
+        if found is not None and found[0] == 1:
+            return f.id, found[1]
     return None
 
 
@@ -221,16 +221,16 @@ def _retriangulate(b, per_face, rng):
     faces = [f for f in b.lattice.faces[1:] if f.dim >= 2]
     changed = {}
     for f in rng.sample(faces, min(len(faces), rng.randint(1, 2))):
-        apex = dict(b.apexes.apex)
+        apex = list(b.apexes)
         apex[f.id] = rng.choice(sorted(f.vertices - {apex[f.id]}))
-        changed[f.id] = _mask_complexes(b.lattice, ApexAssignment(b.apexes.order, apex))[f.id]
+        changed[f.id] = _mask_complexes(b.lattice, tuple(apex))[f.id]
     return changed
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle"])
 def test_condition_1_matches_the_maximal_scan(family, spec):
     b = family[spec]
-    lattice, apex = b.lattice, b.apexes.apex
+    lattice, apex = b.lattice, b.apexes
     faces = {f.id: f for f in lattice.faces}
     per_face = _mask_complexes(lattice, b.apexes)
     rng = random.Random(spec)
@@ -243,10 +243,10 @@ def test_condition_1_matches_the_maximal_scan(family, spec):
         assert (found is not None) == (ref is not None), (spec, trial)
         if ref is not None:
             fid, missed = ref
-            simplex, face, v = _face_detail(found[1].detail)
+            simplex, face, v = _face_detail(found[1])
             assert found[0] == fid and face == sorted(faces[fid].vertices)
             assert v == apex[fid] and v not in missed[0]
-            assert simplex == sorted(missed[0]), (spec, trial, found[1].detail)
+            assert simplex == sorted(missed[0]), (spec, trial, found[1])
         verdicts.append(ref is not None)
     assert any(verdicts) and not all(verdicts)
 
@@ -258,12 +258,12 @@ def test_condition_1_names_the_smallest_violating_simplex(cube3):
     top = tri.lattice.top
     per_face = _mask_complexes(tri.lattice, tri.apexes)
     bad = {**per_face, top.id: tri.simplices - set(tri.maximal)}
-    fid, missed = reference_condition_1(tri.lattice, tri.apexes.apex, {i: frozen(c) for i, c in bad.items()})
+    fid, missed = reference_condition_1(tri.lattice, tri.apexes, {i: frozen(c) for i, c in bad.items()})
     assert fid == top.id and len(missed) > 1 and missed[0] == {1, 3, 7}
-    assert _first_condition_1(tri.lattice, tri.apexes.apex, bad)[0] == top.id
-    cert = triangulation._verify_face(top, tri.apex_vertex, bad[top.id])
-    assert (cert.ok, cert.condition) == (False, 1)
-    assert cert.detail == "maximal simplex [1, 3, 7] of face [0, 1, 2, 3, 4, 5, 6, 7] misses apex 0"
+    assert _first_condition_1(tri.lattice, tri.apexes, bad)[0] == top.id
+    assert pointedness_violation(triangulation._verify_face, top, tri.apex_vertex, bad[top.id]) == (
+        1, "maximal simplex [1, 3, 7] of face [0, 1, 2, 3, 4, 5, 6, 7] misses apex 0"
+    )
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
@@ -279,13 +279,14 @@ def test_a_missing_cone_over_a_non_maximal_simplex_passes_condition_1(family, sp
     for t in cones:
         cf = tri.simplices - {t}
         assert not cf.issuperset(map(bit.__or__, cf))
-        cert = triangulation._verify_face(top, v, cf)
+        found = pointedness_violation(triangulation._verify_face, top, v, cf)
         if t.bit_count() > 2:
-            assert cert.ok, (spec, vertex_set(t), cert.detail)
+            assert found is None, (spec, vertex_set(t), found)
         else:
             w = (t ^ bit).bit_length() - 1
-            assert (cert.ok, cert.condition) == (False, 3), (spec, vertex_set(t))
-            assert cert.detail == f"edge [{v}, {w}] missing from triangulation of face {sorted(top.vertices)}"
+            assert found == (3, f"edge [{v}, {w}] missing from triangulation of face {sorted(top.vertices)}"), (
+                spec, vertex_set(t)
+            )
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
@@ -297,10 +298,11 @@ def test_dropping_a_maximal_simplex_names_the_scan_s_smallest_violator(family, s
     per_face = _mask_complexes(tri.lattice, tri.apexes)
     for m in tri.maximal:
         bad = {**per_face, top.id: tri.simplices - {m}}
-        fid, missed = reference_condition_1(tri.lattice, tri.apexes.apex, {i: frozen(c) for i, c in bad.items()})
-        cert = triangulation._verify_face(top, v, bad[top.id])
-        assert fid == top.id and (cert.ok, cert.condition) == (False, 1)
-        assert cert.detail == f"maximal simplex {sorted(missed[0])} of face {sorted(top.vertices)} misses apex {v}"
+        fid, missed = reference_condition_1(tri.lattice, tri.apexes, {i: frozen(c) for i, c in bad.items()})
+        assert fid == top.id
+        assert pointedness_violation(triangulation._verify_face, top, v, bad[top.id]) == (
+            1, f"maximal simplex {sorted(missed[0])} of face {sorted(top.vertices)} misses apex {v}"
+        )
 
 
 def test_condition_3_names_the_missing_edge(square):
@@ -309,7 +311,7 @@ def test_condition_3_names_the_missing_edge(square):
     tri = square.tri
     top, apex = tri.lattice.top, tri.apex_vertex
     (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s not in square.split.boundary)
-    cert = triangulation._verify_face(top, apex, tri.simplices - {diagonal})
     w = (diagonal ^ 1 << apex).bit_length() - 1
-    assert (cert.ok, cert.condition) == (False, 3)
-    assert cert.detail == f"edge [{apex}, {w}] missing from triangulation of face [0, 1, 2, 3]"
+    assert pointedness_violation(triangulation._verify_face, top, apex, tri.simplices - {diagonal}) == (
+        3, f"edge [{apex}, {w}] missing from triangulation of face [0, 1, 2, 3]"
+    )

@@ -153,7 +153,7 @@ def test_a_remainder_in_the_division_raises():
         below=(*square.below, square.below[square.top.id] | 1 << square.top.id),
         with_vertex=(*square.with_vertex, 1 << top),
     )
-    apexes = SimpleNamespace(apex={**assign_apexes(square, vertex_order(square.polytope)).apex, top: 4})
+    apexes = (*assign_apexes(square, vertex_order(square.polytope)), 4)
     with pytest.raises(RuntimeError, match=rf"face {top}: the step numerator is not divisible by 1 - x"):
         face_number_sequences(lattice, apexes)
 

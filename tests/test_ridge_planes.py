@@ -162,7 +162,7 @@ def test_ridge_spanning_no_hyperplane_raises():
         tri.ridge_planes
     with pytest.raises(RuntimeError, match=message):
         generic_point(tri)
-    gp = GenericPoint(point(["1/3", "1/4"]), (), 0)
+    gp = GenericPoint(point(["1/3", "1/4"]), ())
     with pytest.raises(RuntimeError, match=message):
         visibility_partitions(tri, gp, split_boundary_interior(tri))
 
@@ -181,6 +181,6 @@ def test_point_on_a_ridge_plane_raises(square):
     f = square.tri.maximal[0]
     verts = square.lattice.polytope.vertices
     on_plane = barycenter([verts[i] for i in vertex_list(f)[:2]])
-    gp = GenericPoint(on_plane, (), 0)
+    gp = GenericPoint(on_plane, ())
     with pytest.raises(GenericityError, match=r"^point lies on the affine hull of facet "):
         visibility_partitions(square.tri, gp, square.split)

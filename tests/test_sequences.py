@@ -132,34 +132,37 @@ def test_simplex_sum_reduces_to_closed_form():
 
 
 def test_from_h_examples():
-    assert polytope_number_from_h((1, 4, 1), 3, 2)[2] == 4 + 4 + 0 == 8 == measure_number(3, 2)
-    assert polytope_number_from_h((1, 2, 1), 3, 3)[3] == 10 + 8 + 1 == 19
+    # the dimension is the vector's length less 2
+    assert polytope_number_from_h((1, 4, 1, 0, 0), 2)[2] == 4 + 4 + 0 == 8 == measure_number(3, 2)
+    assert polytope_number_from_h((1, 2, 1, 0, 0), 3)[3] == 10 + 8 + 1 == 19
+    assert polytope_number_from_h((1, 1, 0, 0), 3)[3] == 6 + 3 == 9 == measure_number(2, 3)
     for h in [(1, 4, 1, 0, 0), (1, 2, 1, 0, 0), (1, 0, 0)]:
-        assert polytope_number_from_h(h, len(h) - 2, 1) == (0, 1)
-    assert polytope_number_from_h((), 3, 2) == (0, 0, 0)
+        assert polytope_number_from_h(h, 1) == (0, 1)
+    assert polytope_number_from_h((0, 0, 0, 0, 0), 2) == (0, 0, 0)
     with pytest.raises(ValueError):
-        polytope_number_from_h((1, 4, 1), 3, -1)
+        polytope_number_from_h((1, 4, 1, 0, 0), -1)
     with pytest.raises(ValueError):
-        polytope_number_from_h((1,), -1, 3)
+        polytope_number_from_h((1,), 3)
 
 
 def test_interior_from_k_examples():
     # the interior sequence is the same closed form on k, or on h reversed
-    assert polytope_number_from_h((0, 0, 1, 4, 1), 3, 4)[4] == 4 + 4 + 0 == 8
+    assert polytope_number_from_h((0, 0, 1, 4, 1), 4)[4] == 4 + 4 + 0 == 8
     for d in range(1, 6):
         k = (0,) * (d + 1) + (1,)
-        assert polytope_number_from_h(k, d, 11) == tuple(simplex_number(d, n - d - 1) for n in range(12))
-    assert polytope_number_from_h((1, 4, 1, 0, 0)[::-1], 3, 3)[3] == 1
+        assert polytope_number_from_h(k, 11) == tuple(simplex_number(d, n - d - 1) for n in range(12))
+    assert polytope_number_from_h((1, 4, 1, 0, 0)[::-1], 3)[3] == 1
 
 
-_COEFFICIENTS = st.lists(st.integers(-50, 50), max_size=50)
+# d + 2 coefficients for d in 1..8
+_COEFFICIENTS = st.lists(st.integers(-50, 50), min_size=3, max_size=10)
 
 
 @settings(max_examples=150)
-@given(d=st.integers(1, 8), n_max=st.integers(0, 40), v=_COEFFICIENTS)
-def test_closed_form_equals_the_per_term_sum(d, n_max, v):
-    assert polytope_number_from_h(tuple(v), d, n_max) == tuple(
-        reference_from_h(v, d, n) for n in range(n_max + 1)
+@given(n_max=st.integers(0, 40), v=_COEFFICIENTS)
+def test_closed_form_equals_the_per_term_sum(n_max, v):
+    assert polytope_number_from_h(tuple(v), n_max) == tuple(
+        reference_from_h(v, len(v) - 2, n) for n in range(n_max + 1)
     )
 
 
@@ -219,9 +222,9 @@ def test_pyramid_sequence_depends_on_the_vertex_order():
         apexes = assign_apexes(lat, order)
         tri = build_pointed_triangulation(lat, apexes)
         assert tri.apex_vertex == order[0], tag
-        h = h_from_f(f_vector(tri.simplices, 3), 3)
+        h = h_from_f(f_vector(tri.simplices, 3))
         rec = polytope_number_recursive(lat, apexes, 10)
-        fromh = polytope_number_from_h(h, 3, 10)
+        fromh = polytope_number_from_h(h, 10)
         assert rec.values == fromh, tag
         assert h[0] == 1 and all(x >= 0 for x in h), tag
         outcomes[tag] = (h, rec.values)

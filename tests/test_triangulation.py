@@ -4,6 +4,7 @@ Simplices are vertex masks; the oracles take vertex sets (``oracles.frozen``).
 """
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,15 +16,14 @@ from figurate.geometry import point
 from figurate.lattice import Polytope, parse_builtin
 from figurate.partitions import f_vector
 from figurate.triangulation import (
-    ApexAssignment,
     GenericityError,
-    PointedCertificate,
     assign_apexes,
     build_pointed_triangulation,
     link,
     pseudomanifold_certificate,
     split_boundary_interior,
     verify_pointed,
+    vertex_list,
     vertex_order,
 )
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     is_simplicial_complex,
     maximal_simplices,
     pairwise_apex_conflict,
+    pointedness_violation,
     reference_assign_apexes,
     reference_condition_2,
     reference_vertex_order,
@@ -113,13 +114,14 @@ def test_assign_apexes_on_cube():
     apexes = assign_apexes(cube, vertex_order(cube.polytope))
     verts = cube.polytope.vertices
     origin = verts.index((0, 0, 0))
-    assert apexes.apex[cube.top.id] == origin
+    assert len(apexes) == len(cube) and apexes[0] is None
+    assert apexes[cube.top.id] == origin
     for f in cube.faces[1:]:
         if f.dim == 0:
             (v,) = f.vertices
-            assert apexes.apex[f.id] == v
+            assert apexes[f.id] == v
     edge = next(f.id for f in cube.faces if f.vertices == {origin, verts.index((1, 0, 0))})
-    assert apexes.apex[edge] == origin
+    assert apexes[edge] == origin
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 2, 3, 3), (0, 1, 2, 4), (3, 2, 1, 0, 0), ()])
@@ -133,9 +135,7 @@ def test_assign_apexes_rejects_an_order_that_is_no_permutation(order):
 def test_ranked_apexes_equal_the_per_face_scan(spec):
     lattice = parse_builtin(spec)
     order = vertex_order(lattice.polytope)
-    ranked, scanned = assign_apexes(lattice, order), reference_assign_apexes(lattice, order)
-    assert ranked == scanned
-    assert list(ranked.apex) == list(scanned.apex)
+    assert assign_apexes(lattice, order) == reference_assign_apexes(lattice, order)
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,8 +168,8 @@ def test_simplex_triangulates_itself():
 
 def test_verify_pointed_passes_on_family(family):
     for b in family.values():
-        assert verify_pointed(b.lattice, b.apexes).ok, b.name
-        assert pairwise_apex_conflict(b.lattice, b.apexes.apex) is None, b.name
+        assert verify_pointed(b.lattice, b.apexes) is None, b.name
+        assert pairwise_apex_conflict(b.lattice, b.apexes) is None, b.name
 
 
 def _condition_2_detail_is_a_pairwise_violation(detail):
@@ -187,15 +187,16 @@ def test_condition_2_catches_corrupted_apexes_like_the_pairwise_check(family, sp
     verdicts = []
     for trial in range(40):
         # move the apexes of a few faces to other vertices of the same face
-        apex = dict(b.apexes.apex)
+        apex = list(b.apexes)
         for f in rng.sample(faces, 1 + trial % 3):
             apex[f.id] = rng.choice(sorted(f.vertices))
-        cert = verify_pointed(b.lattice, ApexAssignment(b.apexes.order, apex))
+        found = pointedness_violation(verify_pointed, b.lattice, tuple(apex))
         conflict = pairwise_apex_conflict(b.lattice, apex)
-        assert (cert.condition == 2) == (conflict is not None), (spec, apex)
+        assert (found is not None) == (conflict is not None), (spec, apex)
         if conflict is not None:
-            assert _condition_2_detail_is_a_pairwise_violation(cert.detail), cert.detail
-            assert cert.detail == reference_condition_2(b.lattice, apex)
+            condition, detail = found
+            assert condition == 2 and _condition_2_detail_is_a_pairwise_violation(detail), detail
+            assert detail == reference_condition_2(b.lattice, apex)
         verdicts.append(conflict is not None)
     assert any(verdicts) and not all(verdicts)
 
@@ -205,24 +206,25 @@ def test_condition_2_names_the_nested_pair(cube3):
     # vertex keeps its lower end as apex, and is reported with the cube
     lattice = cube3.lattice
     top = lattice.top
-    highest = cube3.apexes.order[-1]
-    apex = dict(cube3.apexes.apex)
+    highest = vertex_order(lattice.polytope)[-1]
+    apex = list(cube3.apexes)
     apex[top.id] = highest
     edge = next(g for g in lattice.faces if g.dim == 1 and highest in g.vertices)
-    cert = verify_pointed(lattice, ApexAssignment(cube3.apexes.order, apex))
-    assert (cert.ok, cert.condition) == (False, 2)
-    assert cert.detail == (
-        f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
-    )
+    detail = f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
+    assert pointedness_violation(verify_pointed, lattice, tuple(apex)) == (2, detail)
     assert pairwise_apex_conflict(lattice, apex) is not None
-    assert cert.detail == reference_condition_2(lattice, apex)
+    assert detail == reference_condition_2(lattice, apex)
 
 
 def test_construction_raises_on_a_pointedness_violation(monkeypatch):
     cube = parse_builtin("cube:3")
     apexes = assign_apexes(cube, vertex_order(cube.polytope))
     assert build_pointed_triangulation(cube, apexes) == unverified_triangulation(cube, apexes)
-    monkeypatch.setattr(triangulation, "verify_pointed", lambda lattice, apexes: PointedCertificate(False, 2, "forced"))
+
+    def failing(lattice, apexes):
+        raise GenericityError("construction violated pointedness condition 2: forced")
+
+    monkeypatch.setattr(triangulation, "verify_pointed", failing)
     with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 2: forced$"):
         build_pointed_triangulation(cube, apexes)
 
@@ -235,7 +237,8 @@ def test_construction_raises_on_a_face_violation(monkeypatch):
 
     def failing_at_the_top(f, v, cf):
         seen.append(f.id)
-        return PointedCertificate(False, 1, "forced") if f is cube.top else PointedCertificate(True)
+        if f is cube.top:
+            raise GenericityError("construction violated pointedness condition 1: forced")
 
     monkeypatch.setattr(triangulation, "_verify_face", failing_at_the_top)
     with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 1: forced$"):
@@ -245,7 +248,7 @@ def test_construction_raises_on_a_face_violation(monkeypatch):
 
 def test_verify_pointed_vacuous_on_a_point():
     pt = parse_builtin("simplex:0")
-    assert verify_pointed(pt, assign_apexes(pt, vertex_order(pt.polytope))).ok
+    assert verify_pointed(pt, assign_apexes(pt, vertex_order(pt.polytope))) is None
 
 
 def _closure(tops):
@@ -268,9 +271,8 @@ def test_face_check_rejects_wrong_diagonal(square):
     )
     wing1, wing2 = [i for i in others if i != opposite]
     bad_top = _closure([frozenset({wing1, wing2, apex}), frozenset({wing1, wing2, opposite})])
-    cert = triangulation._verify_face(square.lattice.top, apex, bad_top)
-    assert not cert.ok
-    assert cert.condition == 1
+    condition, _ = pointedness_violation(triangulation._verify_face, square.lattice.top, apex, bad_top)
+    assert condition == 1
 
 
 def test_split_square(square):
@@ -387,3 +389,17 @@ def test_pseudomanifold_certificate(family):
     for b in family.values():
         ok, detail = pseudomanifold_certificate(b.tri, b.split)
         assert ok, (b.name, detail)
+
+
+@pytest.mark.parametrize("change, detail", [
+    # the boundary triangles of the dropped tetrahedron lie in no maximal simplex
+    (lambda m: m[1:], "ridge set mismatch: [[0, 1, 3], [1, 3, 7]]"),
+    (lambda m: m + m[:1], "ridge [1, 3, 7] lies in 2 maximal simplices, expected 1"),
+    (lambda m: m + m[-1:], "ridge [0, 6, 7] lies in 3 maximal simplices, expected 2"),
+])
+def test_pseudomanifold_certificate_names_the_first_bad_ridge(cube3, change, detail):
+    tri = cube3.tri
+    assert list(map(vertex_list, tri.maximal)) == [
+        [0, 1, 3, 7], [0, 1, 5, 7], [0, 2, 3, 7], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 6, 7]
+    ]
+    assert pseudomanifold_certificate(replace(tri, maximal=change(tri.maximal)), cube3.split) == (False, detail)
