@@ -25,13 +25,11 @@ from .lattice import (
     polytope_to_json,
 )
 from .triangulation import (
-    ComplexSplit,
     GenericityError,
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
     link,
-    split_boundary_interior,
     verify_pointed,
     vertex_order,
 )

@@ -112,7 +112,7 @@ def _cmd_sequence(args) -> int:
     if args.method == "recursive":
         values = polytope_number_recursive(a.lattice, a.apexes, args.n, interior=args.interior).values
     elif args.method == "simplex-sum":
-        values = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior, split=a.split).values
+        values = polytope_number_simplex_sum(a.tri, args.n, interior=args.interior).values
     elif args.method == "k":
         values = polytope_number_from_h(a.k, args.n)
     else:

@@ -4,9 +4,10 @@ From a generic interior point x, every maximal simplex F has an exterior
 lower set G_F, the vertices opposite the facets of F visible from x, and an
 interior lower set D_F = F - G_F. The intervals [G_F, F] partition the whole
 complex, and the intervals [D_F, F] partition exactly the interior
-simplices. So one side test per facet of every maximal simplex gives both
-partitions, and histograms of |G_F| and |D_F| give the h- and k-vectors,
-cross-checkable against the binomial transform of the f-vector.
+simplices, the triangulation's ``interior``. So one side test per facet of
+every maximal simplex gives both partitions, and histograms of |G_F| and
+|D_F| give the h- and k-vectors, cross-checkable against the binomial
+transform of the f-vector.
 
 Visibility is implemented as an exact side test (x strictly opposite the
 vertex across the facet's hyperplane), which is equivalent to ray casting for
@@ -31,7 +32,6 @@ from typing import Iterable
 from .geometry import Point, homogenize, integer_side
 from .triangulation import (
     Complex,
-    ComplexSplit,
     GenericityError,
     PointedTriangulation,
     Simplex,
@@ -116,9 +116,7 @@ def generic_point(
     raise RuntimeError("could not find a generic point")
 
 
-def visibility_partitions(
-    tri: PointedTriangulation, gp: GenericPoint, split: ComplexSplit
-) -> tuple[Partition, Partition]:
+def visibility_partitions(tri: PointedTriangulation, gp: GenericPoint) -> tuple[Partition, Partition]:
     """The exterior and interior partitions of a generic point, from one sweep.
 
     A facet of a maximal simplex F is visible iff x and the opposite vertex
@@ -126,8 +124,8 @@ def visibility_partitions(
     F no facet is visible. One side test per facet gives G_F, and the
     intervals [G_F, F] and [F - G_F, F] are built side by side. x on a facet
     hyperplane violates genericity and raises. Each partition is verified
-    against its target, the whole complex and the interior complex, and a
-    failure raises.
+    against its target, the triangulation's whole complex and its interior,
+    and a failure raises.
     """
     hx = homogenize(gp.x)
     exterior, interior = [], []
@@ -141,7 +139,7 @@ def visibility_partitions(
                 g_f |= 1 << v
         exterior.append(Interval(g_f, f))
         interior.append(Interval(f ^ g_f, f))
-    return _verified("exterior", exterior, tri.simplices), _verified("interior", interior, split.interior)
+    return _verified("exterior", exterior, tri.simplices), _verified("interior", interior, tri.interior)
 
 
 def _verified(kind: str, intervals: list[Interval], target: Complex) -> Partition:

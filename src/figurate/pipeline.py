@@ -1,10 +1,11 @@
 """End-to-end verification pipeline producing machine-readable claim records.
 
 ``Analysis`` is the one place the paper's chain is assembled: one run
-triangulates a polytope, builds its visibility partitions from several
-distinct generic points, computes all vectors and sequences, and each claim
-reads those stages to emit one record. Records are plain dicts with a fixed
-key order so serialized reports are byte-identical across runs with the same
+triangulates a polytope, which yields its boundary and interior complexes,
+builds its visibility partitions from several distinct generic points,
+computes all vectors and sequences, and each claim reads those stages to
+emit one record. Records are plain dicts with a fixed key order so
+serialized reports are byte-identical across runs with the same
 configuration. A failed claim always carries its first counterexample.
 """
 from __future__ import annotations
@@ -33,13 +34,11 @@ from .sequences import (
 )
 from .triangulation import (
     Apexes,
-    ComplexSplit,
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
     link,
     pseudomanifold_certificate,
-    split_boundary_interior,
     vertex_order,
 )
 
@@ -48,8 +47,8 @@ from .triangulation import (
 class Analysis:
     """The chain for one polytope, each stage computed at most once, on first use.
 
-    apexes from ``vertex_order`` -> verified pointed triangulation ->
-    boundary and interior split -> ``points`` generic points, the only stage
+    apexes from ``vertex_order`` -> verified pointed triangulation, with its
+    boundary and interior -> ``points`` generic points, the only stage
     the seed steers, searched with seeds ``seed``, ``seed + 1``, ... -> the
     exterior and interior partitions of each point, from one visibility
     sweep -> f/h/e/k vectors -> the sequences of every face as numerators
@@ -86,10 +85,6 @@ class Analysis:
         return build_pointed_triangulation(self.lattice, self.apexes)
 
     @cached_property
-    def split(self) -> ComplexSplit:
-        return split_boundary_interior(self.tri)
-
-    @cached_property
     def generic_points(self) -> tuple[GenericPoint, ...]:
         gps: list[GenericPoint] = []
         for i in range(self.points):
@@ -99,7 +94,7 @@ class Analysis:
     @cached_property
     def partitions(self) -> tuple[tuple[Partition, Partition], ...]:
         """The verified (exterior, interior) partitions of each generic point."""
-        return tuple(visibility_partitions(self.tri, gp, self.split) for gp in self.generic_points)
+        return tuple(visibility_partitions(self.tri, gp) for gp in self.generic_points)
 
     @cached_property
     def f(self) -> tuple[int, ...]:
@@ -111,7 +106,7 @@ class Analysis:
 
     @cached_property
     def e(self) -> tuple[int, ...]:
-        return e_vector(self.split.interior, self.dim)
+        return e_vector(self.tri.interior, self.dim)
 
     @cached_property
     def h_parts(self) -> tuple[tuple[int, ...], ...]:
@@ -172,10 +167,10 @@ def _pure_complex(a: Analysis) -> dict:
 
 
 def _pseudomanifold(a: Analysis) -> dict:
-    ok, detail = pseudomanifold_certificate(a.tri, a.split)
+    ok, detail = pseudomanifold_certificate(a.tri)
     return _record(
         "pseudomanifold-boundary", a, a.params, ok,
-        witness={"boundary": len(a.split.boundary), "interior": len(a.split.interior)},
+        witness={"boundary": len(a.tri.boundary), "interior": len(a.tri.interior)},
         counterexample={"detail": detail},
     )
 
@@ -184,7 +179,7 @@ def _euler(a: Analysis) -> dict:
     chi = {
         "complex": euler_characteristic(a.f),
         "link": euler_characteristic(a.link_f),
-        "boundary": euler_characteristic(f_vector(a.split.boundary, a.dim - 1)),
+        "boundary": euler_characteristic(f_vector(a.tri.boundary, a.dim - 1)),
     }
     expected = {"complex": 1, "link": 1, "boundary": 1 + (-1) ** (a.dim - 1)}
     return _record("euler-characteristic", a, a.params, chi == expected, witness=expected, counterexample=chi)
@@ -203,7 +198,7 @@ def _covers(a: Analysis, i: int) -> list[dict]:
         ),
         _record(
             "interior-partition-cover", a, params, True,
-            witness={"intervals": len(intr.intervals), "covered": len(a.split.interior)},
+            witness={"intervals": len(intr.intervals), "covered": len(a.tri.interior)},
         ),
     ]
 
@@ -265,7 +260,7 @@ def _e_from_k(a: Analysis) -> dict:
 def _sequence_three_way(a: Analysis) -> dict:
     n_max, d, h = a.n_max, a.dim, a.h
     rec = expand(a.face_sequences[0][a.lattice.top.id], d + 1, n_max)
-    ssum = polytope_number_simplex_sum(a.tri, n_max, split=a.split).values
+    ssum = polytope_number_simplex_sum(a.tri, n_max).values
     from_h = polytope_number_from_h(h, n_max)
     mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
     return _record(
@@ -280,7 +275,7 @@ def _sequence_three_way(a: Analysis) -> dict:
 def _interior_four_way(a: Analysis) -> dict:
     n_max, d, h, k = a.n_max, a.dim, a.h, a.k
     rec = expand(a.face_sequences[1][a.lattice.top.id], d + 1, n_max)
-    ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True, split=a.split).values
+    ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True).values
     from_k = polytope_number_from_h(k, n_max)
     from_hr = polytope_number_from_h(h[::-1], n_max)
     mism = next(

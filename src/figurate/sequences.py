@@ -34,7 +34,7 @@ from itertools import accumulate, repeat
 from math import comb
 
 from .lattice import FaceLattice
-from .triangulation import Apexes, ComplexSplit, PointedTriangulation
+from .triangulation import Apexes, PointedTriangulation
 from .partitions import e_vector, f_vector
 
 @dataclass(frozen=True)
@@ -154,13 +154,7 @@ def polytope_number_recursive(
 # ---------------------------------------------------------------------------
 # Simplex-sum method.
 
-def polytope_number_simplex_sum(
-    tri: PointedTriangulation,
-    n_max: int,
-    interior: bool = False,
-    *,
-    split: ComplexSplit,
-) -> SequenceResult:
+def polytope_number_simplex_sum(tri: PointedTriangulation, n_max: int, interior: bool = False) -> SequenceResult:
     """Sum of interior simplex numbers over the triangulation's face counts.
 
     The exterior sum runs over the whole complex and applies from n = 2 (at
@@ -169,7 +163,7 @@ def polytope_number_simplex_sum(
     for every n.
     """
     d = tri.dim
-    counts = e_vector(split.interior, d) if interior else f_vector(tri.simplices, d)[1:]
+    counts = e_vector(tri.interior, d) if interior else f_vector(tri.simplices, d)[1:]
     values = [0] * (n_max + 1)
     for i, c in enumerate(counts):  # the interior i-simplex numbers; for i = 0, 1 from n = 1 on
         column = _simplex_column(i, i + 1 if i else 0, n_max)

@@ -19,9 +19,12 @@ containing it. Pointedness condition 2 reads only the apexes and is checked
 first; conditions 1 and 3 on each face's complex as soon as it is built. Each
 check raises ``GenericityError`` where it finds a violation.
 Covers lie one dimension down, so a face's complex is dropped as the first
-face two dimensions up is built: only the polytope's own is kept. One set of
-facets, each simplex less one vertex, gives its maximal simplices and its
-closure under subsets.
+face two dimensions up is built: only the polytope's own is kept, with its
+boundary. Each face's complex is the polytope's restricted to the face, and
+every proper face lies in a facet, so the boundary is the union of the
+facets' complexes, the top face's covers, which are still held when the top
+face is built; the interior is the rest. One set of facets, each simplex
+less one vertex, gives its maximal simplices and its closure under subsets.
 """
 from __future__ import annotations
 
@@ -71,12 +74,15 @@ class RidgePlanes:
 
 @dataclass(frozen=True)
 class PointedTriangulation:
-    """The polytope's own complex (each face's is its restriction to the face), and whether
-    it is closed under subsets, read off the facet set that gives ``maximal``."""
+    """The polytope's own complex (each face's is its restriction to the face), split into
+    the simplices inside a facet (``boundary``) and the rest (``interior``), and whether it
+    is closed under subsets, read off the facet set that gives ``maximal``."""
 
     lattice: FaceLattice
     apexes: Apexes
     simplices: Complex
+    boundary: Complex
+    interior: Complex
     maximal: tuple[Simplex, ...]
     closed: bool
 
@@ -93,12 +99,6 @@ class PointedTriangulation:
     def apex_vertex(self) -> int:
         """Apex of the polytope itself (the first vertex of the ranking)."""
         return self.apexes[self.lattice.top.id]
-
-
-@dataclass(frozen=True)
-class ComplexSplit:
-    boundary: Complex
-    interior: Complex
 
 
 def vertex_order(polytope) -> tuple[int, ...]:
@@ -150,6 +150,7 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> Pointed
     as it is built, and a violation raises, so every triangulation it returns
     is pointed. A face cones its covers' complexes that miss its apex and
     unions them all, by cover id; a dimension's first face drops those two down.
+    The boundary is the union of the facets' complexes.
     """
     verify_pointed(lattice, apexes)
     complexes: list[Complex | None] = [frozenset((0,))]  # by face id, None once dropped
@@ -168,8 +169,11 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> Pointed
         cf = frozenset(chain)
         _verify_face(f, v, cf)
         complexes.append(cf)
-    maximal, closed = _maximal_and_closed(complexes[-1])
-    return PointedTriangulation(lattice, apexes, complexes[-1], maximal, closed)
+    top = complexes[-1]
+    maximal, closed = _maximal_and_closed(top)
+    # after _maximal_and_closed frees its set of simplex facets: the two never peak together
+    boundary = frozenset().union(*(complexes[g] for g in lattice.covers[lattice.top.id]))
+    return PointedTriangulation(lattice, apexes, top, boundary, top - boundary, maximal, closed)
 
 
 def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
@@ -279,19 +283,6 @@ def _verify_face(f: Face, v: int, cf: Complex) -> None:
             )
 
 
-def split_boundary_interior(tri: PointedTriangulation) -> ComplexSplit:
-    """Partition the triangulation into boundary and interior simplices.
-
-    A simplex is boundary iff its vertex set lies inside some proper face of
-    the polytope; testing against facets suffices since every proper face is
-    contained in one.
-    """
-    lattice = tri.lattice
-    outside = [~sum(1 << v for v in lattice.faces[i].vertices) for i in lattice.facet_ids()]
-    boundary = frozenset(s for s in tri.simplices if not all(map(s.__and__, outside)))
-    return ComplexSplit(boundary, tri.simplices - boundary)
-
-
 def link(v: int, complex_: Complex) -> set[Simplex]:
     """The simplices s of the complex without v for which s | {v} is in it."""
     bit = 1 << v
@@ -300,16 +291,18 @@ def link(v: int, complex_: Complex) -> set[Simplex]:
     return {s for s in complex_ if not s & bit and s | bit in complex_}
 
 
-def pseudomanifold_certificate(tri: PointedTriangulation, split: ComplexSplit) -> tuple[bool, str]:
-    """Boundary ridges must lie in exactly 1 maximal simplex, interior ones in 2."""
+def pseudomanifold_certificate(tri: PointedTriangulation) -> tuple[bool, str]:
+    """The ridges of the maximal simplices are the complex's, boundary ones lie in exactly
+    1 maximal simplex and interior ones in 2. A failure names the first bad ridges."""
     d = tri.dim
     counts = Counter(s ^ 1 << v for s in tri.maximal for v in vertex_list(s))  # maximal simplices per ridge
     ridges = {s for s in tri.simplices if s.bit_count() == d}
-    if set(counts) != ridges:
-        missing = sorted(map(vertex_list, ridges.symmetric_difference(counts)))
-        return False, f"ridge set mismatch: {missing[:3]}"
+    for stray, where in ((counts.keys() - ridges, "ridges of maximal simplices not in the complex"),
+                         (ridges - counts.keys(), "complex ridges in no maximal simplex")):
+        if stray:
+            return False, f"{where}: {sorted(map(vertex_list, stray))[:3]}"
     for r, c in counts.items():
-        expected = 1 if r in split.boundary else 2
+        expected = 1 if r in tri.boundary else 2
         if c != expected:
             return False, f"ridge {vertex_list(r)} lies in {c} maximal simplices, expected {expected}"
     return True, ""

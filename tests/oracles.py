@@ -49,9 +49,13 @@ the one elimination per maximal simplex.
 ``reference_verify_partition`` counts every member in a dict of vertex
 sets, the reference for the submask walk of ``verify_partition``.
 
+``reference_split`` tests every simplex against every facet's vertex mask,
+the reference for the boundary that ``build_pointed_triangulation`` unites
+from the facets' complexes and for the interior left over.
 ``unverified_triangulation`` is the polytope's complex of
-``reference_pointed_complexes`` on vertex masks, with no pointedness check,
-for tests that inspect a triangulation on lattices the package rejects.
+``reference_pointed_complexes`` on vertex masks, split by
+``reference_split``, with no pointedness check, for tests that inspect a
+triangulation on lattices the package rejects.
 ``pointedness_violation`` runs one of the package's pointedness checks and
 reads the condition and detail off the ``GenericityError`` it raises, for
 comparison with ``reference_condition_1`` and ``reference_condition_2``.
@@ -82,7 +86,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -644,13 +648,26 @@ def reference_verify_partition(
     )
 
 
+def reference_split(tri: PointedTriangulation) -> tuple[frozenset[int], frozenset[int]]:
+    """(boundary, interior) of the triangulation's vertex masks: a simplex is
+    boundary iff it lies inside some proper face of the polytope, and testing
+    against the facets suffices since every proper face lies in one."""
+    outside = [~to_mask(tri.lattice.faces[i].vertices) for i in tri.lattice.facet_ids()]
+    boundary = frozenset(s for s in tri.simplices if not all(map(s.__and__, outside)))
+    return boundary, tri.simplices - boundary
+
+
 def unverified_triangulation(lattice: FaceLattice, apexes: Apexes) -> PointedTriangulation:
     """The polytope's complex of ``reference_pointed_complexes`` on vertex
-    masks, unchecked: the package builds only from lattices it accepts."""
+    masks, split by ``reference_split``, unchecked: the package builds only
+    from lattices it accepts."""
     _, top, maximal = reference_pointed_complexes(lattice, apexes)
-    return PointedTriangulation(
-        lattice, apexes, frozenset(map(to_mask, top)), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
+    simplices = frozenset(map(to_mask, top))
+    tri = PointedTriangulation(
+        lattice, apexes, simplices, simplices, frozenset(), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
     )
+    boundary, interior = reference_split(tri)
+    return replace(tri, boundary=boundary, interior=interior)
 
 
 def pointedness_violation(check, *args) -> tuple[int, str] | None:

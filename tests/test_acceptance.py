@@ -45,7 +45,7 @@ def test_criterion_1_three_way_sequence_agreement(family):
     violations = []
     for b in family.values():
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE)).values
-        ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), split=b.split).values
+        ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE)).values
         fromh = polytope_number_from_h(b.h, max(N_RANGE))
         for n in N_RANGE:
             if not rec[n] == ssum[n] == fromh[n]:
@@ -58,7 +58,7 @@ def test_criterion_2_interior_four_way_agreement(family):
     for b in family.values():
         k = lower_histogram(b.partitions[0][1])
         rec = polytope_number_recursive(b.lattice, b.apexes, max(N_RANGE), interior=True).values
-        ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), interior=True, split=b.split).values
+        ssum = polytope_number_simplex_sum(b.tri, max(N_RANGE), interior=True).values
         fromk = polytope_number_from_h(k, max(N_RANGE))
         fromh = polytope_number_from_h(b.h[::-1], max(N_RANGE))
         for n in N_RANGE:
@@ -131,8 +131,8 @@ def test_criterion_7_partition_certificates(family):
     violations = []
     for b in family.values():
         whole = set(b.tri.simplices)
-        interior = set(b.split.interior)
-        boundary = set(b.split.boundary)
+        interior = set(b.tri.interior)
+        boundary = set(b.tri.boundary)
         for i, (ext, part) in enumerate(b.partitions):
             cert = verify_partition(ext.intervals, whole)
             if not cert.ok:
@@ -169,7 +169,7 @@ def test_criterion_8_identity_sweeps():
 def test_criterion_9_pseudomanifold_and_determinism(family):
     violations = []
     for b in family.values():
-        ok, detail = pseudomanifold_certificate(b.tri, b.split)
+        ok, detail = pseudomanifold_certificate(b.tri)
         if not ok:
             violations.append((b.name, detail))
     import json

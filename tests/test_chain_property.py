@@ -31,6 +31,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from figurate.lattice import polytope_from_vertices
 from figurate.pipeline import run_pipeline
+from figurate.triangulation import assign_apexes, build_pointed_triangulation
+from oracles import reference_split
 from test_recursion import _lattice
 
 _PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -103,6 +105,8 @@ def test_every_claim_holds_under_any_vertex_order(spec, data):
     failed = [r for r in records if not r["pass"]]
     assert not failed, failed[:1]
     assert records[0]["witness"]["apex_vertex"] == order[0]
+    tri = build_pointed_triangulation(lattice, assign_apexes(lattice, order))
+    assert (tri.boundary, tri.interior) == reference_split(tri)
     event(f"h = {next(r['witness']['h'] for r in records if r['claim'] == 'h-top-vanishes')}")
 
 

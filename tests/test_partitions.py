@@ -31,7 +31,6 @@ from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
     link,
-    split_boundary_interior,
     vertex_order,
 )
 from figurate.pipeline import Analysis, vector_claims
@@ -54,7 +53,7 @@ def _tri(spec):
 
 
 def _partitions(tri):
-    return visibility_partitions(tri, generic_point(tri), split_boundary_interior(tri))
+    return visibility_partitions(tri, generic_point(tri))
 
 
 def _size(iv):
@@ -136,7 +135,7 @@ def test_boundary_facets_not_visible_from_their_simplex(cube3):
         for v in vertex_set(f):
             counts.setdefault(vertex_set(f) - {v}, []).append(f)
     for ridge, owners in counts.items():
-        if to_mask(ridge) in cube3.split.boundary:
+        if to_mask(ridge) in cube3.tri.boundary:
             (owner,) = owners
             assert ridge not in _visible(owner, ext)
 
@@ -150,7 +149,7 @@ def test_visibility_raises_on_degenerate_point(square):
     mid = tuple((verts[diag[0]][j] + verts[diag[1]][j]) / 2 for j in range(2))
     gp = replace(square.generic_points[0], x=mid)
     with pytest.raises(GenericityError, match=rf"^point lies on the affine hull of facet \[{diag[0]}, {diag[1]}\]$"):
-        visibility_partitions(square.tri, gp, square.split)
+        visibility_partitions(square.tri, gp)
 
 
 def test_exterior_partition_simplex_single_interval():
@@ -194,16 +193,16 @@ def test_interior_partition_square(square):
 
 def test_interior_partition_cube_size(cube3):
     _, intr = cube3.partitions[0]
-    boundary_count = len(cube3.split.boundary)
+    boundary_count = len(cube3.tri.boundary)
     assert sum(map(_size, intr.intervals)) == 52 - boundary_count == 13
 
 
 def test_verify_partition_pass_and_fail(cube3):
     ext, intr = cube3.partitions[0]
     assert verify_partition(ext.intervals, cube3.tri.simplices).ok
-    assert verify_partition(intr.intervals, cube3.split.interior).ok
+    assert verify_partition(intr.intervals, cube3.tri.interior).ok
     # exterior intervals against the interior target must fail loudly
-    cert = verify_partition(ext.intervals, cube3.split.interior)
+    cert = verify_partition(ext.intervals, cube3.tri.interior)
     assert not cert.ok
     assert cert.foreign  # boundary faces are not interior elements
 
@@ -287,14 +286,14 @@ def test_a_failed_cover_raises_and_builds_no_partition(cube3, monkeypatch):
     monkeypatch.setattr(partitions, "verify_partition", lambda intervals, target: PartitionCertificate(False, ([0],)))
     gp = cube3.generic_points[0]
     with pytest.raises(RuntimeError, match=r"^exterior intervals failed to partition their target: .*uncovered=\(\[0\],\)"):
-        visibility_partitions(cube3.tri, gp, cube3.split)
+        visibility_partitions(cube3.tri, gp)
 
 
 def test_euler_characteristic_examples(cube3):
     assert euler_characteristic(cube3.f) == 1
     lk = link(cube3.tri.apex_vertex, cube3.tri.simplices)
     assert euler_characteristic(f_vector(lk, 2)) == 1
-    fb = f_vector(cube3.split.boundary, 2)
+    fb = f_vector(cube3.tri.boundary, 2)
     assert euler_characteristic(fb) == 2
 
 
@@ -364,7 +363,7 @@ def test_submask_check_gives_the_certificate_of_the_combinations_walk(family, sp
     full = (1 << len(b.lattice.polytope.vertices)) - 1
     edge = next(s for s in sorted(b.tri.simplices) if s.bit_count() == 2)
     for ext, intr in b.partitions:
-        for part, target in ((ext, b.tri.simplices), (intr, b.split.interior)):
+        for part, target in ((ext, b.tri.simplices), (intr, b.tri.interior)):
             ivs = list(part.intervals)
             i = rng.randrange(len(ivs))
             cases = {
@@ -375,7 +374,7 @@ def test_submask_check_gives_the_certificate_of_the_combinations_walk(family, sp
                 "foreign and overlapping": (ivs + [Interval(edge, full)], target),
             }
             if part is intr:
-                s = rng.choice(sorted(b.split.boundary))
+                s = rng.choice(sorted(b.tri.boundary))
                 cases["boundary interval"] = (ivs + [Interval(s, s)], target)
                 cases["boundary in the target"] = (ivs, target | {s})
             for case, (intervals, tgt) in cases.items():

@@ -77,7 +77,7 @@ def test_partitions_are_their_verified_intervals(cube3):
     assert [f.name for f in fields(GenericPoint)] == ["x", "certificate"]
     for ext, intr in cube3.partitions:
         assert verify_partition(ext.intervals, cube3.tri.simplices).ok
-        assert verify_partition(intr.intervals, cube3.split.interior).ok
+        assert verify_partition(intr.intervals, cube3.tri.interior).ok
 
 
 def test_options_after_the_lattice_are_keyword_only():

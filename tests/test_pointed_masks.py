@@ -1,12 +1,14 @@
 """Pointed triangulations built on vertex masks, checked against frozenset oracles.
 
 ``build_pointed_triangulation`` must give the polytope's complex and its
-maximal simplices of the frozenset construction in ``oracles.py`` on every
-builtin of dimension at most 5 and on a polytope given only by rational
-coordinates, and on simplex:9, pyramid:simplex:8, cube:6, cross:6 and
-prism:cube:5. On the same inputs each face's complex, as the construction
-checks it and as the oracle builds it, is the polytope's complex restricted
-to the face. Wrong ``faces`` are rejected when the lattice is built, with a
+maximal simplices of the frozenset construction in ``oracles.py``, and the
+boundary and interior of the facet-mask split, on every builtin of dimension
+at most 5, on polytopes given only by rational coordinates (cube:3 in Q^4
+among them), on the prism over one, whose facets are no simplices, and on
+simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5. On the
+builtins, the large ones and ``sphere2_6.json``, each face's complex, as the
+construction checks it and as the oracle builds it, is the polytope's
+complex restricted to the face. Wrong ``faces`` are rejected when the lattice is built, with a
 message that names the face or vertex: each check of the load-time
 face-lattice test has a case, and so does a face that lists a vertex twice.
 The per-face pointedness check must give the verdict of the maximal-simplex
@@ -38,6 +40,7 @@ from oracles import (
     pointedness_violation,
     reference_condition_1,
     reference_pointed_complexes,
+    reference_split,
     to_mask,
     vertex_set,
 )
@@ -134,7 +137,7 @@ WRONG_FACES = {
 
 
 def _lattice(spec):
-    if spec == "sphere2_6.json":
+    if spec.endswith(".json"):
         return polytope_from_json(json.loads((Path(__file__).parent / spec).read_text()))
     return parse_builtin(spec)
 
@@ -147,7 +150,7 @@ def test_wrong_faces_are_rejected(spec):
     assert str(caught.value) == f"faces of {spec!r} are not a face lattice: {detail}"
 
 
-@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + LARGE)
+@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json", "cube3_in_q4.json", "prism_sphere2_6.json"] + LARGE)
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
@@ -155,6 +158,7 @@ def test_mask_construction_equals_the_frozenset_construction(spec):
     _, simplices, maximal = reference_pointed_complexes(lattice, apexes)
     assert type(tri.simplices) is frozenset and frozen(tri.simplices) == simplices
     assert tuple(map(vertex_set, tri.maximal)) == maximal
+    assert (tri.boundary, tri.interior) == reference_split(tri)
     # one facet set gives the maximal simplices and closure under subsets
     assert tri.closed
 
@@ -310,7 +314,7 @@ def test_condition_3_names_the_missing_edge(square):
     # so condition 1 holds and the edge is reported
     tri = square.tri
     top, apex = tri.lattice.top, tri.apex_vertex
-    (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s not in square.split.boundary)
+    (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s not in tri.boundary)
     w = (diagonal ^ 1 << apex).bit_length() - 1
     assert pointedness_violation(triangulation._verify_face, top, apex, tri.simplices - {diagonal}) == (
         3, f"edge [{apex}, {w}] missing from triangulation of face [0, 1, 2, 3]"

@@ -18,7 +18,6 @@ from figurate.triangulation import (
     PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
-    split_boundary_interior,
     vertex_list,
     vertex_order,
 )
@@ -123,12 +122,11 @@ def test_one_elimination_per_maximal_simplex(monkeypatch):
     monkeypatch.setattr(triangulation, "integer_planes_opposite", counted)
     monkeypatch.setattr(triangulation, "integer_plane_through", per_ridge)
     tri = _tri("cube:4")
-    split = split_boundary_interior(tri)
     points = []
     for i in range(3):
         gp = generic_point(tri, seed=i, avoid=tuple(p.x for p in points))
         points.append(gp)
-        visibility_partitions(tri, gp, split)
+        visibility_partitions(tri, gp)
     assert len(calls) == len(tri.maximal) == 24
     assert len(tri.ridge_planes.planes) == len(_ridges(tri))
 
@@ -164,7 +162,7 @@ def test_ridge_spanning_no_hyperplane_raises():
         generic_point(tri)
     gp = GenericPoint(point(["1/3", "1/4"]), ())
     with pytest.raises(RuntimeError, match=message):
-        visibility_partitions(tri, gp, split_boundary_interior(tri))
+        visibility_partitions(tri, gp)
 
 
 def test_a_flat_maximal_simplex_raises():
@@ -172,7 +170,7 @@ def test_a_flat_maximal_simplex_raises():
     # fails on its own, but the three span no triangle
     pts = Polytope("flat", tuple(point(v) for v in [(0, 0), (1, 0), (2, 0), (0, 1)]), 2)
     lat = reference_face_lattice(pts, [frozenset({0, 2}), frozenset({2, 3}), frozenset({0, 3})])
-    tri = PointedTriangulation(lat, None, (), (0b0111,), True)
+    tri = PointedTriangulation(lat, None, (), (), (), (0b0111,), True)
     with pytest.raises(RuntimeError, match=r"^the vertices of maximal simplex \[0, 1, 2\] lie in one hyperplane$"):
         tri.ridge_planes
 
@@ -183,4 +181,4 @@ def test_point_on_a_ridge_plane_raises(square):
     on_plane = barycenter([verts[i] for i in vertex_list(f)[:2]])
     gp = GenericPoint(on_plane, ())
     with pytest.raises(GenericityError, match=r"^point lies on the affine hull of facet "):
-        visibility_partitions(square.tri, gp, square.split)
+        visibility_partitions(square.tri, gp)

@@ -18,7 +18,6 @@ from figurate.sequences import (
 from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
-    split_boundary_interior,
     vertex_order,
 )
 
@@ -110,24 +109,24 @@ def test_sequence_base_values(family):
     for b in family.values():
         rec = polytope_number_recursive(b.lattice, b.apexes, 3)
         assert rec.values[0] == 0 and rec.values[1] == 1, b.name
-        ssum = polytope_number_simplex_sum(b.tri, 3, split=b.split)
+        ssum = polytope_number_simplex_sum(b.tri, 3)
         assert ssum.values[0] == 0 and ssum.values[1] == 1, b.name
         ri = polytope_number_recursive(b.lattice, b.apexes, 3, interior=True)
         assert ri.values[0] == 0 and ri.values[1] == 0, b.name
 
 
 def test_simplex_sum_examples(cube3):
-    ssum = polytope_number_simplex_sum(cube3.tri, 3, split=cube3.split)
+    ssum = polytope_number_simplex_sum(cube3.tri, 3)
     assert ssum.values[3] == 8 * 1 + 19 * 1 + 18 * 0 + 6 * 0 == 27
     b2 = make_bundle("cube:2")
-    assert polytope_number_simplex_sum(b2.tri, 2, split=b2.split).values[2] == 4 * 1 + 5 * 0 + 2 * 0 == 4
+    assert polytope_number_simplex_sum(b2.tri, 2).values[2] == 4 * 1 + 5 * 0 + 2 * 0 == 4
 
 
 def test_simplex_sum_reduces_to_closed_form():
     for d in range(1, 6):
         lat = parse_builtin(f"simplex:{d}")
         tri = build_pointed_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
-        ssum = polytope_number_simplex_sum(tri, 10, split=split_boundary_interior(tri))
+        ssum = polytope_number_simplex_sum(tri, 10)
         assert ssum.values == tuple(simplex_number(d, n) for n in range(11))
 
 
@@ -172,12 +171,13 @@ def test_simplex_sums_equal_the_per_term_sums(d, n_max, data):
     # any face counts, negative ones too: the sums only read f and e
     f = (1, *data.draw(st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1), label="f"))
     e = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1), label="e"))
-    tri = SimpleNamespace(dim=d, simplices=None, lattice=SimpleNamespace(polytope=SimpleNamespace(name="t")))
-    split = SimpleNamespace(interior=None)
+    tri = SimpleNamespace(
+        dim=d, simplices=None, interior=None, lattice=SimpleNamespace(polytope=SimpleNamespace(name="t"))
+    )
     with mock.patch.object(sequences, "f_vector", lambda c, dim: f), \
             mock.patch.object(sequences, "e_vector", lambda c, dim: e):
-        ext = polytope_number_simplex_sum(tri, n_max, split=split)
-        intr = polytope_number_simplex_sum(tri, n_max, interior=True, split=split)
+        ext = polytope_number_simplex_sum(tri, n_max)
+        intr = polytope_number_simplex_sum(tri, n_max, interior=True)
     # the exterior identity fails at n = 1, where the definition sets 1
     assert ext.values == tuple(
         1 if n == 1 else sum(f[i + 1] * simplex_interior(i, n) for i in range(d + 1))

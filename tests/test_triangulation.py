@@ -1,4 +1,4 @@
-"""Pointed triangulation construction, verification, splits and links.
+"""Pointed triangulation construction, verification, boundaries and links.
 
 Simplices are vertex masks; the oracles take vertex sets (``oracles.frozen``).
 """
@@ -21,7 +21,6 @@ from figurate.triangulation import (
     build_pointed_triangulation,
     link,
     pseudomanifold_certificate,
-    split_boundary_interior,
     verify_pointed,
     vertex_list,
     vertex_order,
@@ -37,6 +36,7 @@ from oracles import (
     pointedness_violation,
     reference_assign_apexes,
     reference_condition_2,
+    reference_split,
     reference_vertex_order,
     to_mask,
     unverified_triangulation,
@@ -275,42 +275,25 @@ def test_face_check_rejects_wrong_diagonal(square):
     assert condition == 1
 
 
-def test_split_square(square):
-    split = square.split
-    interior = {s for s in split.interior}
-    assert len(interior) == 3  # the diagonal and both triangles
-    assert len(split.boundary) == 9  # empty face, 4 vertices, 4 sides
-    assert all(s.bit_count() >= 2 for s in interior)
-
-
-def test_split_cube_interior_counts(cube3):
-    assert cube3.e == (0, 1, 6, 6)
-    # brute-force oracle: boundary simplices lie in some proper face of the cube
-    proper = [f.vertices for f in cube3.lattice.faces[:-1]]
-    brute_boundary = {s for s in frozen(cube3.tri.simplices) if any(s <= pv for pv in proper)}
-    assert brute_boundary == frozen(cube3.split.boundary)
-    fb = f_vector(set(map(to_mask, brute_boundary)), 2)
-    assert fb == (1, 8, 18, 12)
-    f = cube3.f
-    assert cube3.e == tuple(f[i + 1] - (fb[i + 1] if i + 1 < len(fb) else 0) for i in range(4))
-
-
-def test_split_simplex_interior_is_top_only():
-    for d in range(1, 6):
-        sx = parse_builtin(f"simplex:{d}")
-        tri = build_pointed_triangulation(sx, assign_apexes(sx, vertex_order(sx.polytope)))
-        split = split_boundary_interior(tri)
-        assert set(split.interior) == {(1 << d + 1) - 1}
-
-
-def test_split_is_disjoint_union(family):
+def test_boundary_and_interior_are_the_facet_mask_split(family):
     for b in family.values():
-        assert set(b.split.boundary) | set(b.split.interior) == set(b.tri.simplices)
-        assert not set(b.split.boundary) & set(b.split.interior)
-        # boundary equals the union of the proper faces' triangulations,
-        # each the complex restricted to the face
+        tri = b.tri
+        assert (tri.boundary, tri.interior) == reference_split(tri), b.name
+        assert tri.boundary | tri.interior == tri.simplices and not tri.boundary & tri.interior, b.name
+        # the boundary is the union of the proper faces' triangulations, each
+        # the complex restricted to the face
         proper = [to_mask(f.vertices) for f in b.lattice.faces[1:-1]]
-        assert {s for s in b.tri.simplices if any(not s & ~m for m in proper)} == set(b.split.boundary), b.name
+        assert {s for s in tri.simplices if any(not s & ~m for m in proper)} == tri.boundary, b.name
+    square = family["cube:2"].tri
+    assert len(square.boundary) == 9  # empty face, 4 vertices, 4 sides
+    assert len(square.interior) == 3  # the diagonal and both triangles
+    assert all(s.bit_count() >= 2 for s in square.interior)
+    cube3 = family["cube:3"]
+    fb = f_vector(cube3.tri.boundary, 2)
+    assert fb == (1, 8, 18, 12)
+    assert cube3.e == (0, 1, 6, 6) == tuple(f - g for f, g in zip(cube3.f[1:], fb[1:] + (0,)))
+    for d in range(1, 6):
+        assert family[f"simplex:{d}"].tri.interior == {(1 << d + 1) - 1}
 
 
 def test_family_complexes_are_simplicial_and_pure(family):
@@ -387,13 +370,16 @@ def test_link_of_vertex_in_single_simplex():
 
 def test_pseudomanifold_certificate(family):
     for b in family.values():
-        ok, detail = pseudomanifold_certificate(b.tri, b.split)
+        ok, detail = pseudomanifold_certificate(b.tri)
         assert ok, (b.name, detail)
 
 
 @pytest.mark.parametrize("change, detail", [
     # the boundary triangles of the dropped tetrahedron lie in no maximal simplex
-    (lambda m: m[1:], "ridge set mismatch: [[0, 1, 3], [1, 3, 7]]"),
+    (lambda m: m[1:], "complex ridges in no maximal simplex: [[0, 1, 3], [1, 3, 7]]"),
+    (lambda m: m[:2] + m[3:], "complex ridges in no maximal simplex: [[0, 2, 3], [2, 3, 7]]"),
+    # [4, 5, 6, 7] is no simplex of the complex, and two of its triangles neither
+    (lambda m: m + (0b11110000,), "ridges of maximal simplices not in the complex: [[4, 5, 6], [5, 6, 7]]"),
     (lambda m: m + m[:1], "ridge [1, 3, 7] lies in 2 maximal simplices, expected 1"),
     (lambda m: m + m[-1:], "ridge [0, 6, 7] lies in 3 maximal simplices, expected 2"),
 ])
@@ -402,4 +388,4 @@ def test_pseudomanifold_certificate_names_the_first_bad_ridge(cube3, change, det
     assert list(map(vertex_list, tri.maximal)) == [
         [0, 1, 3, 7], [0, 1, 5, 7], [0, 2, 3, 7], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 6, 7]
     ]
-    assert pseudomanifold_certificate(replace(tri, maximal=change(tri.maximal)), cube3.split) == (False, detail)
+    assert pseudomanifold_certificate(replace(tri, maximal=change(tri.maximal))) == (False, detail)
