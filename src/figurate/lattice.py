@@ -10,11 +10,13 @@ under intersection on ``int`` masks, dimensions from the grading, and
 subfaces and covers from each face's intersections with the facets. Subfaces
 and the faces holding each vertex are kept as face-id masks, so pointedness
 condition 2 is one mask test per face and the recursion splits each face's
-subfaces by apex with one AND. Covers are kept as id tuples, so the
-triangulation grows each face's chains over its covers by id.
+subfaces by apex with one AND. Covers are kept as id tuples, read by id by
+the triangulation and the load-time check.
 
 The builtin families (simplex, cube, cross, pyramid, prism, bipyramid) list
-their facets combinatorially. Supplied ``faces`` generate the lattice the
+their facets combinatorially, with their number of faces. A compound is
+made from its base's vertices, facets and face count, so one lattice is
+built, for the compound alone. Supplied ``faces`` generate the lattice the
 same way, and are checked to be a face lattice when loaded: each face's
 grading against its affine rank, each facet against a supporting hyperplane,
 each ridge against its two facets, each generator against the facets
@@ -463,75 +465,76 @@ def polytope_from_vertices(name, coords, face_sets=None) -> FaceLattice:
 # ---------------------------------------------------------------------------
 # Builtin families (facets listed combinatorially, no hull search).
 
-def _simplex(d: int) -> FaceLattice:
+# A builtin before its lattice: its polytope, its facets as vertex masks and its
+# number of faces. Compounds are built on their base's parts, and one lattice is
+# built at the end.
+Parts = tuple[Polytope, list[int], int]
+
+
+def _simplex(d: int) -> Parts:
     zero = tuple(Fraction(0) for _ in range(d))
     verts = [zero] + [
         tuple(Fraction(1 if j == i else 0) for j in range(d)) for i in range(d)
     ]
     full = (1 << d + 1) - 1
     facets = [full ^ 1 << i for i in range(d + 1)]
-    return FaceLattice(Polytope(f"simplex:{d}", tuple(verts), d), facets)
+    return Polytope(f"simplex:{d}", tuple(verts), d), facets, 2 ** (d + 1)  # every vertex subset
 
 
-def _cube(d: int) -> FaceLattice:
+def _cube(d: int) -> Parts:
     verts = [tuple(Fraction(b) for b in bits) for bits in product((0, 1), repeat=d)]
     full = (1 << len(verts)) - 1
-    facets = []
+    facets = [] if d else [0]  # a point's one facet is the empty face
     for j in range(d):
         # vertex i has coordinate j equal to bit d - 1 - j of i
         ones = _mask(i for i in range(len(verts)) if i >> d - 1 - j & 1)
         facets += [full ^ ones, ones]
-    return FaceLattice(Polytope(f"cube:{d}", tuple(verts), d), facets)
+    # a nonempty face fixes each coordinate to 0 or 1 or leaves it free
+    return Polytope(f"cube:{d}", tuple(verts), d), facets, 3**d + 1
 
 
-def _cross(d: int) -> FaceLattice:
+def _cross(d: int) -> Parts:
     verts = []
     for i in range(d):
         for sign in (1, -1):
             verts.append(tuple(Fraction(sign if j == i else 0) for j in range(d)))
     # vertex 2a + s is +e_a for s = 0 and -e_a for s = 1; a facet picks one per axis
     facets = [_mask(2 * a + s for a, s in enumerate(signs)) for signs in product((0, 1), repeat=d)]
-    return FaceLattice(Polytope(f"cross:{d}", tuple(verts), d), facets)
+    # a proper face picks +e_a, -e_a or neither per axis
+    return Polytope(f"cross:{d}", tuple(verts), d), facets, 3**d + 1
 
 
 def _lift(v: Point, last) -> Point:
     return tuple(v) + (Fraction(last),)
 
 
-def _base_facets(base: FaceLattice) -> list[int]:
-    return [_mask(base.faces[i].vertices) for i in base.facet_ids()]
-
-
-def _pyramid(base: FaceLattice) -> FaceLattice:
-    bp = base.polytope
+def _pyramid(bp: Polytope, base_facets: list[int], faces: int) -> Parts:
     apex = 1 << len(bp.vertices)
     verts = [_lift(v, 0) for v in bp.vertices]
     verts.append(_lift(barycenter(bp.vertices), 1))
-    facets = [apex - 1] + [g | apex for g in _base_facets(base)]  # the base, and cones
-    p = Polytope(f"pyramid:{bp.name}", tuple(verts), bp.dim + 1)
-    return FaceLattice(p, facets)
+    facets = [apex - 1] + [g | apex for g in base_facets]  # the base, and cones
+    # each face of the base with and without the apex
+    return Polytope(f"pyramid:{bp.name}", tuple(verts), bp.dim + 1), facets, 2 * faces
 
 
-def _prism(base: FaceLattice) -> FaceLattice:
-    bp = base.polytope
+def _prism(bp: Polytope, base_facets: list[int], faces: int) -> Parts:
     nb = len(bp.vertices)
     verts = [_lift(v, 0) for v in bp.vertices] + [_lift(v, 1) for v in bp.vertices]
     full = (1 << nb) - 1
-    facets = [full, full << nb] + [g | g << nb for g in _base_facets(base)]
-    p = Polytope(f"prism:{bp.name}", tuple(verts), bp.dim + 1)
-    return FaceLattice(p, facets)
+    facets = [full, full << nb] + [g | g << nb for g in base_facets]
+    # each nonempty face of the base at both ends and across, and the empty face
+    return Polytope(f"prism:{bp.name}", tuple(verts), bp.dim + 1), facets, 3 * faces - 2
 
 
-def _bipyramid(base: FaceLattice) -> FaceLattice:
-    bp = base.polytope
+def _bipyramid(bp: Polytope, base_facets: list[int], faces: int) -> Parts:
     nb = len(bp.vertices)
     verts = [_lift(v, 0) for v in bp.vertices]
     bary = barycenter(bp.vertices)
     verts.append(_lift(bary, 1))
     verts.append(_lift(bary, -1))
-    facets = [g | 1 << tip for g in _base_facets(base) for tip in (nb, nb + 1)]
-    p = Polytope(f"bipyramid:{bp.name}", tuple(verts), bp.dim + 1)
-    return FaceLattice(p, facets)
+    facets = [g | 1 << tip for g in base_facets for tip in (nb, nb + 1)]
+    # each proper face of the base alone and with either tip, the empty face and the whole
+    return Polytope(f"bipyramid:{bp.name}", tuple(verts), bp.dim + 1), facets, 3 * faces - 2
 
 
 # dimension caps bound the face count (2^11 for simplex:10, 3^7 + 1 for cube:7 and
@@ -544,7 +547,18 @@ _BASE_ALIASES = {"square": "cube:2", "triangle": "simplex:2", "segment": "simple
 
 
 def builtin(family: str, dim: int | None = None, base: FaceLattice | None = None) -> FaceLattice:
-    """Construct a builtin polytope family member with its combinatorial lattice."""
+    """Construct a builtin polytope family member with its combinatorial lattice.
+
+    A compound is built on its base lattice's polytope, facets and number of faces.
+    """
+    parts = None if base is None else (
+        base.polytope, [_mask(base.faces[i].vertices) for i in base.facet_ids()], len(base)
+    )
+    return FaceLattice(*_builtin(family, dim, parts)[:2])
+
+
+def _builtin(family: str, dim: int | None = None, base: Parts | None = None) -> Parts:
+    """The parts of a builtin family member; a compound's come from its base's parts."""
     if family in _BASIC_FAMILIES:
         ctor, min_dim, max_dim = _BASIC_FAMILIES[family]
         if dim is None or dim < min_dim or dim > max_dim:
@@ -553,21 +567,19 @@ def builtin(family: str, dim: int | None = None, base: FaceLattice | None = None
     if family in _COMPOUND_FAMILIES:
         if base is None:
             raise ValueError(f"{family} requires a base polytope")
-        if base.polytope.dim != base.polytope.ambient_dim:
+        bp = base[0]
+        if bp.dim != bp.ambient_dim:
             raise ValueError(f"{family} base must be full-dimensional in its coordinates")
-        if family == "bipyramid" and base.polytope.dim < 1:
+        if family == "bipyramid" and bp.dim < 1:
             # the base point would be the midpoint of the two tips, no vertex
-            raise ValueError(f"bipyramid base {base.polytope.name!r} must have dimension >= 1")
-        # a pyramid has each face of the base with and without the apex; a prism
-        # each nonempty face at both ends and across, a bipyramid each proper
-        # face alone and with either tip, and both the empty face and the whole
-        faces = 2 * len(base) if family == "pyramid" else 3 * len(base) - 2
-        if faces > _MAX_FACES:
+            raise ValueError(f"bipyramid base {bp.name!r} must have dimension >= 1")
+        parts = _COMPOUND_FAMILIES[family](*base)
+        if parts[2] > _MAX_FACES:
             raise ValueError(
-                f"builtin {family}:{base.polytope.name} would have {faces} faces, "
+                f"builtin {family}:{bp.name} would have {parts[2]} faces, "
                 f"more than the {_MAX_FACES} of the largest basic builtin"
             )
-        return _COMPOUND_FAMILIES[family](base)
+        return parts
     raise ValueError(f"unknown builtin family {family!r}")
 
 
@@ -575,7 +587,8 @@ def parse_builtin(spec: str) -> FaceLattice:
     """Parse a builtin spec like "cube:3", "pyramid:square" or "bipyramid:cross:3".
 
     The compound prefixes are stripped in a loop and applied from the base
-    up, so ``builtin`` checks each level as it is built.
+    up, so each level is checked as it is made; only the last level's
+    lattice is built.
     """
     compounds = []
     while True:
@@ -593,10 +606,10 @@ def parse_builtin(spec: str) -> FaceLattice:
         d = int(rest)
     except ValueError:
         raise ValueError(f"invalid dimension {rest!r} in builtin spec {spec!r}") from None
-    lattice = builtin(family, d)
+    parts = _builtin(family, d)
     for family in reversed(compounds):
-        lattice = builtin(family, base=lattice)
-    return lattice
+        parts = _builtin(family, base=parts)
+    return FaceLattice(*parts[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,37 @@
 """Pointed triangulations built from one strict ranking of the vertices.
 
 Each nonempty face F of the polytope gets an apex: the first vertex of F in
-``vertex_order``. Simplices are the convex hulls of apex sets along strictly
-decreasing chains of faces G_1 > G_2 > ... with the apex of each G_i outside
-G_{i+1}; the triangulation of a face is the union over chains inside that
-face, closed by the empty simplex. Chains are enumerated bottom-up over the
-lattice, face by face in order of dimension, and duplicate simplices from
-different chains are merged by vertex set.
+``vertex_order``. The triangulation is the pulling triangulation (J. A. De
+Loera, J. Rambau, F. Santos, *Triangulations*, 2010, section 4.3): a face's
+complex is its apex joined to the complexes of its subfaces that miss the
+apex, together with the complexes of all its subfaces.
+
+Every simplex has one carrier, the smallest face that holds it, and is built
+once, there. The empty face carries the empty simplex; a face f with apex v
+carries v joined to every simplex carried by a face g below f that misses v
+and lies in no cover of f holding v, so that f is the smallest face holding
+g and v. On a face lattice every subface missing the apex lies in a cover
+missing it, since each face is the intersection of the facets containing
+it, so when pointedness condition 2 holds the simplices carried inside a
+face are that face's complex. The polytope's complex is the disjoint union
+of what the faces carry; its interior is what the polytope itself carries,
+and its boundary the rest. No face's complex is built.
 
 Simplices are ``int`` vertex masks (bit i for vertex i, 0 the empty simplex)
-from construction to the claim records, and complexes are sets of them. A
-chain grows by ``s | 1 << apex`` over the complexes of the face's covers (its
-maximal proper subfaces, read by id from ``FaceLattice.covers``) that miss
-the apex, and each face's complex is its own chains united with the complexes
-of all its covers. On a face lattice every subface missing the apex lies in a
-cover missing it, since each face is the intersection of the facets
-containing it. Pointedness condition 2 reads only the apexes and is checked
-first; conditions 1 and 3 on each face's complex as soon as it is built. Each
-check raises ``GenericityError`` where it finds a violation.
-Covers lie one dimension down, so a face's complex is dropped as the first
-face two dimensions up is built: only the polytope's own is kept, with its
-boundary. Each face's complex is the polytope's restricted to the face, and
-every proper face lies in a facet, so the boundary is the union of the
-facets' complexes, the top face's covers, which are still held when the top
-face is built; the interior is the rest. One set of facets, each simplex
-less one vertex, gives its maximal simplices and its closure under subsets.
+from construction to the claim records, and complexes are sets of them.
+Faces are read by id from ``FaceLattice.below``, ``with_vertex`` and
+``covers``. Condition 2 reads only the apexes and is checked first;
+conditions 1 and 3 once on the whole complex, whose restriction to a face is
+that face's complex. Each check raises ``GenericityError`` where it finds a
+violation. One set of facets, each simplex less one vertex, gives the
+maximal simplices and closure under subsets.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import mul
 
 from .geometry import (
@@ -146,34 +147,47 @@ def assign_apexes(lattice: FaceLattice, order) -> Apexes:
 def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> PointedTriangulation:
     """Construct the pointed triangulation determined by the apexes.
 
-    Condition 2 is checked first, conditions 1 and 3 on each face's complex
-    as it is built, and a violation raises, so every triangulation it returns
-    is pointed. A face cones its covers' complexes that miss its apex and
-    unions them all, by cover id; a dimension's first face drops those two down.
-    The boundary is the union of the facets' complexes.
+    Condition 2 is checked first, then conditions 1 and 3 on the whole
+    complex, and a violation raises, so every triangulation it returns is
+    pointed. Each simplex is built once, at its carrier (``_carried``); the
+    disjoint union of what the faces carry equals the union of the faces'
+    complexes only because condition 2 holds. The interior is what the top
+    face carries.
     """
     verify_pointed(lattice, apexes)
-    complexes: list[Complex | None] = [frozenset((0,))]  # by face id, None once dropped
-    for f in lattice.faces[1:]:
-        if f.dim > lattice.faces[f.id - 1].dim:  # no face left to build covers those two down
-            for gid in lattice.by_dim.get(f.dim - 2, ()):
-                complexes[gid] = None
-        v = apexes[f.id]
+    carried = _carried(lattice, apexes)
+    simplices = frozenset(chain.from_iterable(carried))
+    _verify_complex(lattice, apexes, carried, simplices)
+    interior = frozenset(carried[-1])
+    maximal, closed = _maximal_and_closed(simplices)
+    return PointedTriangulation(lattice, apexes, simplices, simplices - interior, interior, maximal, closed)
+
+
+def _carried(lattice: FaceLattice, apexes: Apexes) -> list[list[Simplex]]:
+    """The simplices each face carries, by face id: the empty simplex for the
+    empty face, and for a face f with apex v, v joined to what each face g
+    carries, g below f, missing v and in no cover of f that holds v.
+
+    Those g are one face-id mask, whose ids are read lowest bit first.
+    """
+    below, covers, with_vertex = lattice.below, lattice.covers, lattice.with_vertex
+    carried: list[list[Simplex]] = [[0]]
+    for fid in range(1, len(lattice)):
+        v = apexes[fid]
+        held = with_vertex[v]
+        under = held  # faces holding v, or inside a cover of f that does
+        for c in covers[fid]:
+            if held >> c & 1:
+                under |= below[c]
         bit = 1 << v
-        chain = {bit}
-        for g in lattice.covers[f.id]:
-            c = complexes[g]
-            if v not in lattice.faces[g].vertices:
-                chain.update(map(bit.__or__, c))
-            chain.update(c)
-        cf = frozenset(chain)
-        _verify_face(f, v, cf)
-        complexes.append(cf)
-    top = complexes[-1]
-    maximal, closed = _maximal_and_closed(top)
-    # after _maximal_and_closed frees its set of simplex facets: the two never peak together
-    boundary = frozenset().union(*(complexes[g] for g in lattice.covers[lattice.top.id]))
-    return PointedTriangulation(lattice, apexes, top, boundary, top - boundary, maximal, closed)
+        joined: list[Simplex] = []
+        rest = below[fid] & ~under
+        while rest:
+            low = rest & -rest
+            joined.extend(map(bit.__or__, carried[low.bit_length() - 1]))
+            rest ^= low
+        carried.append(joined)
+    return carried
 
 
 def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
@@ -226,7 +240,7 @@ def verify_pointed(lattice: FaceLattice, apexes: Apexes) -> None:
     """Check pointedness condition 2, which reads only the apexes: if the
     apexes of two faces both lie in the intersection of those faces, they
     coincide. A violation raises ``GenericityError``. Conditions 1 and 3 are
-    checked per face as it is built.
+    checked on the built complex (``_verify_complex``).
 
     It is checked only on nested pairs: each proper subface G of F that
     contains apex(F) must have apex(G) = apex(F). Per face that is one AND
@@ -250,6 +264,41 @@ def verify_pointed(lattice: FaceLattice, apexes: Apexes) -> None:
                 "construction violated pointedness condition 2: faces "
                 f"{sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apexes[gid]}, {v}"
             )
+
+
+def _verify_complex(lattice: FaceLattice, apexes: Apexes, carried: list[list[Simplex]], simplices: Complex) -> None:
+    """Check conditions 1 and 3 on every face's complex, the restriction of
+    ``simplices``, the union of ``carried``, to the face; the first
+    violation, in face order, raises ``GenericityError``.
+
+    A simplex lies in a face exactly when the face holds its carrier, so the
+    one superset test of ``_verify_face`` on every face is one test on the
+    whole complex: s | {a} is in it for every apex a of a face holding the
+    face that carries s. A carried simplex holds its carrier's apex, so only
+    the apexes of the faces above the carrier are tried, one vertex mask per
+    face ORed top down over the covers. With the empty simplex in the
+    complex this test settles condition 3 too: the cones over the empty
+    simplex are the vertices, and those over each vertex w are the edges
+    from w to the apex of every face holding it. Only when the test fails is
+    each face's restriction scanned with ``_verify_face``, in face order: it
+    raises the first violation, or passes when only cones over non-maximal
+    simplices are missing.
+    """
+    bits = [1 << v for v in range(len(lattice.polytope.vertices))]
+    own = [0] + [bits[v] for v in apexes[1:]]
+    above = [0] * len(lattice)  # the apexes of the faces above each face
+    for fid in range(len(lattice) - 1, 0, -1):
+        mask = above[fid] | own[fid]
+        for c in lattice.covers[fid]:
+            above[c] |= mask
+    if 0 in simplices and all(
+        simplices.issuperset(map(bit.__or__, carried[fid]))
+        for fid, mask in enumerate(above) for bit in pick(mask & ~own[fid], bits)
+    ):
+        return
+    for f in lattice.faces[1:]:
+        mask = sum(map(bits.__getitem__, f.vertices))
+        _verify_face(f, apexes[f.id], frozenset(s for s in simplices if not s & ~mask))
 
 
 def _verify_face(f: Face, v: int, cf: Complex) -> None:

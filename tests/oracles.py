@@ -109,6 +109,7 @@ from figurate.triangulation import (
     GenericityError,
     PointedTriangulation,
     RidgePlanes,
+    _verify_face,
     vertex_list,
 )
 
@@ -515,6 +516,23 @@ def reference_pointed_complexes(
         per_face[f.id] = frozenset(acc)
     top = per_face[lattice.top.id]
     return per_face, top, tuple(sorted(maximal_simplices(top), key=_simplex_key))
+
+
+def reference_carriers(lattice: FaceLattice, simplices) -> dict[int, int]:
+    """The carrier of each simplex, by face id: the first face, in face order,
+    that holds it, by a scan over every face. Face ids grow with dimension
+    and the faces holding a simplex are closed under intersection, so the
+    first is the smallest."""
+    masks = [to_mask(f.vertices) for f in lattice.faces]
+    return {s: next(fid for fid, m in enumerate(masks) if not s & ~m) for s in simplices}
+
+
+def per_face_scan(lattice: FaceLattice, apexes: Apexes, simplices) -> None:
+    """The per-face check of conditions 1 and 3 (``_verify_face``) on each
+    face's restriction of ``simplices``, in face order; the first violation raises."""
+    for f in lattice.faces[1:]:
+        m = to_mask(f.vertices)
+        _verify_face(f, apexes[f.id], frozenset(s for s in simplices if not s & ~m))
 
 
 def reference_condition_1(

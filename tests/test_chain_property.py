@@ -33,6 +33,7 @@ from figurate.lattice import polytope_from_vertices
 from figurate.pipeline import run_pipeline
 from figurate.triangulation import assign_apexes, build_pointed_triangulation
 from oracles import reference_split
+from test_pointed_masks import assert_built_once_at_the_carrier
 from test_recursion import _lattice
 
 _PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -105,8 +106,10 @@ def test_every_claim_holds_under_any_vertex_order(spec, data):
     failed = [r for r in records if not r["pass"]]
     assert not failed, failed[:1]
     assert records[0]["witness"]["apex_vertex"] == order[0]
-    tri = build_pointed_triangulation(lattice, assign_apexes(lattice, order))
+    apexes = assign_apexes(lattice, order)
+    tri = build_pointed_triangulation(lattice, apexes)
     assert (tri.boundary, tri.interior) == reference_split(tri)
+    assert_built_once_at_the_carrier(lattice, apexes)
     event(f"h = {next(r['witness']['h'] for r in records if r['claim'] == 'h-top-vanishes')}")
 
 

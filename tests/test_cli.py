@@ -293,10 +293,10 @@ _FORCED = "construction violated pointedness condition 3: forced"
 
 @pytest.fixture
 def failing_construction(monkeypatch):
-    def failing(f, v, cf):
+    def failing(lattice, apexes, carried, simplices):
         raise triangulation.GenericityError(_FORCED)
 
-    monkeypatch.setattr(triangulation, "_verify_face", failing)
+    monkeypatch.setattr(triangulation, "_verify_complex", failing)
 
 
 def test_stage_failure_is_a_failed_pipeline_record(failing_construction, capsys):

@@ -10,19 +10,23 @@ vertex must agree as face-id masks, and covers as ascending id tuples. This
 holds on every builtin of dimension at most 5, on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5, on a
 polytope given only by rational coordinates, and on the JSON round trip of
-each. A bipyramid over a point is rejected: its base point would lie between
-the two tips. The builtin facets are checked to be supporting hyperplanes that close
-up: every ridge lies in exactly two of them. Builtin and hull lattices
-compute no rank; only supplied faces are checked against one.
+each. A compound is built on its base's facets and face count, without the
+base's lattice, and equals the one built on the base's lattice; the face
+count its cap reads is its lattice's size. A bipyramid over a point is
+rejected: its base point would lie between the two tips. The builtin facets
+are checked to be supporting hyperplanes that close up: every ridge lies in
+exactly two of them. Builtin and hull lattices compute no rank; only
+supplied faces are checked against one.
 """
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import figurate.lattice as lattice_module
 from figurate.geometry import homogenize, integer_plane_through, integer_side
-from figurate.lattice import parse_builtin, polytope_from_json, polytope_from_vertices, polytope_to_json
+from figurate.lattice import builtin, parse_builtin, polytope_from_json, polytope_from_vertices, polytope_to_json
 from oracles import reference_face_lattice
 from test_recursion import BUILTINS
 
@@ -58,6 +62,18 @@ def test_lattice_and_its_json_round_trip_equal_the_reference_construction(spec):
     # every nonempty face is supplied, so this is the supplied-faces path
     data = json.loads(json.dumps(polytope_to_json(lattice)))
     _assert_equal_lattices(polytope_from_json(data), ref)
+
+
+@pytest.mark.parametrize("spec", [s for s in BUILTINS + LARGE if s.split(":")[0] in ("pyramid", "prism", "bipyramid")])
+def test_a_compound_equals_the_one_built_on_its_base_lattice(monkeypatch, spec):
+    family, _, base = spec.partition(":")
+    lattice = parse_builtin(spec)
+    ref = builtin(family, base=parse_builtin(base))
+    assert lattice.polytope == ref.polytope
+    _assert_equal_lattices(lattice, ref)
+    monkeypatch.setattr(lattice_module, "_MAX_FACES", 0)
+    with pytest.raises(ValueError, match=rf"^builtin {re.escape(spec)} would have {len(lattice)} faces, more than the 0 "):
+        parse_builtin(spec)
 
 
 @pytest.mark.parametrize("base", ["simplex:0", "cube:0"])

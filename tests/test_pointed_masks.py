@@ -6,30 +6,33 @@ boundary and interior of the facet-mask split, on every builtin of dimension
 at most 5, on polytopes given only by rational coordinates (cube:3 in Q^4
 among them), on the prism over one, whose facets are no simplices, and on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5. On the
-builtins, the large ones and ``sphere2_6.json``, each face's complex, as the
-construction checks it and as the oracle builds it, is the polytope's
-complex restricted to the face. Wrong ``faces`` are rejected when the lattice is built, with a
-message that names the face or vertex: each check of the load-time
-face-lattice test has a case, and so does a face that lists a vertex twice.
-The per-face pointedness check must give the verdict of the maximal-simplex
-scan of condition 1 on corrupted per-face complexes from the oracle, and
-name the smallest violating simplex and the missing edge of condition 3.
-Both branches of condition 1 have cases: a complex missing a cone s | {v}
-over a non-maximal s fails the one superset test but passes the scan, and
-one missing a maximal simplex fails both, naming the scan's simplex.
+builtins, the large ones and ``sphere2_6.json``, each simplex is built once,
+at its carrier found by a scan over every face, and what the faces inside a
+face carry is the oracle's complex of that face. Wrong ``faces`` are
+rejected when the lattice is built, with a message that names the face or
+vertex: each check of the load-time face-lattice test has a case, and so
+does a face that lists a vertex twice. The per-face pointedness check must
+give the verdict of the maximal-simplex scan of condition 1 on corrupted
+per-face complexes from the oracle, and name the smallest violating simplex
+and the missing edge of condition 3. Both branches of condition 1 have
+cases: a complex missing a cone s | {v} over a non-maximal s fails the one
+superset test but passes the scan, and one missing a maximal simplex fails
+both, naming the scan's simplex. With simplices dropped, the check on the
+whole complex raises exactly when the per-face scan does, with its message.
 The package keeps simplices as vertex masks, and the oracles as vertex sets.
 """
 import json
 import random
 import re
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import figurate.triangulation as triangulation
 from figurate.geometry import GeometryError, point
-from figurate.lattice import Polytope, build_face_lattice, parse_builtin, polytope_from_json
+from figurate.lattice import Polytope, build_face_lattice, parse_builtin, pick, polytope_from_json
 from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
@@ -37,7 +40,9 @@ from figurate.triangulation import (
 )
 from oracles import (
     frozen,
+    per_face_scan,
     pointedness_violation,
+    reference_carriers,
     reference_condition_1,
     reference_pointed_complexes,
     reference_split,
@@ -163,31 +168,59 @@ def test_mask_construction_equals_the_frozenset_construction(spec):
     assert tri.closed
 
 
+def assert_built_once_at_the_carrier(lattice, apexes):
+    """Each simplex is carried by exactly one face, its brute-force carrier."""
+    carried = triangulation._carried(lattice, apexes)
+    built = [(s, fid) for fid, simplices in enumerate(carried) for s in simplices]
+    at = dict(built)
+    assert len(at) == len(built)
+    assert at == reference_carriers(lattice, at)
+    return carried
+
+
 @pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json"] + LARGE)
-def test_each_face_complex_is_the_restriction_of_the_polytope_complex(monkeypatch, spec):
+def test_each_simplex_is_built_once_at_its_carrier(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
-    checked = {}
-    original = triangulation._verify_face
-
-    def recorded(f, v, cf):
-        checked[f.id] = cf
-        original(f, v, cf)
-
-    monkeypatch.setattr(triangulation, "_verify_face", recorded)
+    carried = assert_built_once_at_the_carrier(lattice, apexes)
     tri = build_pointed_triangulation(lattice, apexes)
+    assert tri.interior == set(carried[-1])
+    # what the faces inside a face carry is the face's complex of the oracle,
+    # the polytope's complex restricted to the face
     per_face = reference_pointed_complexes(lattice, apexes)[0]
-    assert list(per_face) == list(checked) == [f.id for f in lattice.faces[1:]]
-    # top down, each face restricts the complex of a face that covers it,
-    # which is the polytope's complex restricted to that face
-    restricted = {lattice.top.id: tri.simplices}
-    for g in reversed(lattice.faces[1:]):
-        for fid in lattice.covers[g.id]:
-            if fid and fid not in restricted:
-                face_mask = to_mask(lattice.faces[fid].vertices)
-                restricted[fid] = {s for s in restricted[g.id] if not s & ~face_mask}
     for f in lattice.faces[1:]:
-        assert checked[f.id] == restricted[f.id] == set(map(to_mask, per_face[f.id])), (spec, sorted(f.vertices))
+        inside = pick(lattice.below[f.id] | 1 << f.id, carried)
+        assert set(chain.from_iterable(inside)) == set(map(to_mask, per_face[f.id])), (spec, sorted(f.vertices))
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle", "bipyramid:square"])
+def test_the_whole_complex_check_raises_as_the_per_face_scan(family, spec):
+    # every single simplex dropped, then 40 drawn drops of two or three: the
+    # check on the whole complex raises the per-face scan's first violation,
+    # or passes where it passes, as when only a cone over a non-maximal
+    # simplex is missing
+    b = family[spec]
+    lattice, apexes = b.lattice, b.apexes
+    carried = triangulation._carried(lattice, apexes)
+    every = sorted(b.tri.simplices)
+    rng = random.Random(spec)
+
+    def verdict(dropped):
+        kept = [[s for s in simplices if s not in dropped] for simplices in carried]
+        complex_ = b.tri.simplices - dropped
+        found = pointedness_violation(triangulation._verify_complex, lattice, apexes, kept, complex_)
+        assert found == pointedness_violation(per_face_scan, lattice, apexes, complex_), (spec, sorted(dropped))
+        return found
+
+    drops = [{s} for s in every] + [set(rng.sample(every, rng.randint(2, 3))) for _ in range(40)]
+    verdicts = {found and found[0] for found in map(verdict, drops)}
+    # every edge of a simplex is a face, whose end off the apex is then maximal
+    assert verdicts == ({None, 1} if spec.startswith("simplex") else {None, 1, 3})
+    # without the empty simplex and a vertex w, no cone over a simplex of the
+    # complex is the edge from the top apex v to w
+    v = b.tri.apex_vertex
+    w = next(w for w in range(len(lattice.polytope.vertices)) if w != v)
+    assert verdict({0, 1 << w, 1 << v | 1 << w})[1].startswith(f"edge [{v}, {w}] missing")
 
 
 def _face_detail(detail):

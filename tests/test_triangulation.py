@@ -229,21 +229,23 @@ def test_construction_raises_on_a_pointedness_violation(monkeypatch):
         build_pointed_triangulation(cube, apexes)
 
 
-def test_construction_raises_on_a_face_violation(monkeypatch):
-    # the per-face check runs on every face as it is built, the polytope last
+def test_construction_checks_the_whole_complex_once(monkeypatch):
+    # conditions 1 and 3 are checked once, after the build, on what each face
+    # carries and on their union, the complex it returns
     cube = parse_builtin("cube:3")
     apexes = assign_apexes(cube, vertex_order(cube.polytope))
     seen = []
 
-    def failing_at_the_top(f, v, cf):
-        seen.append(f.id)
-        if f is cube.top:
-            raise GenericityError("construction violated pointedness condition 1: forced")
+    def failing(lattice, apexes, carried, simplices):
+        seen.append((carried, simplices))
+        raise GenericityError("construction violated pointedness condition 1: forced")
 
-    monkeypatch.setattr(triangulation, "_verify_face", failing_at_the_top)
+    monkeypatch.setattr(triangulation, "_verify_complex", failing)
     with pytest.raises(GenericityError, match=r"^construction violated pointedness condition 1: forced$"):
         build_pointed_triangulation(cube, apexes)
-    assert seen == [f.id for f in cube.faces[1:]]
+    [(carried, simplices)] = seen
+    assert len(carried) == len(cube) and sum(map(len, carried)) == len(simplices)
+    assert simplices == set().union(*carried) == unverified_triangulation(cube, apexes).simplices
 
 
 def test_verify_pointed_vacuous_on_a_point():
