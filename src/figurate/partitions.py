@@ -4,21 +4,21 @@ From a generic interior point x, every maximal simplex F has an exterior
 lower set G_F, the vertices opposite the facets of F visible from x, and an
 interior lower set D_F = F - G_F. The intervals [G_F, F] partition the whole
 complex, and the intervals [D_F, F] partition exactly the interior
-simplices, the triangulation's ``interior``. So one side test per facet of
-every maximal simplex gives both partitions, and histograms of |G_F| and
-|D_F| give the h- and k-vectors, cross-checkable against the binomial
-transform of the f-vector.
+simplices, the triangulation's ``interior``. Histograms of |G_F| and |D_F|
+give the h- and k-vectors, cross-checkable against the binomial transform of
+the f-vector.
 
-Visibility is implemented as an exact side test (x strictly opposite the
-vertex across the facet's hyperplane), which is equivalent to ray casting for
-simplices and never leaves exact arithmetic. Every facet hyperplane comes from
-the triangulation's ridge-plane table, built once as integer vectors, so each
-test is the sign of one integer dot product. Genericity is checked against
-the same ridge planes, and a generic point's certificate is the tuple of
-distinct planes it avoids: in a pure complex every simplex with at most d
-vertices lies in a ridge, so a point off every ridge plane is off every
-lower affine hull as well. Simplices are the triangulation's ``int`` vertex
-masks, and an interval is a pair of them.
+A facet of F is visible from x exactly when x's barycentric coordinate at
+the opposite vertex is negative, which is ray casting for simplices without
+leaving exact arithmetic. One flag walk of the triangulation
+(``triangulation.exterior_lower_sets``) reads the signs of every maximal
+simplex's coordinates at once, and raises where one is zero, that is where x
+lies on a ridge plane. So the walk is the generic-point search's genericity
+test, and a generic point's certificate is its G_F in ``maximal`` order: in
+a pure complex every simplex with at most d vertices lies in a ridge, so a
+point off every ridge plane is off every lower affine hull as well. Both
+partitions are read off the certificate. Simplices are the triangulation's
+``int`` vertex masks, and an interval is a pair of them.
 """
 from __future__ import annotations
 
@@ -26,15 +26,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable
 
-from .geometry import Point, homogenize, integer_side
+from .geometry import Point, homogenize
 from .triangulation import (
     Complex,
     GenericityError,
     PointedTriangulation,
     Simplex,
+    exterior_lower_sets,
     vertex_list,
 )
 
@@ -43,14 +45,12 @@ from .triangulation import (
 class GenericPoint:
     """An interior point off every ridge plane of the triangulation.
 
-    ``certificate`` holds the distinct ridge planes, as integer vectors, that
-    the point was checked against; it lies on none of them. Every simplex
-    with at most d vertices lies in a ridge, so the point avoids its affine
-    hull too.
+    ``certificate`` holds the exterior lower set G_F of each maximal simplex
+    F, in ``maximal`` order, that the flag walk read at the point.
     """
 
     x: Point
-    certificate: tuple[tuple[int, ...], ...]
+    certificate: tuple[Simplex, ...]
 
 
 @dataclass(frozen=True)
@@ -87,58 +87,40 @@ def generic_point(
     Starts from the barycenter of the first maximal simplex and, while the
     candidate lies on a ridge hyperplane (or collides with a point in
     ``avoid``), retries with seeded random barycentric weights of growing
-    size. Only ridges need checking: every other simplex with at most d
-    vertices lies inside a ridge, so its affine hull lies in the ridge's
-    hyperplane. Candidates always stay strictly inside one maximal simplex,
+    size. The flag walk of ``exterior_lower_sets`` is the genericity test: it
+    raises exactly when the point lies on a ridge plane, and every other
+    simplex with at most d vertices lies inside a ridge. Each candidate is
+    sum w_i (L / D_i) v_i over the homogenized corners v_i = (D_i, D_i p_i),
+    L the lcm of the D_i, so it stays strictly inside one maximal simplex,
     hence inside the polytope.
     """
-    verts = tri.lattice.polytope.vertices
-    planes = tuple(dict.fromkeys(tri.ridge_planes.planes.values()))
-
-    def off_every_hull(x):
-        hx = homogenize(x)
-        return all(integer_side(p, hx) for p in planes)
-
-    corners = [verts[i] for i in vertex_list(tri.maximal[0])]
+    corners = [homogenize(tri.lattice.polytope.vertices[i]) for i in vertex_list(tri.maximal[0])]
+    den = lcm(*(c[0] for c in corners))
+    columns = list(zip(*([den // c[0] * e for e in c] for c in corners)))
     rng = random.Random(seed)
     bound = 8
     weights = [1] * len(corners)
     for _ in range(64):
-        total = Fraction(sum(weights))
-        x = tuple(
-            sum((w * p[j] for w, p in zip(weights, corners)), Fraction(0)) / total
-            for j in range(len(corners[0]))
-        )
-        if x not in avoid and off_every_hull(x):
-            return GenericPoint(x, planes)
+        hx = [sum(map(mul, weights, col)) for col in columns]
+        x = tuple(Fraction(e, hx[0]) for e in hx[1:])
+        if x not in avoid:
+            try:
+                return GenericPoint(x, exterior_lower_sets(tri, hx))
+            except GenericityError:
+                pass
         weights = [rng.randint(1, bound) for _ in corners]
         bound *= 2
     raise RuntimeError("could not find a generic point")
 
 
 def visibility_partitions(tri: PointedTriangulation, gp: GenericPoint) -> tuple[Partition, Partition]:
-    """The exterior and interior partitions of a generic point, from one sweep.
-
-    A facet of a maximal simplex F is visible iff x and the opposite vertex
-    lie strictly on opposite sides of the facet's hyperplane; when x is inside
-    F no facet is visible. One side test per facet gives G_F, and the
-    intervals [G_F, F] and [F - G_F, F] are built side by side. x on a facet
-    hyperplane violates genericity and raises. Each partition is verified
-    against its target, the triangulation's whole complex and its interior,
-    and a failure raises.
+    """The exterior and interior partitions of a generic point, [G_F, F] and
+    [F - G_F, F] from its certificate. Each partition is verified against its
+    target, the triangulation's whole complex and its interior, and a failure
+    raises.
     """
-    hx = homogenize(gp.x)
-    exterior, interior = [], []
-    for f in tri.maximal:
-        g_f = 0
-        for v, g, plane, v_side in tri.ridge_planes.facets[f]:
-            sx = integer_side(plane, hx)
-            if sx == 0:
-                raise GenericityError(f"point lies on the affine hull of facet {vertex_list(g)}")
-            if sx * v_side < 0:
-                g_f |= 1 << v
-        exterior.append(Interval(g_f, f))
-        interior.append(Interval(f ^ g_f, f))
+    exterior = [Interval(g, f) for f, g in zip(tri.maximal, gp.certificate)]
+    interior = [Interval(f ^ g, f) for f, g in zip(tri.maximal, gp.certificate)]
     return _verified("exterior", exterior, tri.simplices), _verified("interior", interior, tri.interior)
 
 
@@ -150,25 +132,34 @@ def _verified(kind: str, intervals: list[Interval], target: Complex) -> Partitio
 
 
 def verify_partition(intervals: Iterable[Interval], target: Complex) -> PartitionCertificate:
-    """Member-by-member check: target covered exactly once, nothing foreign.
+    """Target covered exactly once, nothing foreign.
 
     An interval's members lower | sub are walked by sub = (sub - 1) & free
-    from free = upper & ~lower down to 0.
+    from free = upper & ~lower down to 0, into one list. The cover is exact
+    iff the list's length, the number of distinct members and the target's
+    size agree and the members lie in the target. Only when that fails are
+    the members counted one by one, to name the simplices covered never,
+    more than once or outside the target.
     """
-    covered, multiple, foreign = set(), set(), []
+    members: list[Simplex] = []
     for iv in intervals:
         free = sub = iv.upper & ~iv.lower
         while True:
-            member = iv.lower | sub
-            if member not in target:
-                foreign.append(member)
-            elif member in covered:
-                multiple.add(member)
-            else:
-                covered.add(member)
+            members.append(iv.lower | sub)
             if not sub:
                 break
             sub = (sub - 1) & free
+    distinct = set(members)
+    if len(members) == len(distinct) == len(target) and distinct <= target:
+        return PartitionCertificate(True)
+    covered, multiple, foreign = set(), set(), []
+    for member in members:
+        if member not in target:
+            foreign.append(member)
+        elif member in covered:
+            multiple.add(member)
+        else:
+            covered.add(member)
     uncovered = [s for s in target if s not in covered]
     return PartitionCertificate(
         not (uncovered or multiple or foreign), _readout(uncovered), _readout(multiple), _readout(foreign)

@@ -50,8 +50,8 @@ class Analysis:
     apexes from ``vertex_order`` -> verified pointed triangulation, with its
     boundary and interior -> ``points`` generic points, the only stage
     the seed steers, searched with seeds ``seed``, ``seed + 1``, ... -> the
-    exterior and interior partitions of each point, from one visibility
-    sweep -> f/h/e/k vectors -> the sequences of every face as numerators
+    exterior and interior partitions of each point, read off its flag
+    walk -> f/h/e/k vectors -> the sequences of every face as numerators
     over (1 - x)^(d+1); the claims expand the polytope's own to ``n_max``.
     Every option after ``lattice`` is keyword-only.
     """

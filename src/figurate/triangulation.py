@@ -25,22 +25,21 @@ conditions 1 and 3 once on the whole complex, whose restriction to a face is
 that face's complex. Each check raises ``GenericityError`` where it finds a
 violation. One set of facets, each simplex less one vertex, gives the
 maximal simplices and closure under subsets.
+
+Each maximal simplex is also the apex set of a flag of faces, so one walk
+down the flags reads a point's barycentric signs in all of them
+(``exterior_lower_sets``), one facet plane per step (``FlagSteps``).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import mul
+from operator import and_, mul
+from typing import Sequence
 
-from .geometry import (
-    canonical_plane,
-    homogenize,
-    integer_plane_through,
-    integer_planes_opposite,
-    integer_side,
-)
+from .geometry import canonical_plane, homogenize, integer_plane_through, integer_planes_opposite
 from .lattice import Face, FaceLattice, pick
 
 Simplex = int
@@ -54,23 +53,6 @@ class GenericityError(RuntimeError):
     Every raiser is one of the program's own searches or checks, so this is a
     failed stage, never an input error.
     """
-
-
-@dataclass(frozen=True)
-class RidgePlanes:
-    """The hyperplane of every facet of every maximal simplex, computed once.
-
-    ``planes`` maps each ridge to its canonical hyperplane as an integer
-    vector (``geometry.integer_plane_through``). ``facets`` lists for each
-    maximal simplex, by increasing opposite vertex, (opposite vertex, ridge,
-    plane, side of the opposite vertex), all from one elimination. Every
-    maximal simplex has dim + 1 vertices, since the face lattice is checked
-    when loaded, so every simplex with at most dim vertices lies in a ridge,
-    and its affine hull in that ridge's plane.
-    """
-
-    planes: dict[Simplex, tuple[int, ...]]
-    facets: dict[Simplex, tuple[tuple[int, Simplex, tuple[int, ...], int], ...]]
 
 
 @dataclass(frozen=True)
@@ -92,14 +74,59 @@ class PointedTriangulation:
         return self.lattice.dim
 
     @cached_property
-    def ridge_planes(self) -> RidgePlanes:
+    def flag_steps(self) -> FlagSteps:
         """Built on first use and kept with the triangulation, shared by all points."""
-        return _ridge_planes(self)
+        return FlagSteps(self)
 
     @property
     def apex_vertex(self) -> int:
         """Apex of the polytope itself (the first vertex of the ranking)."""
         return self.apexes[self.lattice.top.id]
+
+
+class FlagSteps(dict):
+    """The steps of the flag walks by face id, each computed on first use.
+
+    A face f with apex a steps to each nonempty cover g that misses a,
+    through the plane l of the first facet (in ``facet_ids()`` order; ``on``
+    masks by vertex the facets that hold it) that holds g and misses a: the
+    step is (g, l, l(a)). A facet's plane is computed the first time a step
+    needs it, but one elimination of the first maximal simplex seeds them:
+    each of its boundary ridges lies in one facet, whose plane is the ridge's.
+    """
+
+    def __init__(self, tri: PointedTriangulation):
+        super().__init__()
+        self.lattice, self.apexes = tri.lattice, tri.apexes
+        self.hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
+        self.facets = [sorted(tri.lattice.faces[q].vertices) for q in tri.lattice.facet_ids()]
+        self.on = [sum(1 << i for i, f in enumerate(self.facets) if v in f) for v in range(len(self.hv))]
+        self.planes: dict[int, tuple[int, ...]] = {}
+        vs = vertex_list(tri.maximal[0])
+        for v, column in zip(vs, integer_planes_opposite([self.hv[w] for w in vs]) or ()):
+            held = reduce(and_, (self.on[w] for w in vs if w != v))
+            if held:
+                self.planes[(held & -held).bit_length() - 1] = canonical_plane(column)
+
+    def __missing__(self, fid: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        faces, a, out = self.lattice.faces, self.apexes[fid], []
+        for g in self.lattice.covers[fid]:
+            if not g or self.lattice.with_vertex[a] >> g & 1:
+                continue
+            apart = reduce(and_, map(self.on.__getitem__, faces[g].vertices), ~self.on[a])
+            if not apart:
+                raise RuntimeError(
+                    f"no facet holds face {sorted(faces[g].vertices)} and misses apex {a} of face "
+                    f"{sorted(faces[fid].vertices)}"
+                )
+            i = (apart & -apart).bit_length() - 1
+            plane = self.planes[i] = self.planes.get(i) or integer_plane_through([self.hv[v] for v in self.facets[i]])
+            la = sum(map(mul, plane, self.hv[a]))
+            if not la:
+                raise RuntimeError(f"apex {a} lies on the plane of facet {self.facets[i]}")
+            out.append((g, plane, la))
+        self[fid] = out = tuple(out)
+        return out
 
 
 def vertex_order(polytope) -> tuple[int, ...]:
@@ -203,28 +230,59 @@ def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
     return tuple(sorted(complex_ - facets, key=_simplex_key)), facets <= complex_
 
 
-def _ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
-    hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
-    planes: dict[Simplex, tuple[int, ...]] = {}
-    facets = {}
-    for f in tri.maximal:
-        vs = vertex_list(f)
-        opposite = integer_planes_opposite([hv[v] for v in vs])
-        if opposite is None:  # no d + 1 affinely independent points
-            flat = [v for v in vs if integer_plane_through([hv[w] for w in vs if w != v]) is None]
-            raise RuntimeError(
-                f"ridge {vertex_list(f ^ 1 << flat[0])} of maximal simplex {vs} spans no hyperplane" if flat
-                else f"the vertices of maximal simplex {vs} lie in one hyperplane"
-            )
-        entries = []
-        for v, column in zip(vs, opposite):
-            g = f ^ 1 << v
-            plane = planes.get(g)
-            if plane is None:  # an interior ridge is met twice, and made canonical once
-                plane = planes[g] = canonical_plane(column)
-            entries.append((v, g, plane, integer_side(plane, hv[v])))
-        facets[f] = tuple(entries)
-    return RidgePlanes(planes, facets)
+def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[Simplex, ...]:
+    """The exterior lower set G_F of every maximal simplex F, in ``maximal``
+    order, at the homogenized point ``hx``: the vertices of F where the
+    point's barycentric coordinate is negative.
+
+    Every maximal simplex is the apex set of a flag P = F_d > ... > F_0, each
+    F_(i-1) a cover of F_i that misses its apex, so one depth-first walk of
+    ``flag_steps`` reads them all. It carries an integer y in the span of
+    the face reached, c times the point in the simplex's homogenized
+    vertices, and the sign of c. At face F with apex a and cover G, the
+    plane l of a facet that holds G and misses a vanishes on the rest of the
+    simplex: a's coefficient has the sign of l(y) l(a) c, and
+    y' = l(a) y - l(y) a lies in G's span, with c' = l(a) c. A zero
+    coefficient puts the point on the affine hull of the apexes above a and
+    G, a ridge plane of every simplex below, and raises ``GenericityError``;
+    flags that end in other simplices than ``maximal``, no facet between G
+    and a, or one through a raise ``RuntimeError``, and never happen on a
+    face lattice.
+    """
+    steps = tri.flag_steps
+    faces, apexes, hv = tri.lattice.faces, tri.apexes, steps.hv
+    leaves: list[tuple[Simplex, Simplex]] = []
+
+    def down(fid, y, flip, above, lower):
+        a = apexes[fid]
+        bit, ha = 1 << a, hv[a]
+        for g, plane, la in steps[fid]:
+            ly = sum(map(mul, plane, y))
+            if not ly:
+                raise GenericityError(
+                    f"point lies on the affine hull of apexes {vertex_list(above)} and face "
+                    f"{sorted(faces[g].vertices)}"
+                )
+            below = lower | bit if (ly < 0) ^ (la < 0) ^ flip else lower
+            if faces[g].dim:
+                down(g, [la * u - ly * w for u, w in zip(y, ha)], flip ^ (la < 0), above | bit, below)
+                continue
+            y0, leaf = la * y[0] - ly * ha[0], 1 << apexes[g]  # at a vertex, y' is c' times its coefficient times it
+            if not y0:
+                raise GenericityError(
+                    f"point lies on the affine hull of apexes {vertex_list(above | bit)} and face []"
+                )
+            leaves.append((above | bit | leaf, below | leaf if (y0 < 0) ^ (la < 0) ^ flip else below))
+
+    down(len(faces) - 1, hx, False, 0, 0)
+    lower = dict(leaves)
+    if len(lower) != len(leaves) or lower.keys() != set(tri.maximal):
+        missed = sorted(set(tri.maximal) - lower.keys(), key=_simplex_key)
+        raise RuntimeError(
+            f"maximal simplex {vertex_list(missed[0])} is the apex set of no flag" if missed
+            else f"the apex flags end in {len(leaves)} simplices, not in the {len(tri.maximal)} maximal ones"
+        )
+    return tuple(map(lower.__getitem__, tri.maximal))
 
 
 def vertex_list(s: Simplex) -> list[int]:

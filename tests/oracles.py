@@ -10,10 +10,10 @@ the hull's directions one rank test at a time and solves one system per
 point, the reference for the one elimination of ``geometry.hull_coordinates``.
 
 ``segment_first_hit`` classifies a ray against a simplex by solving for the
-hit directly, so it is an oracle for the side-test visibility in
-``figurate.partitions``. ``full_scan_generic_point`` is the generic-point
-search that checks the affine hull of every simplex with at most d vertices,
-an oracle for the ridge-only search.
+hit directly, so it is an oracle for the visibility the flag walk reads.
+``full_scan_generic_point`` is the generic-point search that checks the
+affine hull of every simplex with at most d vertices, an oracle for the
+search whose genericity test is the walk.
 
 ``reference_face_number_sequences`` is the recursion for the sequences of
 every face evaluated term by term, one n at a time, the reference for the
@@ -41,10 +41,14 @@ simplex). ``is_simplicial_complex`` tests closure under
 subsets one vertex set at a time, the reference for the facet set that
 gives the maximal simplices.
 
-``reference_ridge_planes`` builds the ridge-plane table with one
-``integer_plane_through`` per distinct ridge (that kernel is checked against
-``reference_hyperplane_through`` in ``test_geometry.py``), the reference for
-the one elimination per maximal simplex.
+``ridge_planes`` builds the ridge-plane table of every maximal simplex, one
+``integer_planes_opposite`` elimination per simplex, and
+``side_test_lower_sets`` reads a point's exterior lower sets off it by one
+side test per facet: the reference for the flag walk of
+``triangulation.exterior_lower_sets``. ``reference_ridge_planes`` builds the
+same table with one ``integer_plane_through`` per distinct ridge (that
+kernel is checked against ``reference_hyperplane_through`` in
+``test_geometry.py``).
 ``interval_members`` walks an interval by ``combinations`` and
 ``reference_verify_partition`` counts every member in a dict of vertex
 sets, the reference for the submask walk of ``verify_partition``.
@@ -97,8 +101,10 @@ from typing import Sequence
 from figurate.geometry import (
     GeometryError,
     Point,
+    canonical_plane,
     homogenize,
     integer_plane_through,
+    integer_planes_opposite,
     integer_side,
     point,
 )
@@ -108,7 +114,6 @@ from figurate.triangulation import (
     Apexes,
     GenericityError,
     PointedTriangulation,
-    RidgePlanes,
     _verify_face,
     vertex_list,
 )
@@ -613,6 +618,60 @@ def is_simplicial_complex(complex_: Complex | set[Simplex]) -> bool:
             if (s - {v}) not in members:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class RidgePlanes:
+    """The hyperplane of every facet of every maximal simplex.
+
+    ``planes`` maps each ridge to its canonical hyperplane as an integer
+    vector (``geometry.integer_plane_through``). ``facets`` lists for each
+    maximal simplex, by increasing opposite vertex, (opposite vertex, ridge,
+    plane, side of the opposite vertex).
+    """
+
+    planes: dict[int, tuple[int, ...]]
+    facets: dict[int, tuple[tuple[int, int, tuple[int, ...], int], ...]]
+
+
+def ridge_planes(tri: PointedTriangulation) -> RidgePlanes:
+    """The ridge-plane table from one elimination per maximal simplex."""
+    hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
+    planes: dict[int, tuple[int, ...]] = {}
+    facets = {}
+    for f in tri.maximal:
+        vs = vertex_list(f)
+        opposite = integer_planes_opposite([hv[v] for v in vs])
+        if opposite is None:
+            raise RuntimeError(f"the vertices of maximal simplex {vs} span no simplex of full dimension")
+        entries = []
+        for v, column in zip(vs, opposite):
+            g = f ^ 1 << v
+            plane = planes.get(g)
+            if plane is None:  # an interior ridge is met twice, and made canonical once
+                plane = planes[g] = canonical_plane(column)
+            entries.append((v, g, plane, integer_side(plane, hv[v])))
+        facets[f] = tuple(entries)
+    return RidgePlanes(planes, facets)
+
+
+def side_test_lower_sets(table: RidgePlanes, x: Point) -> tuple[int, ...]:
+    """The exterior lower set of each maximal simplex of the table, in its
+    order, by one side test per facet: the vertices that x lies strictly
+    opposite across their facet's plane. x on a facet plane raises
+    ``GenericityError``."""
+    hx = homogenize(x)
+    lower_sets = []
+    for f, entries in table.facets.items():
+        lower = 0
+        for v, g, plane, v_side in entries:
+            sx = integer_side(plane, hx)
+            if sx == 0:
+                raise GenericityError(f"point lies on the affine hull of facet {vertex_list(g)}")
+            if sx * v_side < 0:
+                lower |= 1 << v
+        lower_sets.append(lower)
+    return tuple(lower_sets)
 
 
 def reference_ridge_planes(tri: PointedTriangulation) -> RidgePlanes:

@@ -11,7 +11,8 @@ lattice from coordinates alone, and every claim of the pipeline must pass
 from two generic points.
 
 The paper's theorem holds for every pointed triangulation, so every claim
-must also pass when the apexes come from any other ranking of the vertices.
+must also pass when the apexes come from any other ranking of the vertices,
+and the flag walk must read the same lower sets as the ridge-plane table.
 
 What settles h. The top apex, the first vertex of the order, is a vertex of
 every maximal simplex, and the triangulation is the cone from it over the
@@ -30,9 +31,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from figurate.lattice import polytope_from_vertices
+from figurate.partitions import generic_point
 from figurate.pipeline import run_pipeline
 from figurate.triangulation import assign_apexes, build_pointed_triangulation
-from oracles import reference_split
+from oracles import reference_split, ridge_planes, side_test_lower_sets
 from test_pointed_masks import assert_built_once_at_the_carrier
 from test_recursion import _lattice
 
@@ -110,6 +112,10 @@ def test_every_claim_holds_under_any_vertex_order(spec, data):
     tri = build_pointed_triangulation(lattice, apexes)
     assert (tri.boundary, tri.interior) == reference_split(tri)
     assert_built_once_at_the_carrier(lattice, apexes)
+    table = ridge_planes(tri)
+    for seed in range(2):
+        gp = generic_point(tri, seed=seed)
+        assert gp.certificate == side_test_lower_sets(table, gp.x)
     event(f"h = {next(r['witness']['h'] for r in records if r['claim'] == 'h-top-vanishes')}")
 
 

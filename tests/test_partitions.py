@@ -6,12 +6,12 @@ in ``oracles.py`` on the verified partitions and on corrupted ones.
 """
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import figurate.partitions as partitions
+from figurate.geometry import homogenize
 from figurate.lattice import parse_builtin
 from figurate.partitions import (
     Interval,
@@ -30,18 +30,20 @@ from figurate.triangulation import (
     GenericityError,
     assign_apexes,
     build_pointed_triangulation,
+    exterior_lower_sets,
     link,
+    vertex_list,
     vertex_order,
 )
 from figurate.pipeline import Analysis, vector_claims
 from oracles import (
     f_from_h,
     frozen,
-    integer_plane,
     interval_members,
     reference_hull_contains,
-    reference_hyperplane_through,
     reference_verify_partition,
+    ridge_planes,
+    side_test_lower_sets,
     to_mask,
     vertex_set,
 )
@@ -71,27 +73,21 @@ def _visible(f, ext):
     return {vertex_set(f) - {v} for v in vertex_set(iv.lower)}
 
 
-def _ridge_planes(b):
-    """The distinct ridge planes of a triangulation, by the reference kernel."""
-    verts = b.lattice.polytope.vertices
-    ridges = {f - {v} for f in map(vertex_set, b.tri.maximal) for v in f}
-    return {integer_plane(reference_hyperplane_through([verts[i] for i in sorted(r)])) for r in ridges}
-
-
 def test_generic_point_on_segment():
     tri = _tri("simplex:1")
     gp = generic_point(tri)
     (x,) = gp.x
     assert 0 < x < 1
-    # the only hulls to avoid are the two endpoints
-    assert len(gp.certificate) == 2
+    # the one maximal simplex holds the point, so no facet of it is visible
+    assert gp.certificate == (0,)
 
 
 def test_generic_point_on_square(square):
     gp = square.generic_points[0]
-    # the 5 edge lines (4 sides + diagonal) were checked; the 4 vertices lie on them
-    assert len(gp.certificate) == 5
-    assert set(gp.certificate) == _ridge_planes(square)
+    # [0, 1, 3] holds the point; [0, 2, 3] sees it across the diagonal,
+    # opposite vertex 2
+    assert square.tri.maximal == (0b1011, 0b1101)
+    assert gp.certificate == (0, 0b100) == side_test_lower_sets(ridge_planes(square.tri), gp.x)
     verts = square.lattice.polytope.vertices
     for s in frozen(square.tri.simplices):
         if s and len(s) <= 2:
@@ -100,10 +96,10 @@ def test_generic_point_on_square(square):
 
 def test_generic_point_on_cube(cube3):
     gp = cube3.generic_points[0]
-    # 18 ridge triangles: the 12 on the boundary lie on the 6 facet planes,
-    # the 6 inside on 3 diagonal planes; each plane is checked once
-    assert len(gp.certificate) == len(set(gp.certificate)) == 9
-    assert set(gp.certificate) == _ridge_planes(cube3)
+    # one lower set per maximal simplex, in order; their sizes are h
+    assert [vertex_list(g) for g in gp.certificate] == [[], [5], [2], [6], [4], [4, 6]]
+    assert gp.certificate == side_test_lower_sets(ridge_planes(cube3.tri), gp.x)
+    assert Counter(map(int.bit_count, gp.certificate)) == {0: 1, 1: 4, 2: 1}
 
 
 def test_generic_points_distinct_with_avoid(cube3):
@@ -140,16 +136,16 @@ def test_boundary_facets_not_visible_from_their_simplex(cube3):
             assert ridge not in _visible(owner, ext)
 
 
-def test_visibility_raises_on_degenerate_point(square):
+def test_the_walk_raises_on_a_degenerate_point(square):
     verts = square.lattice.polytope.vertices
     # midpoint of the diagonal lies on that edge's hull
     t1 = next(f for f in square.tri.maximal)
     other = max(f for f in square.tri.maximal)
     diag = sorted(vertex_set(t1 & other))
     mid = tuple((verts[diag[0]][j] + verts[diag[1]][j]) / 2 for j in range(2))
-    gp = replace(square.generic_points[0], x=mid)
-    with pytest.raises(GenericityError, match=rf"^point lies on the affine hull of facet \[{diag[0]}, {diag[1]}\]$"):
-        visibility_partitions(square.tri, gp)
+    message = rf"^point lies on the affine hull of apexes \[{diag[0]}\] and face \[{diag[1]}\]$"
+    with pytest.raises(GenericityError, match=message):
+        exterior_lower_sets(square.tri, homogenize(mid))
 
 
 def test_exterior_partition_simplex_single_interval():
@@ -205,6 +201,9 @@ def test_verify_partition_pass_and_fail(cube3):
     cert = verify_partition(ext.intervals, cube3.tri.interior)
     assert not cert.ok
     assert cert.foreign  # boundary faces are not interior elements
+    # as many distinct members as the target has, but one of them foreign
+    swapped = [Interval(0, 0), Interval(0b10, 0b10)]
+    assert verify_partition(swapped, frozenset({0, 0b1})) == PartitionCertificate(False, ([0],), (), ([1],))
 
 
 def test_f_vector_examples(cube3):
@@ -261,21 +260,26 @@ def test_k_from_partition_examples(cube3):
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:4", "pyramid:square", "bipyramid:triangle"])
-def test_one_side_test_per_facet_gives_both_partitions(monkeypatch, spec):
+def test_both_partitions_are_read_off_the_walks_of_the_search(monkeypatch, spec):
     a = Analysis(parse_builtin(spec), points=3)
-    a.generic_points  # their genericity checks fall outside the count
     calls = Counter()
-    original = partitions.integer_side
+    original = partitions.exterior_lower_sets
 
-    def counted(plane, hp):
-        calls["integer_side"] += 1
-        return original(plane, hp)
+    def counted(tri, hx):
+        calls["walk"] += 1
+        return original(tri, hx)
 
-    monkeypatch.setattr(partitions, "integer_side", counted)
+    monkeypatch.setattr(partitions, "exterior_lower_sets", counted)
+    a.generic_points
+    # one walk per candidate, at least one per point; bipyramid:triangle's
+    # first candidates lie on a ridge plane
+    searched = calls["walk"]
+    assert searched >= a.points and (searched > a.points) == (spec == "bipyramid:triangle")
     pairs = a.partitions
-    assert calls["integer_side"] == (a.dim + 1) * len(a.tri.maximal) * a.points
-    for ext, intr in pairs:
+    assert calls["walk"] == searched
+    for (ext, intr), gp in zip(pairs, a.generic_points):
         assert [iv.upper for iv in ext.intervals] == [iv.upper for iv in intr.intervals] == list(a.tri.maximal)
+        assert tuple(iv.lower for iv in ext.intervals) == gp.certificate
         for e, i in zip(ext.intervals, intr.intervals):
             assert i.lower == e.upper - e.lower
 

@@ -1,23 +1,32 @@
-"""The ridge-plane table: ridge-only genericity and table-driven visibility.
+"""The flag walk against the ridge-plane table.
 
-Both are checked against independent oracles kept in ``oracles.py``: the
-full-scan generic-point search, and ray casting for visibility. The table
-itself, one elimination per maximal simplex, must equal the one kernel per
-ridge of ``reference_ridge_planes`` on every builtin of dimension at most 5,
-on the large builtins and on random rational polytopes.
+Each point's exterior lower sets come from one walk down the face lattice
+(``triangulation.exterior_lower_sets``). The oracle is the ridge-plane table
+of ``oracles.ridge_planes``, one elimination per maximal simplex, read by one
+side test per facet (``oracles.side_test_lower_sets``). Walk and table must
+give the same lower sets at every generic point, and both must raise at
+points on a ridge plane, on every builtin of dimension at most 5, on the
+large builtins, on random rational polytopes, on every JSON input here and
+under drawn vertex orders (``test_chain_property.py``). The table itself
+must equal the one kernel per ridge of ``reference_ridge_planes``. The
+search is checked against the full-scan search and visibility against ray
+casting.
 """
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 import figurate.triangulation as triangulation
-from figurate.geometry import barycenter, point
-from figurate.lattice import Polytope, parse_builtin, polytope_from_vertices
-from figurate.partitions import GenericPoint, generic_point, visibility_partitions
+from figurate.geometry import barycenter, homogenize, point
+from figurate.lattice import Polytope, parse_builtin, polytope_from_json, polytope_from_vertices
+from figurate.partitions import generic_point, visibility_partitions
 from figurate.triangulation import (
     GenericityError,
-    PointedTriangulation,
     assign_apexes,
     build_pointed_triangulation,
+    exterior_lower_sets,
     vertex_list,
     vertex_order,
 )
@@ -26,7 +35,9 @@ from oracles import (
     full_scan_generic_point,
     reference_face_lattice,
     reference_ridge_planes,
+    ridge_planes,
     segment_first_hit,
+    side_test_lower_sets,
     unverified_triangulation,
 )
 from test_chain_property import sphere_points, sphere_points_4d
@@ -41,6 +52,7 @@ SMALL_FAMILY = (
     # their first candidates lie on a ridge plane, so the search must reject them
     + ["bipyramid:triangle", "bipyramid:simplex:3"]
 )
+JSON_INPUTS = sorted(p.name for p in Path(__file__).parent.glob("*.json"))
 
 
 def _tri(spec):
@@ -52,33 +64,57 @@ def _triangulated(lat):
     return build_pointed_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
 
 
-def _ridges(tri):
-    return {f ^ 1 << v for f in tri.maximal for v in vertex_list(f)}
+def _lower_sets(walk, *args):
+    """The lower sets of one reading, or the exception class it raised."""
+    try:
+        return walk(*args)
+    except GenericityError:
+        return GenericityError
 
 
-def _assert_table_matches_the_reference(tri):
-    table, ref = tri.ridge_planes, reference_ridge_planes(tri)
-    assert list(table.planes.items()) == list(ref.planes.items())
-    assert list(table.facets.items()) == list(ref.facets.items())
+def assert_walk_matches_the_table(tri, points=3):
+    """The walk's lower sets equal the table's at ``points`` generic points,
+    and at the barycenters of the first maximal simplices, generic or not."""
+    table = ridge_planes(tri)
+    assert list(table.planes.items()) == list(reference_ridge_planes(tri).planes.items())
+    verts = tri.lattice.polytope.vertices
+    gps = []
+    for seed in range(points):
+        gps.append(generic_point(tri, seed=seed, avoid=tuple(g.x for g in gps)))
+        assert gps[-1].certificate == side_test_lower_sets(table, gps[-1].x)
+    for f in tri.maximal[:4]:
+        x = barycenter([verts[i] for i in vertex_list(f)])
+        assert _lower_sets(exterior_lower_sets, tri, homogenize(x)) == _lower_sets(side_test_lower_sets, table, x)
 
 
 @pytest.mark.parametrize("spec", BUILTINS + LARGE)
-def test_one_elimination_per_simplex_gives_the_table_of_one_kernel_per_ridge(spec):
+def test_walk_matches_the_table_on_the_builtins(spec):
     lat = parse_builtin(spec)
     if lat.dim >= 1:
-        _assert_table_matches_the_reference(_triangulated(lat))
+        assert_walk_matches_the_table(_triangulated(lat))
 
 
 @settings(max_examples=30, deadline=None)
 @given(sphere_points())
-def test_table_matches_the_reference_on_rational_sphere_points(points):
-    _assert_table_matches_the_reference(_triangulated(polytope_from_vertices("sphere", points)))
+def test_walk_matches_the_table_on_rational_sphere_points(points):
+    assert_walk_matches_the_table(_triangulated(polytope_from_vertices("sphere", points)))
 
 
 @settings(max_examples=10, deadline=None)
 @given(sphere_points_4d())
-def test_table_matches_the_reference_on_rational_points_on_the_3_sphere(points):
-    _assert_table_matches_the_reference(_triangulated(polytope_from_vertices("sphere", points)))
+def test_walk_matches_the_table_on_rational_points_on_the_3_sphere(points):
+    assert_walk_matches_the_table(_triangulated(polytope_from_vertices("sphere", points)))
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_walk_matches_the_table_on_every_json_input(name):
+    data = json.loads((Path(__file__).parent / name).read_text())
+    try:
+        lat = polytope_from_json(data)
+    except ValueError:  # rejected when loaded, so never triangulated
+        assert name == "square_diagonals_and_vertices.json"
+        return
+    assert_walk_matches_the_table(_triangulated(lat))
 
 
 @pytest.mark.parametrize("spec", SMALL_FAMILY)
@@ -87,7 +123,7 @@ def test_ridge_only_search_matches_full_scan(spec):
     for seed in range(4):
         plain = generic_point(tri, seed=seed)
         assert plain.x == full_scan_generic_point(tri, seed=seed)
-        assert set(plain.certificate) == set(tri.ridge_planes.planes.values())
+        assert plain.certificate == side_test_lower_sets(ridge_planes(tri), plain.x)
         # avoiding the first choice forces the seeded retries
         avoid = (plain.x,)
         assert generic_point(tri, seed=seed, avoid=avoid).x == full_scan_generic_point(tri, seed=seed, avoid=avoid)
@@ -108,38 +144,30 @@ def test_visibility_matches_ray_casting(family, spec):
                 assert bool(iv.lower >> v & 1) == (hit == AT_OR_AFTER_Y), (spec, vertex_list(f), v)
 
 
-def test_one_elimination_per_maximal_simplex(monkeypatch):
-    calls = []
-    original = triangulation.integer_planes_opposite
+def test_one_elimination_and_one_plane_per_facet(monkeypatch):
+    calls = {"integer_planes_opposite": [], "integer_plane_through": []}
 
-    def counted(hpoints):
-        calls.append(hpoints)
-        return original(hpoints)
+    def counted(name):
+        original = getattr(triangulation, name)
 
-    def per_ridge(hpoints):
-        raise AssertionError("a ridge plane was computed on its own")
+        def count(hpoints):
+            calls[name].append(tuple(hpoints))
+            return original(hpoints)
 
-    monkeypatch.setattr(triangulation, "integer_planes_opposite", counted)
-    monkeypatch.setattr(triangulation, "integer_plane_through", per_ridge)
+        monkeypatch.setattr(triangulation, name, count)
+
+    counted("integer_planes_opposite")
+    counted("integer_plane_through")
     tri = _tri("cube:4")
     points = []
     for i in range(3):
         gp = generic_point(tri, seed=i, avoid=tuple(p.x for p in points))
         points.append(gp)
         visibility_partitions(tri, gp)
-    assert len(calls) == len(tri.maximal) == 24
-    assert len(tri.ridge_planes.planes) == len(_ridges(tri))
-
-
-def test_table_sides_and_planes(cube3):
-    table = cube3.tri.ridge_planes
-    assert table is cube3.tri.ridge_planes  # built once per triangulation
-    assert set(table.planes) == _ridges(cube3.tri)
-    for f, entries in table.facets.items():
-        assert [v for v, *_ in entries] == vertex_list(f)
-        for v, g, plane, side in entries:
-            assert g == f ^ 1 << v and plane == table.planes[g]
-            assert side != 0  # the opposite vertex is off the facet's plane
+    assert tri.flag_steps is tri.flag_steps  # built once per triangulation
+    assert len(calls["integer_planes_opposite"]) == 1
+    through = calls["integer_plane_through"]
+    assert len(set(through)) == len(through) <= len(tri.lattice.facet_ids()) == 8
 
 
 def _square_with_diagonal_faces():
@@ -149,36 +177,46 @@ def _square_with_diagonal_faces():
     return reference_face_lattice(square, [frozenset({0, 3}), frozenset({1, 2})])
 
 
-def test_ridge_spanning_no_hyperplane_raises():
+def test_a_maximal_simplex_of_no_flag_raises():
     # the lattice has no vertices, so the only maximal simplex is the edge
-    # [0, 1] in the plane: its ridges are points, which span no line
+    # [0, 1] in the plane, and the flags from the top run past every vertex
     lat = _square_with_diagonal_faces()
     tri = unverified_triangulation(lat, assign_apexes(lat, vertex_order(lat.polytope)))
     assert tri.maximal == (0b11,)
-    message = r"^ridge \[1\] of maximal simplex \[0, 1\] spans no hyperplane$"
+    message = r"^maximal simplex \[0, 1\] is the apex set of no flag$"
     with pytest.raises(RuntimeError, match=message):
-        tri.ridge_planes
+        exterior_lower_sets(tri, homogenize(point(["1/3", "1/4"])))
     with pytest.raises(RuntimeError, match=message):
         generic_point(tri)
-    gp = GenericPoint(point(["1/3", "1/4"]), ())
-    with pytest.raises(RuntimeError, match=message):
-        visibility_partitions(tri, gp)
 
 
-def test_a_flat_maximal_simplex_raises():
-    # three points on a line: each pair of them spans the line, so no ridge
-    # fails on its own, but the three span no triangle
+def test_an_apex_on_its_facet_plane_raises():
+    # vertex 1 lies on the edge [0, 2], in no proper face: as the top apex it
+    # spans a flat triangle with that edge, and lies on its plane
     pts = Polytope("flat", tuple(point(v) for v in [(0, 0), (1, 0), (2, 0), (0, 1)]), 2)
     lat = reference_face_lattice(pts, [frozenset({0, 2}), frozenset({2, 3}), frozenset({0, 3})])
-    tri = PointedTriangulation(lat, None, (), (), (), (0b0111,), True)
-    with pytest.raises(RuntimeError, match=r"^the vertices of maximal simplex \[0, 1, 2\] lie in one hyperplane$"):
-        tri.ridge_planes
+    tri = unverified_triangulation(lat, assign_apexes(lat, (1, 0, 2, 3)))
+    assert 0b0111 in tri.maximal
+    with pytest.raises(RuntimeError, match=r"^apex 1 lies on the plane of facet \[0, 2\]$"):
+        generic_point(tri)
+
+
+def test_no_facet_between_a_face_and_an_apex_raises():
+    # the point [1] is listed as a face of the edge [0, 1] alone, so every
+    # facet that holds it holds the edge's apex 0 too
+    square = Polytope("sq", tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)]), 2)
+    lat = reference_face_lattice(square, [frozenset({0, 1}), frozenset({1}), frozenset({2, 3})])
+    tri = unverified_triangulation(lat, assign_apexes(lat, (2, 0, 1, 3)))
+    with pytest.raises(RuntimeError, match=r"^no facet holds face \[1\] and misses apex 0 of face \[0, 1\]$"):
+        generic_point(tri)
 
 
 def test_point_on_a_ridge_plane_raises(square):
     f = square.tri.maximal[0]
     verts = square.lattice.polytope.vertices
     on_plane = barycenter([verts[i] for i in vertex_list(f)[:2]])
-    gp = GenericPoint(on_plane, ())
-    with pytest.raises(GenericityError, match=r"^point lies on the affine hull of facet "):
-        visibility_partitions(square.tri, gp)
+    message = r"^point lies on the affine hull of apexes \[0, 1\] and face \[\]$"
+    with pytest.raises(GenericityError, match=message):
+        exterior_lower_sets(square.tri, homogenize(on_plane))
+    with pytest.raises(GenericityError, match=r"^point lies on the affine hull of facet \[0, 1\]$"):
+        side_test_lower_sets(ridge_planes(square.tri), on_plane)
