@@ -13,7 +13,6 @@ from .geometry import (
     rational_str,
 )
 from .lattice import (
-    Face,
     FaceLattice,
     Polytope,
     build_face_lattice,

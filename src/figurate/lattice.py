@@ -2,7 +2,8 @@
 
 A polytope is stored as a tuple of rational vertex points together with its
 full face lattice: every face (including the empty face, with dimension -1,
-and the polytope itself) identified by its vertex index set. Every proper
+and the polytope itself) is its ``int`` vertex mask, bit i for vertex i,
+and ``vertex_list`` prints one as its sorted vertices. Every proper
 face is an intersection of facets, so the lattice is built from the facets'
 vertex sets alone (V. Kaibel, M. E. Pfetsch, "Computing the face lattice of a
 polytope from its vertex-facet incidences", Comput. Geom. 23, 2002): closure
@@ -73,13 +74,6 @@ class Polytope:
         return len(self.vertices[0]) if self.vertices else 0
 
 
-@dataclass(frozen=True)
-class Face:
-    id: int
-    vertices: frozenset[int]
-    dim: int
-
-
 class FaceLattice:
     """All faces of a polytope, ordered by inclusion of vertex sets.
 
@@ -95,10 +89,12 @@ class FaceLattice:
     - A face's dimension comes from the grading: 1 + the largest dimension
       of its children, the empty face at -1. On a face lattice this is the
       affine dimension, and no rank is computed.
-    - Faces are sorted by (dimension, vertex tuple) and identified by their
-      position in that order, so face ids are deterministic. Id 0 is always
-      the empty face and the last id is the full vertex set, since a child
-      has a smaller dimension than its face.
+    - ``faces[i]`` is the vertex mask of face i and ``dims[i]`` its
+      dimension. Faces are sorted by (dimension, vertex tuple) and
+      identified by their position in that order, so face ids are
+      deterministic. Id 0 is always the empty face and the last id, ``top``,
+      is the full vertex set, since a child has a smaller dimension than its
+      face.
     - ``below[i]`` is the face-id mask (bit j for face j) of the proper
       subfaces of face i, the empty face included, OR-ed bottom up over the
       children. ``with_vertex[v]`` masks the faces that hold vertex v.
@@ -134,15 +130,13 @@ class FaceLattice:
             dims[f] = 1 + max(map(dims.__getitem__, children[f]))
         verts = {f: pick(f, range(len(polytope.vertices))) for f in children}
         order = sorted(children, key=lambda f: (dims[f], verts[f]))
-        ids = tuple(range(len(order)))
-        self.faces: tuple[Face, ...] = tuple(
-            Face(i, frozenset(verts[f]), dims[f]) for i, f in zip(ids, order)
-        )
+        self.faces: tuple[int, ...] = tuple(order)
+        self.dims: tuple[int, ...] = tuple(map(dims.__getitem__, order))
         by_dim: dict[int, list[int]] = {}
-        for f in self.faces:
-            by_dim.setdefault(f.dim, []).append(f.id)
+        for i, d in enumerate(self.dims):
+            by_dim.setdefault(d, []).append(i)
         self.by_dim = {d: tuple(ids) for d, ids in by_dim.items()}
-        id_of = dict(zip(order, ids))
+        id_of = {f: i for i, f in enumerate(order)}
         below, covers = [], []
         for f in order:
             kids = sorted(map(id_of.__getitem__, children[f]))
@@ -161,8 +155,9 @@ class FaceLattice:
         self.with_vertex: tuple[int, ...] = tuple(with_vertex)
 
     @property
-    def top(self) -> Face:
-        return self.faces[-1]
+    def top(self) -> int:
+        """The id of the polytope itself."""
+        return len(self.faces) - 1
 
     def facet_ids(self) -> tuple[int, ...]:
         return self.by_dim.get(self.dim - 1, ())
@@ -182,6 +177,11 @@ def pick(mask: int, items: Sequence[T]) -> tuple[T, ...]:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit string as 0/1 selectors
 
 
+def vertex_list(mask: int) -> list[int]:
+    """The sorted vertices of a face or simplex mask: how records and messages print it."""
+    return list(pick(mask, range(mask.bit_length())))
+
+
 def _mask(vertices) -> int:
     return sum(1 << i for i in vertices)
 
@@ -189,12 +189,12 @@ def _mask(vertices) -> int:
 # ---------------------------------------------------------------------------
 # Construction from coordinates.
 
-def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], int]]:
     """Exact facets of a full-dimensional polytope, by gift-wrapping.
 
     Each facet is (its integer plane in the canonical form of
-    ``integer_plane_through``, the indices of the vertices on it), sorted by
-    vertex indices. Non-extremal points on a facet are in its set.
+    ``integer_plane_through``, the mask of the vertices on it), sorted by
+    vertex indices. Non-extremal points on a facet are in its mask.
     """
     verts = p.vertices
     d = p.dim
@@ -208,8 +208,8 @@ def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]
     for mask, plane in _wrap([homogenize(v) for v in verts]).items():
         if next(x for x in plane[1:] if x) < 0:
             plane = tuple(-x for x in plane)
-        found.append((plane, frozenset(pick(mask, range(len(verts))))))
-    found.sort(key=lambda pf: sorted(pf[1]))
+        found.append((plane, mask))
+    found.sort(key=lambda pf: vertex_list(pf[1]))
     return found
 
 
@@ -342,7 +342,7 @@ def build_face_lattice(
         lattice = FaceLattice(p, generators)
         _check_face_lattice(lattice, generators)
         return lattice
-    masks = [_mask(vs) for _, vs in enumerate_facets(p)]
+    masks = [mask for _, mask in enumerate_facets(p)]
     if p.dim > 0:
         for i in range(len(p.vertices)):
             if _facet_meet(1 << i, masks, len(p.vertices)) != 1 << i:
@@ -385,50 +385,49 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
         raise GeometryError(f"faces of {p.name!r} are not a face lattice: {detail}")
 
     hv = [homogenize(v) for v in p.vertices]
-    for f in lattice.faces[1:]:
-        rank = integer_rank([hv[i] for i in f.vertices])
-        if rank - 1 != f.dim:
-            fail(f"face {sorted(f.vertices)} has dimension {rank - 1}, but the faces inside it grade it as {f.dim}")
+    for f, dim in zip(lattice.faces[1:], lattice.dims[1:]):
+        rank = integer_rank(pick(f, hv))
+        if rank - 1 != dim:
+            fail(f"face {vertex_list(f)} has dimension {rank - 1}, but the faces inside it grade it as {dim}")
     if p.dim == 0:
         return
-    facets = [lattice.faces[i].vertices for i in lattice.facet_ids()]
+    facets = [lattice.faces[i] for i in lattice.facet_ids()]
     for facet in facets:
-        plane = integer_plane_through([hv[i] for i in sorted(facet)])  # the facet spans dim - 1
+        plane = integer_plane_through(pick(facet, hv))  # the facet spans dim - 1
         sides = [integer_side(plane, h) for h in hv]
         if min(sides) < 0 < max(sides):
-            fail(f"facet {sorted(facet)} has vertices on both sides of its hyperplane")
-        held = {i for i, side in enumerate(sides) if side == 0}
-        if held != facet:
-            fail(f"the hyperplane of facet {sorted(facet)} also holds vertex {min(held - facet)}")
+            fail(f"facet {vertex_list(facet)} has vertices on both sides of its hyperplane")
+        extra = _mask(i for i, side in enumerate(sides) if side == 0) & ~facet
+        if extra:
+            fail(f"the hyperplane of facet {vertex_list(facet)} also holds vertex {vertex_list(extra)[0]}")
     in_facets = [0] * len(lattice)
     for fid in lattice.facet_ids():
         for rid in lattice.covers[fid]:
             in_facets[rid] += 1
     for rid in lattice.by_dim.get(p.dim - 2, ()):
         if in_facets[rid] != 2:
-            fail(f"ridge {sorted(lattice.faces[rid].vertices)} lies in {in_facets[rid]} facets, expected 2")
-    facet_masks = [_mask(facet) for facet in facets]
+            fail(f"ridge {vertex_list(lattice.faces[rid])} lies in {in_facets[rid]} facets, expected 2")
     for g in generators:
-        if _facet_meet(g, facet_masks, len(p.vertices)) != g:
-            fail(f"face {list(pick(g, range(len(p.vertices))))} is not the intersection of the facets containing it")
-    vertex_faces = {lattice.faces[i].vertices for i in lattice.by_dim[0]}
+        if _facet_meet(g, facets, len(p.vertices)) != g:
+            fail(f"face {vertex_list(g)} is not the intersection of the facets containing it")
+    vertex_faces = {lattice.faces[i] for i in lattice.by_dim[0]}
     for v in range(len(p.vertices)):
-        if frozenset((v,)) not in vertex_faces:
+        if 1 << v not in vertex_faces:
             fail(f"vertex {v} is not a 0-face")
     # below the polytope, as the ridges do above: two faces between faces two dimensions apart
     ids = range(len(lattice))
     of_dim = {d: sum(1 << i for i in fids) for d, fids in lattice.by_dim.items()}
-    for f in lattice.faces[1:-1]:
+    for fid in range(1, lattice.top):
         # the grading is strict, so a subface one dimension down is a cover, and one two down
         # lies in a cover of f exactly when that cover covers it
         between = Counter()
-        for c in lattice.covers[f.id]:
+        for c in lattice.covers[fid]:
             between.update(lattice.covers[c])
-        for g in pick(lattice.below[f.id] & of_dim.get(f.dim - 2, 0), ids):
+        for g in pick(lattice.below[fid] & of_dim.get(lattice.dims[fid] - 2, 0), ids):
             if between[g] != 2:
                 fail(
-                    f"{between[g]} faces lie between face {sorted(lattice.faces[g].vertices)} "
-                    f"and face {sorted(f.vertices)}, expected 2"
+                    f"{between[g]} faces lie between face {vertex_list(lattice.faces[g])} "
+                    f"and face {vertex_list(lattice.faces[fid])}, expected 2"
                 )
 
 
@@ -551,9 +550,7 @@ def builtin(family: str, dim: int | None = None, base: FaceLattice | None = None
 
     A compound is built on its base lattice's polytope, facets and number of faces.
     """
-    parts = None if base is None else (
-        base.polytope, [_mask(base.faces[i].vertices) for i in base.facet_ids()], len(base)
-    )
+    parts = None if base is None else (base.polytope, [base.faces[i] for i in base.facet_ids()], len(base))
     return FaceLattice(*_builtin(family, dim, parts)[:2])
 
 
@@ -620,7 +617,7 @@ def polytope_to_json(lattice: FaceLattice) -> dict:
     return {
         "name": p.name,
         "vertices": [[rational_str(c) for c in v] for v in p.vertices],
-        "faces": [sorted(f.vertices) for f in lattice.faces if f.vertices],
+        "faces": [vertex_list(f) for f in lattice.faces if f],
     }
 
 

@@ -31,14 +31,8 @@ from operator import mul
 from typing import Iterable
 
 from .geometry import Point, homogenize
-from .triangulation import (
-    Complex,
-    GenericityError,
-    PointedTriangulation,
-    Simplex,
-    exterior_lower_sets,
-    vertex_list,
-)
+from .lattice import vertex_list
+from .triangulation import Complex, GenericityError, PointedTriangulation, Simplex, exterior_lower_sets
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def _readout(simplices) -> tuple[list[int], ...]:
 # ---------------------------------------------------------------------------
 # Face-count vectors.
 
-def f_vector(complex_: Complex, dim: int) -> tuple[int, ...]:
+def f_vector(complex_: Iterable[Simplex], dim: int) -> tuple[int, ...]:
     """(f_{-1}, f_0, ..., f_dim); f_{-1} is 1 exactly when the empty simplex is present."""
     counts = [0] * (dim + 2)
     for size, n in Counter(map(int.bit_count, complex_)).items():

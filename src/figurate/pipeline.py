@@ -1,12 +1,12 @@
 """End-to-end verification pipeline producing machine-readable claim records.
 
 ``Analysis`` is the one place the paper's chain is assembled: one run
-triangulates a polytope, which yields its boundary and interior complexes,
-builds its visibility partitions from several distinct generic points,
-computes all vectors and sequences, and each claim reads those stages to
-emit one record. Records are plain dicts with a fixed key order so
-serialized reports are byte-identical across runs with the same
-configuration. A failed claim always carries its first counterexample.
+triangulates a polytope, which yields its complex and its interior (the
+boundary is the rest), builds its visibility partitions from several
+distinct generic points, computes all vectors and sequences, and each claim
+reads those stages to emit one record. Records are plain dicts with a fixed
+key order so serialized reports are byte-identical across runs with the
+same configuration. A failed claim always carries its first counterexample.
 """
 from __future__ import annotations
 
@@ -48,11 +48,11 @@ class Analysis:
     """The chain for one polytope, each stage computed at most once, on first use.
 
     apexes from ``vertex_order`` -> verified pointed triangulation, with its
-    boundary and interior -> ``points`` generic points, the only stage
-    the seed steers, searched with seeds ``seed``, ``seed + 1``, ... -> the
-    exterior and interior partitions of each point, read off its flag
-    walk -> f/h/e/k vectors -> the sequences of every face as numerators
-    over (1 - x)^(d+1); the claims expand the polytope's own to ``n_max``.
+    interior -> ``points`` generic points, the only stage the seed steers,
+    searched with seeds ``seed``, ``seed + 1``, ... -> the exterior and
+    interior partitions of each point, read off its flag walk -> f/h/e/k
+    vectors -> the sequences of every face as numerators over (1 - x)^(d+1);
+    the claims expand the polytope's own to ``n_max``.
     Every option after ``lattice`` is keyword-only.
     """
 
@@ -170,7 +170,7 @@ def _pseudomanifold(a: Analysis) -> dict:
     ok, detail = pseudomanifold_certificate(a.tri)
     return _record(
         "pseudomanifold-boundary", a, a.params, ok,
-        witness={"boundary": len(a.tri.boundary), "interior": len(a.tri.interior)},
+        witness={"boundary": len(a.tri.simplices) - len(a.tri.interior), "interior": len(a.tri.interior)},
         counterexample={"detail": detail},
     )
 
@@ -179,7 +179,9 @@ def _euler(a: Analysis) -> dict:
     chi = {
         "complex": euler_characteristic(a.f),
         "link": euler_characteristic(a.link_f),
-        "boundary": euler_characteristic(f_vector(a.tri.boundary, a.dim - 1)),
+        "boundary": euler_characteristic(
+            f_vector((s for s in a.tri.simplices if s not in a.tri.interior), a.dim - 1)
+        ),
     }
     expected = {"complex": 1, "link": 1, "boundary": 1 + (-1) ** (a.dim - 1)}
     return _record("euler-characteristic", a, a.params, chi == expected, witness=expected, counterexample=chi)
@@ -259,7 +261,7 @@ def _e_from_k(a: Analysis) -> dict:
 
 def _sequence_three_way(a: Analysis) -> dict:
     n_max, d, h = a.n_max, a.dim, a.h
-    rec = expand(a.face_sequences[0][a.lattice.top.id], d + 1, n_max)
+    rec = expand(a.face_sequences[0][a.lattice.top], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max).values
     from_h = polytope_number_from_h(h, n_max)
     mism = next((n for n in range(n_max + 1) if not rec[n] == ssum[n] == from_h[n]), None)
@@ -274,7 +276,7 @@ def _sequence_three_way(a: Analysis) -> dict:
 
 def _interior_four_way(a: Analysis) -> dict:
     n_max, d, h, k = a.n_max, a.dim, a.h, a.k
-    rec = expand(a.face_sequences[1][a.lattice.top.id], d + 1, n_max)
+    rec = expand(a.face_sequences[1][a.lattice.top], d + 1, n_max)
     ssum = polytope_number_simplex_sum(a.tri, n_max, interior=True).values
     from_k = polytope_number_from_h(k, n_max)
     from_hr = polytope_number_from_h(h[::-1], n_max)

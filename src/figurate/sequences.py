@@ -106,9 +106,9 @@ def face_number_sequences(
     classes = {vertex: 0}  # interior numerator -> its position in ``masks``
     masks = [(1 << len(vertices) + 1) - 2]  # the face ids of each class
     done = {}  # count tuple -> (numerator, interior numerator, class)
-    for f in lattice.faces[1 + len(vertices):]:
-        sub = lattice.below[f.id] & ~1
-        far = sub & ~lattice.with_vertex[apexes[f.id]]
+    for fid in range(1 + len(vertices), len(lattice.faces)):
+        sub = lattice.below[fid] & ~1
+        far = sub & ~lattice.with_vertex[apexes[fid]]
         counts = (*[(far & m).bit_count() for m in masks], *[(sub & m).bit_count() for m in masks])
         got = done.get(counts)
         if got is None:
@@ -119,15 +119,15 @@ def face_number_sequences(
             lift = 1 - step[1]
             e = tuple(accumulate(a + lift * b for a, b in zip(step, xw)))
             if e[-1]:  # the remainder of the division by 1 - x
-                raise RuntimeError(f"face {f.id}: the step numerator is not divisible by 1 - x")
+                raise RuntimeError(f"face {fid}: the step numerator is not divisible by 1 - x")
             diff = list(map(operator.sub, e, total))
             row = tuple(a - diff[1] * b for a, b in zip(diff, xw))
             if row not in classes:
                 classes[row] = len(masks)
                 masks.append(0)
             got = done[counts] = e, row, classes[row]
-        ext[f.id], intr[f.id], c = got
-        masks[c] |= 1 << f.id
+        ext[fid], intr[fid], c = got
+        masks[c] |= 1 << fid
     return ext, intr
 
 
@@ -146,7 +146,7 @@ def polytope_number_recursive(
     lattice: FaceLattice, apexes: Apexes, n_max: int, interior: bool = False
 ) -> SequenceResult:
     ext, intr = face_number_sequences(lattice, apexes)
-    top = (intr if interior else ext)[lattice.top.id]
+    top = (intr if interior else ext)[lattice.top]
     values = expand(top, lattice.dim + 1, n_max)
     return SequenceResult(lattice.polytope.name, "recursive", interior, values)
 

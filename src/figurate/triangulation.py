@@ -15,14 +15,14 @@ missing it, since each face is the intersection of the facets containing
 it, so when pointedness condition 2 holds the simplices carried inside a
 face are that face's complex. The polytope's complex is the disjoint union
 of what the faces carry; its interior is what the polytope itself carries,
-and its boundary the rest. No face's complex is built.
+and its boundary the rest, never stored. No face's complex is built.
 
 Simplices are ``int`` vertex masks (bit i for vertex i, 0 the empty simplex)
-from construction to the claim records, and complexes are sets of them.
-Faces are read by id from ``FaceLattice.below``, ``with_vertex`` and
-``covers``. Condition 2 reads only the apexes and is checked first;
-conditions 1 and 3 once on the whole complex, whose restriction to a face is
-that face's complex. Each check raises ``GenericityError`` where it finds a
+from construction to the claim records, like the faces, and complexes are
+sets of them. Faces are read by id from ``FaceLattice.faces``, ``below``,
+``with_vertex`` and ``covers``. Condition 2 reads only the apexes and is
+checked first; conditions 1 and 3 once on the whole complex, whose
+restriction to a face is that face's complex. Each check raises ``GenericityError`` where it finds a
 violation. One set of facets, each simplex less one vertex, gives the
 maximal simplices and closure under subsets.
 
@@ -40,7 +40,7 @@ from operator import and_, mul
 from typing import Sequence
 
 from .geometry import canonical_plane, homogenize, integer_plane_through, integer_planes_opposite
-from .lattice import Face, FaceLattice, pick
+from .lattice import FaceLattice, pick, vertex_list
 
 Simplex = int
 Complex = frozenset[Simplex]
@@ -57,14 +57,13 @@ class GenericityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PointedTriangulation:
-    """The polytope's own complex (each face's is its restriction to the face), split into
-    the simplices inside a facet (``boundary``) and the rest (``interior``), and whether it
+    """The polytope's own complex (each face's is its restriction to the face), its
+    ``interior``, the simplices inside no facet (the boundary is the rest), and whether it
     is closed under subsets, read off the facet set that gives ``maximal``."""
 
     lattice: FaceLattice
     apexes: Apexes
     simplices: Complex
-    boundary: Complex
     interior: Complex
     maximal: tuple[Simplex, ...]
     closed: bool
@@ -81,7 +80,7 @@ class PointedTriangulation:
     @property
     def apex_vertex(self) -> int:
         """Apex of the polytope itself (the first vertex of the ranking)."""
-        return self.apexes[self.lattice.top.id]
+        return self.apexes[self.lattice.top]
 
 
 class FlagSteps(dict):
@@ -99,8 +98,8 @@ class FlagSteps(dict):
         super().__init__()
         self.lattice, self.apexes = tri.lattice, tri.apexes
         self.hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
-        self.facets = [sorted(tri.lattice.faces[q].vertices) for q in tri.lattice.facet_ids()]
-        self.on = [sum(1 << i for i, f in enumerate(self.facets) if v in f) for v in range(len(self.hv))]
+        self.facets = [tri.lattice.faces[q] for q in tri.lattice.facet_ids()]
+        self.on = [sum(1 << i for i, f in enumerate(self.facets) if f >> v & 1) for v in range(len(self.hv))]
         self.planes: dict[int, tuple[int, ...]] = {}
         vs = vertex_list(tri.maximal[0])
         for v, column in zip(vs, integer_planes_opposite([self.hv[w] for w in vs]) or ()):
@@ -113,17 +112,17 @@ class FlagSteps(dict):
         for g in self.lattice.covers[fid]:
             if not g or self.lattice.with_vertex[a] >> g & 1:
                 continue
-            apart = reduce(and_, map(self.on.__getitem__, faces[g].vertices), ~self.on[a])
+            apart = reduce(and_, pick(faces[g], self.on), ~self.on[a])
             if not apart:
                 raise RuntimeError(
-                    f"no facet holds face {sorted(faces[g].vertices)} and misses apex {a} of face "
-                    f"{sorted(faces[fid].vertices)}"
+                    f"no facet holds face {vertex_list(faces[g])} and misses apex {a} of face "
+                    f"{vertex_list(faces[fid])}"
                 )
             i = (apart & -apart).bit_length() - 1
-            plane = self.planes[i] = self.planes.get(i) or integer_plane_through([self.hv[v] for v in self.facets[i]])
+            plane = self.planes[i] = self.planes.get(i) or integer_plane_through(pick(self.facets[i], self.hv))
             la = sum(map(mul, plane, self.hv[a]))
             if not la:
-                raise RuntimeError(f"apex {a} lies on the plane of facet {self.facets[i]}")
+                raise RuntimeError(f"apex {a} lies on the plane of facet {vertex_list(self.facets[i])}")
             out.append((g, plane, la))
         self[fid] = out = tuple(out)
         return out
@@ -187,7 +186,7 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> Pointed
     _verify_complex(lattice, apexes, carried, simplices)
     interior = frozenset(carried[-1])
     maximal, closed = _maximal_and_closed(simplices)
-    return PointedTriangulation(lattice, apexes, simplices, simplices - interior, interior, maximal, closed)
+    return PointedTriangulation(lattice, apexes, simplices, interior, maximal, closed)
 
 
 def _carried(lattice: FaceLattice, apexes: Apexes) -> list[list[Simplex]]:
@@ -250,7 +249,7 @@ def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[S
     face lattice.
     """
     steps = tri.flag_steps
-    faces, apexes, hv = tri.lattice.faces, tri.apexes, steps.hv
+    faces, dims, apexes, hv = tri.lattice.faces, tri.lattice.dims, tri.apexes, steps.hv
     leaves: list[tuple[Simplex, Simplex]] = []
 
     def down(fid, y, flip, above, lower):
@@ -261,10 +260,10 @@ def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[S
             if not ly:
                 raise GenericityError(
                     f"point lies on the affine hull of apexes {vertex_list(above)} and face "
-                    f"{sorted(faces[g].vertices)}"
+                    f"{vertex_list(faces[g])}"
                 )
             below = lower | bit if (ly < 0) ^ (la < 0) ^ flip else lower
-            if faces[g].dim:
+            if dims[g]:
                 down(g, [la * u - ly * w for u, w in zip(y, ha)], flip ^ (la < 0), above | bit, below)
                 continue
             y0, leaf = la * y[0] - ly * ha[0], 1 << apexes[g]  # at a vertex, y' is c' times its coefficient times it
@@ -283,11 +282,6 @@ def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[S
             else f"the apex flags end in {len(leaves)} simplices, not in the {len(tri.maximal)} maximal ones"
         )
     return tuple(map(lower.__getitem__, tri.maximal))
-
-
-def vertex_list(s: Simplex) -> list[int]:
-    """The sorted vertices of a simplex: how records and messages print it."""
-    return list(pick(s, range(s.bit_length())))
 
 
 def _simplex_key(s: Simplex):
@@ -313,14 +307,15 @@ def verify_pointed(lattice: FaceLattice, apexes: Apexes) -> None:
     apexed = [0] * len(lattice.polytope.vertices)  # face-id mask of the faces apexed at each vertex
     for fid, v in enumerate(apexes[1:], 1):
         apexed[v] |= 1 << fid
-    for f in lattice.faces[1:]:
-        v = apexes[f.id]
-        wrong = lattice.below[f.id] & lattice.with_vertex[v] & ~apexed[v]
+    for fid in range(1, len(lattice)):
+        v = apexes[fid]
+        wrong = lattice.below[fid] & lattice.with_vertex[v] & ~apexed[v]
         if wrong:
             gid = (wrong & -wrong).bit_length() - 1
             raise GenericityError(
                 "construction violated pointedness condition 2: faces "
-                f"{sorted(lattice.faces[gid].vertices)} and {sorted(f.vertices)} share both apexes {apexes[gid]}, {v}"
+                f"{vertex_list(lattice.faces[gid])} and {vertex_list(lattice.faces[fid])} "
+                f"share both apexes {apexes[gid]}, {v}"
             )
 
 
@@ -354,17 +349,19 @@ def _verify_complex(lattice: FaceLattice, apexes: Apexes, carried: list[list[Sim
         for fid, mask in enumerate(above) for bit in pick(mask & ~own[fid], bits)
     ):
         return
-    for f in lattice.faces[1:]:
-        mask = sum(map(bits.__getitem__, f.vertices))
-        _verify_face(f, apexes[f.id], frozenset(s for s in simplices if not s & ~mask))
+    for fid in range(1, len(lattice)):
+        f = lattice.faces[fid]
+        _verify_face(f, apexes[fid], frozenset(s for s in simplices if not s & ~f))
 
 
-def _verify_face(f: Face, v: int, cf: Complex) -> None:
-    """Check conditions 1 and 3 on the complex ``cf`` of face ``f`` with apex
-    ``v``, in that order; the first violation raises ``GenericityError``.
+def _verify_face(f: int, v: int, cf: Complex) -> None:
+    """Check conditions 1 and 3 on the complex ``cf`` of the face with vertex
+    mask ``f`` and apex ``v``, in that order; the first violation raises
+    ``GenericityError``.
 
     1. Every maximal simplex of ``cf`` contains ``v``.
-    3. Every edge from ``v`` to another vertex of ``f`` is in ``cf``.
+    3. Every edge from ``v`` to another vertex of ``f`` is in ``cf``; the
+       smallest missing vertex is reported.
 
     Condition 1 needs the maximality test only for a simplex s missing v
     whose extension s | {v} is not in the complex: when it is, s is not
@@ -376,17 +373,17 @@ def _verify_face(f: Face, v: int, cf: Complex) -> None:
     bit = 1 << v
     if not cf.issuperset(map(bit.__or__, cf)):
         unsure = [s for s in cf if s and not s & bit and s | bit not in cf]
-        missed = [s for s in unsure if not any(s | 1 << w in cf for w in f.vertices if not s >> w & 1)]
+        missed = [s for s in unsure if not any(s | 1 << w in cf for w in vertex_list(f & ~s))]
         if missed:
             raise GenericityError(
                 "construction violated pointedness condition 1: maximal simplex "
-                f"{vertex_list(min(missed, key=_simplex_key))} of face {sorted(f.vertices)} misses apex {v}"
+                f"{vertex_list(min(missed, key=_simplex_key))} of face {vertex_list(f)} misses apex {v}"
             )
-    for w in f.vertices - {v}:
+    for w in vertex_list(f & ~bit):
         if (bit | 1 << w) not in cf:
             raise GenericityError(
                 "construction violated pointedness condition 3: edge "
-                f"[{v}, {w}] missing from triangulation of face {sorted(f.vertices)}"
+                f"[{v}, {w}] missing from triangulation of face {vertex_list(f)}"
             )
 
 
@@ -409,7 +406,7 @@ def pseudomanifold_certificate(tri: PointedTriangulation) -> tuple[bool, str]:
         if stray:
             return False, f"{where}: {sorted(map(vertex_list, stray))[:3]}"
     for r, c in counts.items():
-        expected = 1 if r in tri.boundary else 2
+        expected = 2 if r in tri.interior else 1
         if c != expected:
             return False, f"ridge {vertex_list(r)} lies in {c} maximal simplices, expected {expected}"
     return True, ""

@@ -54,11 +54,11 @@ kernel is checked against ``reference_hyperplane_through`` in
 sets, the reference for the submask walk of ``verify_partition``.
 
 ``reference_split`` tests every simplex against every facet's vertex mask,
-the reference for the boundary that ``build_pointed_triangulation`` unites
-from the facets' complexes and for the interior left over.
+the reference for the interior that ``build_pointed_triangulation`` reads
+off what the polytope itself carries, and for the boundary left over.
 ``unverified_triangulation`` is the polytope's complex of
-``reference_pointed_complexes`` on vertex masks, split by
-``reference_split``, with no pointedness check, for tests that inspect a
+``reference_pointed_complexes`` on vertex masks, with its interior from
+``reference_split`` and no pointedness check, for tests that inspect a
 triangulation on lattices the package rejects.
 ``pointedness_violation`` runs one of the package's pointedness checks and
 reads the condition and detail off the ``GenericityError`` it raises, for
@@ -85,6 +85,7 @@ intersection closure of ``frozenset`` vertex sets, one rank per face for its
 dimension, and a pairwise scan for subfaces and maximal proper subfaces. It
 is the reference for the closure on masks, the grading and the covers (as
 ascending id tuples) of ``FaceLattice``, and it builds a lattice from any sets, face lattice or not.
+Only its result is on masks: ``faces`` and ``dims`` by face id, like the package's.
 """
 from __future__ import annotations
 
@@ -108,15 +109,9 @@ from figurate.geometry import (
     integer_side,
     point,
 )
-from figurate.lattice import Face, FaceLattice, Polytope, pick
+from figurate.lattice import FaceLattice, Polytope, pick, vertex_list
 from figurate.partitions import PartitionCertificate
-from figurate.triangulation import (
-    Apexes,
-    GenericityError,
-    PointedTriangulation,
-    _verify_face,
-    vertex_list,
-)
+from figurate.triangulation import Apexes, GenericityError, PointedTriangulation, _verify_face
 
 Simplex = frozenset[int]
 Complex = frozenset[Simplex]
@@ -274,13 +269,14 @@ def reference_hyperplane_through(points: Sequence[Point]) -> Hyperplane:
     return Hyperplane(normal, vdot(normal, p0))
 
 
-def brute_force_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+def brute_force_facets(p: Polytope) -> list[tuple[tuple[int, ...], int]]:
     """The facets of a full-dimensional polytope by brute force.
 
     Every hyperplane through ``dim`` of the points is kept iff all points lie
     weakly on one side of it, with the points on it as its set: C(n, d)
     candidate planes, each tested against all n points. The reference for
-    the gift-wrapping ``enumerate_facets``, in its output form.
+    the gift-wrapping ``enumerate_facets``, in its output form of
+    (plane, vertex mask) sorted by vertices.
     """
     seen: dict[Hyperplane, frozenset[int] | None] = {}
     for combo in combinations(p.vertices, p.dim):
@@ -293,8 +289,8 @@ def brute_force_facets(p: Polytope) -> list[tuple[tuple[int, ...], frozenset[int
         values = [vdot(h.normal, v) - h.offset for v in p.vertices]
         keep = min(values) >= 0 or max(values) <= 0
         seen[h] = frozenset(i for i, x in enumerate(values) if not x) if keep else None
-    found = [(integer_plane(h), vs) for h, vs in seen.items() if vs is not None]
-    return sorted(found, key=lambda pf: sorted(pf[1]))
+    found = sorted((sorted(vs), integer_plane(h)) for h, vs in seen.items() if vs is not None)
+    return [(plane, to_mask(vs)) for vs, plane in found]
 
 
 def f_from_h(h: tuple[int, ...], dim: int) -> tuple[int, ...]:
@@ -410,15 +406,15 @@ def reference_face_number_sequences(
         raise ValueError("n_max must be nonnegative")
     ext: dict[int, list[int]] = {}
     intr: dict[int, list[int]] = {}
-    for f in lattice.faces[1:]:
-        if f.dim == 0:
+    for fid in range(1, len(lattice)):
+        if lattice.dims[fid] == 0:
             seq = [0] + [1] * n_max
-            ext[f.id] = seq
-            intr[f.id] = list(seq)
+            ext[fid] = seq
+            intr[fid] = list(seq)
             continue
-        sub = pick(lattice.below[f.id] & ~1, range(len(lattice)))
-        apex = apexes[f.id]
-        away = [g for g in sub if apex not in lattice.faces[g].vertices]
+        sub = pick(lattice.below[fid] & ~1, range(len(lattice)))
+        apex = apexes[fid]
+        away = [g for g in sub if apex not in vertex_set(lattice.faces[g])]
         e = [0] * (n_max + 1)
         it = [0] * (n_max + 1)
         if n_max >= 1:
@@ -426,19 +422,19 @@ def reference_face_number_sequences(
         for n in range(2, n_max + 1):
             e[n] = e[n - 1] + sum(intr[g][n] for g in away)
             it[n] = e[n] - sum(intr[g][n] for g in sub)
-        ext[f.id] = e
-        intr[f.id] = it
+        ext[fid] = e
+        intr[fid] = it
     return ext, intr
 
 
 def pairwise_apex_conflict(lattice: FaceLattice, apex: Apexes) -> tuple[int, int] | None:
     """The first pair of face ids whose apexes differ and both lie in the
     intersection of the two faces, or None (pointedness condition 2)."""
-    for f1, f2 in combinations(lattice.faces[1:], 2):
-        shared = f1.vertices & f2.vertices
-        v1, v2 = apex[f1.id], apex[f2.id]
+    for f1, f2 in combinations(range(1, len(lattice)), 2):
+        shared = vertex_set(lattice.faces[f1]) & vertex_set(lattice.faces[f2])
+        v1, v2 = apex[f1], apex[f2]
         if v1 in shared and v2 in shared and v1 != v2:
-            return f1.id, f2.id
+            return f1, f2
     return None
 
 
@@ -446,12 +442,13 @@ def reference_condition_2(lattice: FaceLattice, apex: Apexes) -> str | None:
     """The nested-pair scan of pointedness condition 2 over each face's
     subface ids: the detail of the first face, and its first subface, whose
     apexes differ while the subface holds the face's apex; or None."""
-    for f in lattice.faces[1:]:
-        v = apex[f.id]
-        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
-            g = lattice.faces[gid]
-            if v in g.vertices and apex[gid] != v:
-                return f"faces {sorted(g.vertices)} and {sorted(f.vertices)} share both apexes {apex[gid]}, {v}"
+    for fid in range(1, len(lattice)):
+        v = apex[fid]
+        f = vertex_set(lattice.faces[fid])
+        for gid in pick(lattice.below[fid] & ~1, range(len(lattice))):
+            g = vertex_set(lattice.faces[gid])
+            if v in g and apex[gid] != v:
+                return f"faces {sorted(g)} and {sorted(f)} share both apexes {apex[gid]}, {v}"
     return None
 
 
@@ -477,7 +474,7 @@ def reference_vertex_order(polytope: Polytope) -> tuple[int, ...]:
 def reference_assign_apexes(lattice: FaceLattice, order) -> Apexes:
     """Apexes by a ``min`` over each face's vertices by rank in ``order``, face by face."""
     rank = {v: r for r, v in enumerate(order)}
-    return (None, *(min(f.vertices, key=rank.__getitem__) for f in lattice.faces[1:]))
+    return (None, *(min(vertex_set(f), key=rank.__getitem__) for f in lattice.faces[1:]))
 
 
 def maximal_simplices(complex_: Complex | set[Simplex]) -> list[Simplex]:
@@ -503,23 +500,23 @@ def reference_pointed_complexes(
 ) -> tuple[dict[int, Complex], Complex, tuple[Simplex, ...]]:
     """(per-face complexes, the polytope's complex, its sorted maximal simplices)."""
     chain: dict[int, set[Simplex]] = {}
-    for f in lattice.faces[1:]:
-        v = apexes[f.id]
+    for fid in range(1, len(lattice)):
+        v = apexes[fid]
         grown: set[Simplex] = {frozenset({v})}
-        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
-            if v in lattice.faces[gid].vertices:
+        for gid in pick(lattice.below[fid] & ~1, range(len(lattice))):
+            if v in vertex_set(lattice.faces[gid]):
                 continue
             for s in chain[gid]:
                 grown.add(s | {v})
-        chain[f.id] = grown
+        chain[fid] = grown
     per_face: dict[int, Complex] = {}
-    for f in lattice.faces[1:]:
+    for fid in range(1, len(lattice)):
         acc: set[Simplex] = {frozenset()}
-        acc |= chain[f.id]
-        for gid in pick(lattice.below[f.id] & ~1, range(len(lattice))):
+        acc |= chain[fid]
+        for gid in pick(lattice.below[fid] & ~1, range(len(lattice))):
             acc |= chain[gid]
-        per_face[f.id] = frozenset(acc)
-    top = per_face[lattice.top.id]
+        per_face[fid] = frozenset(acc)
+    top = per_face[lattice.top]
     return per_face, top, tuple(sorted(maximal_simplices(top), key=_simplex_key))
 
 
@@ -528,16 +525,16 @@ def reference_carriers(lattice: FaceLattice, simplices) -> dict[int, int]:
     that holds it, by a scan over every face. Face ids grow with dimension
     and the faces holding a simplex are closed under intersection, so the
     first is the smallest."""
-    masks = [to_mask(f.vertices) for f in lattice.faces]
-    return {s: next(fid for fid, m in enumerate(masks) if not s & ~m) for s in simplices}
+    return {s: next(fid for fid, m in enumerate(lattice.faces) if not s & ~m) for s in simplices}
 
 
 def per_face_scan(lattice: FaceLattice, apexes: Apexes, simplices) -> None:
     """The per-face check of conditions 1 and 3 (``_verify_face``) on each
-    face's restriction of ``simplices``, in face order; the first violation raises."""
-    for f in lattice.faces[1:]:
-        m = to_mask(f.vertices)
-        _verify_face(f, apexes[f.id], frozenset(s for s in simplices if not s & ~m))
+    face's restriction of ``simplices``, in face order; the first violation
+    raises, and condition 3 names the smallest vertex with a missing edge."""
+    for fid in range(1, len(lattice)):
+        m = lattice.faces[fid]
+        _verify_face(m, apexes[fid], frozenset(s for s in simplices if not s & ~m))
 
 
 def reference_condition_1(
@@ -546,10 +543,10 @@ def reference_condition_1(
     """The first face, in face order, whose complex in ``per_face`` has maximal
     simplices missing its apex, and those simplices sorted by (size, sorted
     vertices); or None."""
-    for f in lattice.faces[1:]:
-        missed = [s for s in maximal_simplices(per_face[f.id]) if apex[f.id] not in s]
+    for fid in range(1, len(lattice)):
+        missed = [s for s in maximal_simplices(per_face[fid]) if apex[fid] not in s]
         if missed:
-            return f.id, sorted(missed, key=_simplex_key)
+            return fid, sorted(missed, key=_simplex_key)
     return None
 
 
@@ -571,21 +568,15 @@ class _ReferenceLattice(FaceLattice):
         self.polytope = polytope
         self.dim = polytope.dim
         sets = _close_under_intersection({frozenset(s) for s in face_sets})
-        sets.add(frozenset(range(len(polytope.vertices))))
-        sets.discard(frozenset())
+        sets |= {frozenset(range(len(polytope.vertices))), frozenset()}
         hv = [(Fraction(1),) + tuple(v) for v in polytope.vertices]
-        dims = {s: reference_rank([hv[i] for i in s]) - 1 for s in sets}
+        dims = {s: reference_rank([hv[i] for i in s]) - 1 for s in sets}  # -1 for the empty face
         ordered = sorted(sets, key=lambda s: (dims[s], tuple(sorted(s))))
-        faces = [Face(0, frozenset(), -1)]
-        faces += [Face(i + 1, s, dims[s]) for i, s in enumerate(ordered)]
-        self.faces = tuple(faces)
         by_dim: dict[int, list[int]] = {}
-        for f in self.faces:
-            by_dim.setdefault(f.dim, []).append(f.id)
+        for i, s in enumerate(ordered):
+            by_dim.setdefault(dims[s], []).append(i)
         self.by_dim = {d: tuple(ids) for d, ids in by_dim.items()}
-        subfaces = tuple(
-            tuple(g.id for g in self.faces if g.vertices < f.vertices) for f in self.faces
-        )
+        subfaces = tuple(tuple(j for j, g in enumerate(ordered) if g < f) for f in ordered)
         below = [set(ids) for ids in subfaces]
         covers = []
         for ids in subfaces:
@@ -594,8 +585,11 @@ class _ReferenceLattice(FaceLattice):
         self.below = tuple(sum(1 << g for g in ids) for ids in subfaces)
         self.covers = tuple(covers)
         self.with_vertex = tuple(
-            sum(1 << f.id for f in self.faces if v in f.vertices) for v in range(len(polytope.vertices))
+            sum(1 << i for i, f in enumerate(ordered) if v in f) for v in range(len(polytope.vertices))
         )
+        # only the result leaves the vertex sets: masks and dimensions by face id
+        self.faces = tuple(map(to_mask, ordered))
+        self.dims = tuple(map(dims.__getitem__, ordered))
 
 
 def reference_face_lattice(polytope: Polytope, face_sets) -> FaceLattice:
@@ -729,22 +723,21 @@ def reference_split(tri: PointedTriangulation) -> tuple[frozenset[int], frozense
     """(boundary, interior) of the triangulation's vertex masks: a simplex is
     boundary iff it lies inside some proper face of the polytope, and testing
     against the facets suffices since every proper face lies in one."""
-    outside = [~to_mask(tri.lattice.faces[i].vertices) for i in tri.lattice.facet_ids()]
+    outside = [~tri.lattice.faces[i] for i in tri.lattice.facet_ids()]
     boundary = frozenset(s for s in tri.simplices if not all(map(s.__and__, outside)))
     return boundary, tri.simplices - boundary
 
 
 def unverified_triangulation(lattice: FaceLattice, apexes: Apexes) -> PointedTriangulation:
     """The polytope's complex of ``reference_pointed_complexes`` on vertex
-    masks, split by ``reference_split``, unchecked: the package builds only
-    from lattices it accepts."""
+    masks, its interior from ``reference_split``, unchecked: the package
+    builds only from lattices it accepts."""
     _, top, maximal = reference_pointed_complexes(lattice, apexes)
     simplices = frozenset(map(to_mask, top))
     tri = PointedTriangulation(
-        lattice, apexes, simplices, simplices, frozenset(), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
+        lattice, apexes, simplices, frozenset(), tuple(map(to_mask, maximal)), is_simplicial_complex(top)
     )
-    boundary, interior = reference_split(tri)
-    return replace(tri, boundary=boundary, interior=interior)
+    return replace(tri, interior=reference_split(tri)[1])
 
 
 def pointedness_violation(check, *args) -> tuple[int, str] | None:

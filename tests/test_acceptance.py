@@ -132,7 +132,7 @@ def test_criterion_7_partition_certificates(family):
     for b in family.values():
         whole = set(b.tri.simplices)
         interior = set(b.tri.interior)
-        boundary = set(b.tri.boundary)
+        boundary = b.tri.simplices - b.tri.interior
         for i, (ext, part) in enumerate(b.partitions):
             cert = verify_partition(ext.intervals, whole)
             if not cert.ok:

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import figurate.partitions as partitions
 from figurate.geometry import homogenize
-from figurate.lattice import parse_builtin
+from figurate.lattice import parse_builtin, vertex_list
 from figurate.partitions import (
     Interval,
     PartitionCertificate,
@@ -32,7 +32,6 @@ from figurate.triangulation import (
     build_pointed_triangulation,
     exterior_lower_sets,
     link,
-    vertex_list,
     vertex_order,
 )
 from figurate.pipeline import Analysis, vector_claims
@@ -131,7 +130,7 @@ def test_boundary_facets_not_visible_from_their_simplex(cube3):
         for v in vertex_set(f):
             counts.setdefault(vertex_set(f) - {v}, []).append(f)
     for ridge, owners in counts.items():
-        if to_mask(ridge) in cube3.tri.boundary:
+        if to_mask(ridge) not in cube3.tri.interior:
             (owner,) = owners
             assert ridge not in _visible(owner, ext)
 
@@ -179,7 +178,7 @@ def test_interior_partition_simplex():
 def test_interior_partition_square(square):
     _, intr = square.partitions[0]
     # brute-force interior: simplices in no proper face of the square
-    proper = [f.vertices for f in square.lattice.faces[:-1]]
+    proper = [vertex_set(f) for f in square.lattice.faces[:-1]]
     brute = {s for s in frozen(square.tri.simplices) if not any(s <= pv for pv in proper)}
     assert len(brute) == 3
     covered = {m for iv in intr.intervals for m in _members(iv)}
@@ -189,7 +188,7 @@ def test_interior_partition_square(square):
 
 def test_interior_partition_cube_size(cube3):
     _, intr = cube3.partitions[0]
-    boundary_count = len(cube3.tri.boundary)
+    boundary_count = len(cube3.tri.simplices - cube3.tri.interior)
     assert sum(map(_size, intr.intervals)) == 52 - boundary_count == 13
 
 
@@ -297,7 +296,7 @@ def test_euler_characteristic_examples(cube3):
     assert euler_characteristic(cube3.f) == 1
     lk = link(cube3.tri.apex_vertex, cube3.tri.simplices)
     assert euler_characteristic(f_vector(lk, 2)) == 1
-    fb = f_vector(cube3.tri.boundary, 2)
+    fb = f_vector(cube3.tri.simplices - cube3.tri.interior, 2)
     assert euler_characteristic(fb) == 2
 
 
@@ -378,7 +377,7 @@ def test_submask_check_gives_the_certificate_of_the_combinations_walk(family, sp
                 "foreign and overlapping": (ivs + [Interval(edge, full)], target),
             }
             if part is intr:
-                s = rng.choice(sorted(b.tri.boundary))
+                s = rng.choice(sorted(b.tri.simplices - b.tri.interior))
                 cases["boundary interval"] = (ivs + [Interval(s, s)], target)
                 cases["boundary in the target"] = (ivs, target | {s})
             for case, (intervals, tgt) in cases.items():

@@ -2,7 +2,7 @@
 
 ``build_pointed_triangulation`` must give the polytope's complex and its
 maximal simplices of the frozenset construction in ``oracles.py``, and the
-boundary and interior of the facet-mask split, on every builtin of dimension
+interior of the facet-mask split, on every builtin of dimension
 at most 5, on polytopes given only by rational coordinates (cube:3 in Q^4
 among them), on the prism over one, whose facets are no simplices, and on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5. On the
@@ -14,7 +14,7 @@ vertex: each check of the load-time face-lattice test has a case, and so
 does a face that lists a vertex twice. The per-face pointedness check must
 give the verdict of the maximal-simplex scan of condition 1 on corrupted
 per-face complexes from the oracle, and name the smallest violating simplex
-and the missing edge of condition 3. Both branches of condition 1 have
+and the smallest missing edge of condition 3. Both branches of condition 1 have
 cases: a complex missing a cone s | {v} over a non-maximal s fails the one
 superset test but passes the scan, and one missing a maximal simplex fails
 both, naming the scan's simplex. With simplices dropped, the check on the
@@ -32,7 +32,7 @@ import pytest
 
 import figurate.triangulation as triangulation
 from figurate.geometry import GeometryError, point
-from figurate.lattice import Polytope, build_face_lattice, parse_builtin, pick, polytope_from_json
+from figurate.lattice import Polytope, build_face_lattice, parse_builtin, pick, polytope_from_json, vertex_list
 from figurate.triangulation import (
     assign_apexes,
     build_pointed_triangulation,
@@ -59,7 +59,7 @@ _MIDPOINT = point(("1/2", "0"))
 
 def _facets_of(spec):
     lattice = parse_builtin(spec)
-    return lattice.polytope.vertices, [sorted(lattice.faces[i].vertices) for i in lattice.facet_ids()]
+    return lattice.polytope.vertices, [vertex_list(lattice.faces[i]) for i in lattice.facet_ids()]
 
 
 _CUBE3, _CUBE3_FACETS = _facets_of("cube:3")
@@ -163,7 +163,7 @@ def test_mask_construction_equals_the_frozenset_construction(spec):
     _, simplices, maximal = reference_pointed_complexes(lattice, apexes)
     assert type(tri.simplices) is frozenset and frozen(tri.simplices) == simplices
     assert tuple(map(vertex_set, tri.maximal)) == maximal
-    assert (tri.boundary, tri.interior) == reference_split(tri)
+    assert (tri.simplices - tri.interior, tri.interior) == reference_split(tri)
     # one facet set gives the maximal simplices and closure under subsets
     assert tri.closed
 
@@ -188,9 +188,9 @@ def test_each_simplex_is_built_once_at_its_carrier(spec):
     # what the faces inside a face carry is the face's complex of the oracle,
     # the polytope's complex restricted to the face
     per_face = reference_pointed_complexes(lattice, apexes)[0]
-    for f in lattice.faces[1:]:
-        inside = pick(lattice.below[f.id] | 1 << f.id, carried)
-        assert set(chain.from_iterable(inside)) == set(map(to_mask, per_face[f.id])), (spec, sorted(f.vertices))
+    for fid in range(1, len(lattice)):
+        inside = pick(lattice.below[fid] | 1 << fid, carried)
+        assert set(chain.from_iterable(inside)) == set(map(to_mask, per_face[fid])), (spec, vertex_list(lattice.faces[fid]))
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle", "bipyramid:square"])
@@ -239,28 +239,28 @@ def _mask_complexes(lattice, apexes):
 def _first_condition_1(lattice, apex, per_face):
     """The first face, in face order, on whose complex the per-face check
     reports condition 1, and the detail of that; or None."""
-    for f in lattice.faces[1:]:
-        found = pointedness_violation(triangulation._verify_face, f, apex[f.id], per_face[f.id])
+    for fid in range(1, len(lattice)):
+        found = pointedness_violation(triangulation._verify_face, lattice.faces[fid], apex[fid], per_face[fid])
         if found is not None and found[0] == 1:
-            return f.id, found[1]
+            return fid, found[1]
     return None
 
 
 def _drop_simplices(b, per_face, rng):
-    f = rng.choice(b.lattice.faces[1:])
-    cf = sorted(per_face[f.id], key=lambda s: (s.bit_count(), sorted(vertex_set(s))))
+    fid = rng.choice(range(1, len(b.lattice)))
+    cf = sorted(per_face[fid], key=lambda s: (s.bit_count(), sorted(vertex_set(s))))
     dropped = set(rng.sample(cf, min(len(cf), rng.randint(1, 3))))
-    return {f.id: frozenset(s for s in cf if s not in dropped)}
+    return {fid: frozenset(s for s in cf if s not in dropped)}
 
 
 def _retriangulate(b, per_face, rng):
     """Retriangulate a few faces as if another of their vertices were the apex."""
-    faces = [f for f in b.lattice.faces[1:] if f.dim >= 2]
+    faces = [fid for fid in range(1, len(b.lattice)) if b.lattice.dims[fid] >= 2]
     changed = {}
-    for f in rng.sample(faces, min(len(faces), rng.randint(1, 2))):
+    for fid in rng.sample(faces, min(len(faces), rng.randint(1, 2))):
         apex = list(b.apexes)
-        apex[f.id] = rng.choice(sorted(f.vertices - {apex[f.id]}))
-        changed[f.id] = _mask_complexes(b.lattice, tuple(apex))[f.id]
+        apex[fid] = rng.choice(vertex_list(b.lattice.faces[fid] & ~(1 << apex[fid])))
+        changed[fid] = _mask_complexes(b.lattice, tuple(apex))[fid]
     return changed
 
 
@@ -268,7 +268,6 @@ def _retriangulate(b, per_face, rng):
 def test_condition_1_matches_the_maximal_scan(family, spec):
     b = family[spec]
     lattice, apex = b.lattice, b.apexes
-    faces = {f.id: f for f in lattice.faces}
     per_face = _mask_complexes(lattice, b.apexes)
     rng = random.Random(spec)
     verdicts = []
@@ -281,7 +280,7 @@ def test_condition_1_matches_the_maximal_scan(family, spec):
         if ref is not None:
             fid, missed = ref
             simplex, face, v = _face_detail(found[1])
-            assert found[0] == fid and face == sorted(faces[fid].vertices)
+            assert found[0] == fid and face == vertex_list(lattice.faces[fid])
             assert v == apex[fid] and v not in missed[0]
             assert simplex == sorted(missed[0]), (spec, trial, found[1])
         verdicts.append(ref is not None)
@@ -294,11 +293,11 @@ def test_condition_1_names_the_smallest_violating_simplex(cube3):
     tri = cube3.tri
     top = tri.lattice.top
     per_face = _mask_complexes(tri.lattice, tri.apexes)
-    bad = {**per_face, top.id: tri.simplices - set(tri.maximal)}
+    bad = {**per_face, top: tri.simplices - set(tri.maximal)}
     fid, missed = reference_condition_1(tri.lattice, tri.apexes, {i: frozen(c) for i, c in bad.items()})
-    assert fid == top.id and len(missed) > 1 and missed[0] == {1, 3, 7}
-    assert _first_condition_1(tri.lattice, tri.apexes, bad)[0] == top.id
-    assert pointedness_violation(triangulation._verify_face, top, tri.apex_vertex, bad[top.id]) == (
+    assert fid == top and len(missed) > 1 and missed[0] == {1, 3, 7}
+    assert _first_condition_1(tri.lattice, tri.apexes, bad)[0] == top
+    assert pointedness_violation(triangulation._verify_face, tri.lattice.faces[top], tri.apex_vertex, bad[top]) == (
         1, "maximal simplex [1, 3, 7] of face [0, 1, 2, 3, 4, 5, 6, 7] misses apex 0"
     )
 
@@ -309,7 +308,7 @@ def test_a_missing_cone_over_a_non_maximal_simplex_passes_condition_1(family, sp
     # test, but s | {w} for w in M - t is kept, so s is no maximal simplex:
     # the complex is pointed, or only the edge [v, w] is missing
     tri = family[spec].tri
-    top, v = tri.lattice.top, tri.apex_vertex
+    top, v = tri.lattice.faces[tri.lattice.top], tri.apex_vertex
     bit = 1 << v
     cones = [t for t in tri.simplices if t & bit and t != bit and t not in tri.maximal]
     assert cones
@@ -321,7 +320,7 @@ def test_a_missing_cone_over_a_non_maximal_simplex_passes_condition_1(family, sp
             assert found is None, (spec, vertex_set(t), found)
         else:
             w = (t ^ bit).bit_length() - 1
-            assert found == (3, f"edge [{v}, {w}] missing from triangulation of face {sorted(top.vertices)}"), (
+            assert found == (3, f"edge [{v}, {w}] missing from triangulation of face {vertex_list(top)}"), (
                 spec, vertex_set(t)
             )
 
@@ -334,11 +333,11 @@ def test_dropping_a_maximal_simplex_names_the_scan_s_smallest_violator(family, s
     top, v = tri.lattice.top, tri.apex_vertex
     per_face = _mask_complexes(tri.lattice, tri.apexes)
     for m in tri.maximal:
-        bad = {**per_face, top.id: tri.simplices - {m}}
+        bad = {**per_face, top: tri.simplices - {m}}
         fid, missed = reference_condition_1(tri.lattice, tri.apexes, {i: frozen(c) for i, c in bad.items()})
-        assert fid == top.id
-        assert pointedness_violation(triangulation._verify_face, top, v, bad[top.id]) == (
-            1, f"maximal simplex {sorted(missed[0])} of face {sorted(top.vertices)} misses apex {v}"
+        assert fid == top
+        assert pointedness_violation(triangulation._verify_face, tri.lattice.faces[top], v, bad[top]) == (
+            1, f"maximal simplex {sorted(missed[0])} of face {vertex_list(tri.lattice.faces[top])} misses apex {v}"
         )
 
 
@@ -346,9 +345,24 @@ def test_condition_3_names_the_missing_edge(square):
     # without the diagonal from the apex, both triangles still hold the apex,
     # so condition 1 holds and the edge is reported
     tri = square.tri
-    top, apex = tri.lattice.top, tri.apex_vertex
-    (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s not in tri.boundary)
+    top, apex = tri.lattice.faces[tri.lattice.top], tri.apex_vertex
+    (diagonal,) = (s for s in tri.simplices if s.bit_count() == 2 and s & 1 << apex and s in tri.interior)
     w = (diagonal ^ 1 << apex).bit_length() - 1
     assert pointedness_violation(triangulation._verify_face, top, apex, tri.simplices - {diagonal}) == (
         3, f"edge [{apex}, {w}] missing from triangulation of face [0, 1, 2, 3]"
+    )
+
+
+def test_condition_3_names_the_smallest_missing_edge():
+    # cube:4's square [0, 1, 8, 9] has apex 0, and as a frozenset its other
+    # vertices iterate as 8, 1, 9: with the edges to 1 and 8 both gone, the
+    # vertices are read in ascending order and the edge to 1 is named
+    lattice = parse_builtin("cube:4")
+    apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
+    tri = build_pointed_triangulation(lattice, apexes)
+    face = to_mask([0, 1, 8, 9])
+    assert apexes[lattice.faces.index(face)] == 0
+    cf = frozenset(s for s in tri.simplices if not s & ~face) - {to_mask([0, 1]), to_mask([0, 8])}
+    assert pointedness_violation(triangulation._verify_face, face, 0, cf) == (
+        3, "edge [0, 1] missing from triangulation of face [0, 1, 8, 9]"
     )

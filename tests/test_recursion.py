@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figurate.lattice import Face, builtin, parse_builtin, polytope_from_json
+from figurate.lattice import builtin, parse_builtin, polytope_from_json
 from figurate.pipeline import Analysis
 from figurate.sequences import expand, face_number_sequences, polytope_number_recursive
 from figurate.triangulation import assign_apexes, vertex_order
@@ -63,7 +63,7 @@ def test_expanded_numerators_equal_the_term_by_term_recursion(spec):
     assert lattice.dim <= 5
     apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
     ext, intr = face_number_sequences(lattice, apexes)
-    assert list(ext) == list(intr) == [f.id for f in lattice.faces[1:]]
+    assert list(ext) == list(intr) == list(range(1, len(lattice)))
     order = lattice.dim + 1
     for fid in ext:
         assert len(ext[fid]) == len(intr[fid]) == order + 2
@@ -101,7 +101,7 @@ def test_numerators_equal_the_term_by_term_recursion_under_any_vertex_order(spec
 def test_top_numerators_are_x_h_and_x_k(spec):
     a = Analysis(_lattice(spec))
     ext, intr = a.face_sequences
-    top = a.lattice.top.id
+    top = a.lattice.top
     assert len(a.h) == len(a.k) == a.dim + 2  # the numerators' d + 3 terms, after x
     assert ext[top] == (0, *a.h)
     assert intr[top] == (0, *a.k)
@@ -149,8 +149,8 @@ def test_a_remainder_in_the_division_raises():
     lattice = SimpleNamespace(
         dim=2,
         by_dim=square.by_dim,
-        faces=(*square.faces, Face(top, frozenset(range(5)), 2)),
-        below=(*square.below, square.below[square.top.id] | 1 << square.top.id),
+        faces=(*square.faces, (1 << 5) - 1),
+        below=(*square.below, square.below[square.top] | 1 << square.top),
         with_vertex=(*square.with_vertex, 1 << top),
     )
     apexes = (*assign_apexes(square, vertex_order(square.polytope)), 4)

@@ -20,14 +20,13 @@ from hypothesis import given, settings
 
 import figurate.triangulation as triangulation
 from figurate.geometry import barycenter, homogenize, point
-from figurate.lattice import Polytope, parse_builtin, polytope_from_json, polytope_from_vertices
+from figurate.lattice import Polytope, parse_builtin, polytope_from_json, polytope_from_vertices, vertex_list
 from figurate.partitions import generic_point, visibility_partitions
 from figurate.triangulation import (
     GenericityError,
     assign_apexes,
     build_pointed_triangulation,
     exterior_lower_sets,
-    vertex_list,
     vertex_order,
 )
 from oracles import (

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import figurate.triangulation as triangulation
 from figurate.geometry import point
-from figurate.lattice import Polytope, parse_builtin
+from figurate.lattice import Polytope, parse_builtin, vertex_list
 from figurate.partitions import f_vector
 from figurate.triangulation import (
     GenericityError,
@@ -22,7 +22,6 @@ from figurate.triangulation import (
     link,
     pseudomanifold_certificate,
     verify_pointed,
-    vertex_list,
     vertex_order,
 )
 from oracles import (
@@ -115,12 +114,11 @@ def test_assign_apexes_on_cube():
     verts = cube.polytope.vertices
     origin = verts.index((0, 0, 0))
     assert len(apexes) == len(cube) and apexes[0] is None
-    assert apexes[cube.top.id] == origin
-    for f in cube.faces[1:]:
-        if f.dim == 0:
-            (v,) = f.vertices
-            assert apexes[f.id] == v
-    edge = next(f.id for f in cube.faces if f.vertices == {origin, verts.index((1, 0, 0))})
+    assert apexes[cube.top] == origin
+    for fid in cube.by_dim[0]:
+        (v,) = vertex_list(cube.faces[fid])
+        assert apexes[fid] == v
+    edge = cube.faces.index(1 << origin | 1 << verts.index((1, 0, 0)))
     assert apexes[edge] == origin
 
 
@@ -182,14 +180,14 @@ def _condition_2_detail_is_a_pairwise_violation(detail):
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "simplex:4", "pyramid:square", "prism:triangle"])
 def test_condition_2_catches_corrupted_apexes_like_the_pairwise_check(family, spec):
     b = family[spec]
-    faces = b.lattice.faces[1:]
+    faces = range(1, len(b.lattice))
     rng = random.Random(spec)
     verdicts = []
     for trial in range(40):
         # move the apexes of a few faces to other vertices of the same face
         apex = list(b.apexes)
-        for f in rng.sample(faces, 1 + trial % 3):
-            apex[f.id] = rng.choice(sorted(f.vertices))
+        for fid in rng.sample(faces, 1 + trial % 3):
+            apex[fid] = rng.choice(vertex_list(b.lattice.faces[fid]))
         found = pointedness_violation(verify_pointed, b.lattice, tuple(apex))
         conflict = pairwise_apex_conflict(b.lattice, apex)
         assert (found is not None) == (conflict is not None), (spec, apex)
@@ -208,9 +206,12 @@ def test_condition_2_names_the_nested_pair(cube3):
     top = lattice.top
     highest = vertex_order(lattice.polytope)[-1]
     apex = list(cube3.apexes)
-    apex[top.id] = highest
-    edge = next(g for g in lattice.faces if g.dim == 1 and highest in g.vertices)
-    detail = f"faces {sorted(edge.vertices)} and {sorted(top.vertices)} share both apexes {apex[edge.id]}, {highest}"
+    apex[top] = highest
+    edge = next(g for g in lattice.by_dim[1] if lattice.faces[g] >> highest & 1)
+    detail = (
+        f"faces {vertex_list(lattice.faces[edge])} and {vertex_list(lattice.faces[top])} "
+        f"share both apexes {apex[edge]}, {highest}"
+    )
     assert pointedness_violation(verify_pointed, lattice, tuple(apex)) == (2, detail)
     assert pairwise_apex_conflict(lattice, apex) is not None
     assert detail == reference_condition_2(lattice, apex)
@@ -273,25 +274,26 @@ def test_face_check_rejects_wrong_diagonal(square):
     )
     wing1, wing2 = [i for i in others if i != opposite]
     bad_top = _closure([frozenset({wing1, wing2, apex}), frozenset({wing1, wing2, opposite})])
-    condition, _ = pointedness_violation(triangulation._verify_face, square.lattice.top, apex, bad_top)
+    condition, _ = pointedness_violation(triangulation._verify_face, square.lattice.faces[-1], apex, bad_top)
     assert condition == 1
 
 
 def test_boundary_and_interior_are_the_facet_mask_split(family):
     for b in family.values():
         tri = b.tri
-        assert (tri.boundary, tri.interior) == reference_split(tri), b.name
-        assert tri.boundary | tri.interior == tri.simplices and not tri.boundary & tri.interior, b.name
+        boundary = tri.simplices - tri.interior
+        assert (boundary, tri.interior) == reference_split(tri), b.name
+        assert tri.interior <= tri.simplices, b.name
         # the boundary is the union of the proper faces' triangulations, each
         # the complex restricted to the face
-        proper = [to_mask(f.vertices) for f in b.lattice.faces[1:-1]]
-        assert {s for s in tri.simplices if any(not s & ~m for m in proper)} == tri.boundary, b.name
+        proper = b.lattice.faces[1:-1]
+        assert {s for s in tri.simplices if any(not s & ~m for m in proper)} == boundary, b.name
     square = family["cube:2"].tri
-    assert len(square.boundary) == 9  # empty face, 4 vertices, 4 sides
+    assert len(square.simplices - square.interior) == 9  # empty face, 4 vertices, 4 sides
     assert len(square.interior) == 3  # the diagonal and both triangles
     assert all(s.bit_count() >= 2 for s in square.interior)
     cube3 = family["cube:3"]
-    fb = f_vector(cube3.tri.boundary, 2)
+    fb = f_vector(cube3.tri.simplices - cube3.tri.interior, 2)
     assert fb == (1, 8, 18, 12)
     assert cube3.e == (0, 1, 6, 6) == tuple(f - g for f, g in zip(cube3.f[1:], fb[1:] + (0,)))
     for d in range(1, 6):
@@ -303,11 +305,11 @@ def test_family_complexes_are_simplicial_and_pure(family):
         assert b.tri.closed and is_simplicial_complex(frozen(b.tri.simplices)), b.name
         assert all((s & t) in b.tri.simplices for s, t in combinations(b.tri.simplices, 2)), b.name
         assert is_pure(frozen(b.tri.simplices), b.dim), b.name
-        for f in b.lattice.faces[1:]:
-            face_mask = to_mask(f.vertices)
+        for fid in range(1, len(b.lattice)):
+            face_mask = b.lattice.faces[fid]
             cf = frozen({s for s in b.tri.simplices if not s & ~face_mask})
-            assert is_simplicial_complex(cf), (b.name, f.id)
-            assert is_pure(cf, f.dim), (b.name, f.id)
+            assert is_simplicial_complex(cf), (b.name, fid)
+            assert is_pure(cf, b.lattice.dims[fid]), (b.name, fid)
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square"])
