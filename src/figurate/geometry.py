@@ -6,13 +6,12 @@ equality is structural and results are safe to hash, cache and share between
 threads.
 
 Ranks, hyperplanes and side tests run on integers: a point enters as
-``homogenize(p)`` = (D, D p), D the lcm of its denominators, and callers
-homogenize each point once and reuse the row. The one elimination routine,
+``homogenize(p)`` = (D, D p), D the lcm of its denominators; a polytope
+keeps its vertices' rows (``Polytope.hv``). The one elimination routine,
 ``_rref``, is fraction-free Gauss-Jordan over ``int`` (E. H. Bareiss, 1968),
 whose divisions are all exact. The plane through homogenized points is read
-off its integer kernel, the planes opposite each corner of a simplex off one
-inverse, and the coordinates of points in their affine hull off one
-reduction of their differences.
+off its integer kernel, and the coordinates of points in their affine hull
+off one reduction of their differences.
 """
 from __future__ import annotations
 
@@ -111,21 +110,6 @@ def integer_plane_through(hpoints: Sequence[Sequence[int]]) -> tuple[int, ...] |
     for r, c in enumerate(pivots):
         v[c] = -rows[r][free]
     return canonical_plane(v)
-
-
-def integer_planes_opposite(hpoints: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """A plane through all the points but point j, for each j, from one
-    elimination: on n points of length n as the rows of M, [M | I] leaves
-    D M^-1 on the right, whose column j is orthogonal to every point but
-    point j. Each is a nonzero multiple of ``integer_plane_through`` those
-    points; ``canonical_plane`` makes it equal. None when M is not square
-    or is singular."""
-    n = len(hpoints)
-    if len(hpoints[0]) == n:
-        _, pivots, rows = _rref([list(p) + [int(i == j) for j in range(n)] for i, p in enumerate(hpoints)])
-        if pivots[-1] < n:
-            return [[row[n + j] for row in rows] for j in range(n)]
-    return None
 
 
 def canonical_plane(v: list[int]) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ subfaces and covers from each face's intersections with the facets. Subfaces
 and the faces holding each vertex are kept as face-id masks, so pointedness
 condition 2 is one mask test per face and the recursion splits each face's
 subfaces by apex with one AND. Covers are kept as id tuples, read by id by
-the triangulation and the load-time check.
+the triangulation and the load-time check. Each facet's plane is made once
+per lattice and kept in ``planes``, by the hull search or on first use.
 
 The builtin families (simplex, cube, cross, pyramid, prism, bipyramid) list
 their facets combinatorially, with their number of faces. A compound is
@@ -36,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, product
 from math import gcd
 from operator import mul
@@ -73,6 +75,11 @@ class Polytope:
     def ambient_dim(self) -> int:
         return len(self.vertices[0]) if self.vertices else 0
 
+    @cached_property
+    def hv(self) -> tuple[tuple[int, ...], ...]:
+        """The homogenized vertices, ``homogenize(v)`` for each: every rank, plane and side test reads these rows."""
+        return tuple(map(homogenize, self.vertices))
+
 
 class FaceLattice:
     """All faces of a polytope, ordered by inclusion of vertex sets.
@@ -103,6 +110,8 @@ class FaceLattice:
     - ``covers[i]`` is the ascending tuple of the ids of its maximal proper
       subfaces, made in the same loop: the children under no other child,
       which on a face lattice are the children one dimension down.
+    - ``planes`` maps a facet's vertex mask to its plane, made once per
+      lattice: by the hull search, or by ``plane`` on first use.
     """
 
     def __init__(self, polytope: Polytope, generators: Iterable[int]):
@@ -159,6 +168,16 @@ class FaceLattice:
         """The id of the polytope itself."""
         return len(self.faces) - 1
 
+    @cached_property
+    def planes(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def plane(self, facet: int) -> tuple[int, ...]:
+        """The plane of a facet, ``integer_plane_through`` its rows of ``Polytope.hv``, kept in ``planes``."""
+        if facet not in self.planes:
+            self.planes[facet] = integer_plane_through(pick(facet, self.polytope.hv))
+        return self.planes[facet]
+
     def facet_ids(self) -> tuple[int, ...]:
         return self.by_dim.get(self.dim - 1, ())
 
@@ -205,7 +224,7 @@ def enumerate_facets(p: Polytope) -> list[tuple[tuple[int, ...], int]]:
     if len(verts) < d + 1:
         raise GeometryError(f"a {d}-polytope needs at least {d + 1} vertices, got {len(verts)}")
     found = []
-    for mask, plane in _wrap([homogenize(v) for v in verts]).items():
+    for mask, plane in _wrap(p.hv).items():
         if next(x for x in plane[1:] if x) < 0:
             plane = tuple(-x for x in plane)
         found.append((plane, mask))
@@ -222,7 +241,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _wrap(hv: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+def _wrap(hv: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """Every facet of the points, as mask -> inward primitive plane.
 
     From a first facet, each facet's ridges are pivoted over once (ridges
@@ -298,7 +317,7 @@ def _ridges(hv, facet: int, pf) -> list[int]:
     return [_mask(pick(r, idx)) for r in _wrap(sub)]
 
 
-def _first_facet(hv: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+def _first_facet(hv: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
     """One facet of the points, found exactly.
 
     A facet of the projection that drops the last coordinate, lifted with a
@@ -335,22 +354,24 @@ def build_face_lattice(
     lattice, and every vertex is checked to be extremal: the facets holding it
     meet in it alone. A point that is no vertex lies in the relative interior
     of a face with at least two vertices, and every facet through it holds
-    that whole face.
+    that whole face. The lattice keeps the enumerated facets' planes.
     """
     if face_sets is not None:
         generators = [_face_mask(p, face) for face in face_sets]
         lattice = FaceLattice(p, generators)
         _check_face_lattice(lattice, generators)
         return lattice
-    masks = [mask for _, mask in enumerate_facets(p)]
+    planes = {mask: plane for plane, mask in enumerate_facets(p)}
     if p.dim > 0:
         for i in range(len(p.vertices)):
-            if _facet_meet(1 << i, masks, len(p.vertices)) != 1 << i:
+            if _facet_meet(1 << i, planes, len(p.vertices)) != 1 << i:
                 raise GeometryError(f"vertex {i} of {p.name!r} is not extremal")
-    return FaceLattice(p, masks)
+    lattice = FaceLattice(p, planes)
+    lattice.planes.update(planes)
+    return lattice
 
 
-def _facet_meet(mask: int, facets: list[int], n: int) -> int:
+def _facet_meet(mask: int, facets: Iterable[int], n: int) -> int:
     """The intersection of the facet masks holding ``mask``, of n vertices;
     all n when none does."""
     meet = (1 << n) - 1
@@ -384,7 +405,7 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
     def fail(detail: str):
         raise GeometryError(f"faces of {p.name!r} are not a face lattice: {detail}")
 
-    hv = [homogenize(v) for v in p.vertices]
+    hv = p.hv
     for f, dim in zip(lattice.faces[1:], lattice.dims[1:]):
         rank = integer_rank(pick(f, hv))
         if rank - 1 != dim:
@@ -393,7 +414,7 @@ def _check_face_lattice(lattice: FaceLattice, generators: list[int]) -> None:
         return
     facets = [lattice.faces[i] for i in lattice.facet_ids()]
     for facet in facets:
-        plane = integer_plane_through(pick(facet, hv))  # the facet spans dim - 1
+        plane = lattice.plane(facet)  # the facet spans dim - 1
         sides = [integer_side(plane, h) for h in hv]
         if min(sides) < 0 < max(sides):
             fail(f"facet {vertex_list(facet)} has vertices on both sides of its hyperplane")

@@ -30,8 +30,8 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterable
 
-from .geometry import Point, homogenize
-from .lattice import vertex_list
+from .geometry import Point
+from .lattice import pick, vertex_list
 from .triangulation import Complex, GenericityError, PointedTriangulation, Simplex, exterior_lower_sets
 
 
@@ -84,11 +84,12 @@ def generic_point(
     size. The flag walk of ``exterior_lower_sets`` is the genericity test: it
     raises exactly when the point lies on a ridge plane, and every other
     simplex with at most d vertices lies inside a ridge. Each candidate is
-    sum w_i (L / D_i) v_i over the homogenized corners v_i = (D_i, D_i p_i),
-    L the lcm of the D_i, so it stays strictly inside one maximal simplex,
-    hence inside the polytope.
+    sum w_i (L / D_i) v_i over the corners' rows v_i = (D_i, D_i p_i) of
+    ``Polytope.hv``, L the lcm of the D_i, so it lies strictly inside one
+    maximal simplex, hence inside the polytope. After 64 failed candidates
+    it raises ``RuntimeError``.
     """
-    corners = [homogenize(tri.lattice.polytope.vertices[i]) for i in vertex_list(tri.maximal[0])]
+    corners = pick(tri.maximal[0], tri.lattice.polytope.hv)
     den = lcm(*(c[0] for c in corners))
     columns = list(zip(*([den // c[0] * e for e in c] for c in corners)))
     rng = random.Random(seed)

@@ -28,7 +28,8 @@ maximal simplices and closure under subsets.
 
 Each maximal simplex is also the apex set of a flag of faces, so one walk
 down the flags reads a point's barycentric signs in all of them
-(``exterior_lower_sets``), one facet plane per step (``FlagSteps``).
+(``exterior_lower_sets``), one facet plane per step (``FlagSteps``), read
+from the lattice's ``planes``.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from itertools import chain
 from operator import and_, mul
 from typing import Sequence
 
-from .geometry import canonical_plane, homogenize, integer_plane_through, integer_planes_opposite
 from .lattice import FaceLattice, pick, vertex_list
 
 Simplex = int
@@ -87,42 +87,34 @@ class FlagSteps(dict):
     """The steps of the flag walks by face id, each computed on first use.
 
     A face f with apex a steps to each nonempty cover g that misses a,
-    through the plane l of the first facet (in ``facet_ids()`` order; ``on``
-    masks by vertex the facets that hold it) that holds g and misses a: the
-    step is (g, l, l(a)). A facet's plane is computed the first time a step
-    needs it, but one elimination of the first maximal simplex seeds them:
-    each of its boundary ridges lies in one facet, whose plane is the ridge's.
+    through the plane l of the first facet in ``facet_ids()`` order, the
+    lowest facet id, that holds g and misses a: the step is (g, l, l(a)).
+    The planes are the lattice's (``FaceLattice.plane``), each made once per
+    lattice, whichever triangulation asks first.
     """
 
     def __init__(self, tri: PointedTriangulation):
         super().__init__()
         self.lattice, self.apexes = tri.lattice, tri.apexes
-        self.hv = [homogenize(p) for p in tri.lattice.polytope.vertices]
-        self.facets = [tri.lattice.faces[q] for q in tri.lattice.facet_ids()]
-        self.on = [sum(1 << i for i, f in enumerate(self.facets) if f >> v & 1) for v in range(len(self.hv))]
-        self.planes: dict[int, tuple[int, ...]] = {}
-        vs = vertex_list(tri.maximal[0])
-        for v, column in zip(vs, integer_planes_opposite([self.hv[w] for w in vs]) or ()):
-            held = reduce(and_, (self.on[w] for w in vs if w != v))
-            if held:
-                self.planes[(held & -held).bit_length() - 1] = canonical_plane(column)
 
     def __missing__(self, fid: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-        faces, a, out = self.lattice.faces, self.apexes[fid], []
-        for g in self.lattice.covers[fid]:
-            if not g or self.lattice.with_vertex[a] >> g & 1:
+        lat, a, out = self.lattice, self.apexes[fid], []
+        faces, with_vertex = lat.faces, lat.with_vertex
+        facets = sum(1 << i for i in lat.facet_ids()) & ~with_vertex[a]  # the facets missing a, by id
+        for g in lat.covers[fid]:
+            if not g or with_vertex[a] >> g & 1:
                 continue
-            apart = reduce(and_, pick(faces[g], self.on), ~self.on[a])
+            apart = reduce(and_, pick(faces[g], with_vertex), facets)
             if not apart:
                 raise RuntimeError(
                     f"no facet holds face {vertex_list(faces[g])} and misses apex {a} of face "
                     f"{vertex_list(faces[fid])}"
                 )
-            i = (apart & -apart).bit_length() - 1
-            plane = self.planes[i] = self.planes.get(i) or integer_plane_through(pick(self.facets[i], self.hv))
-            la = sum(map(mul, plane, self.hv[a]))
+            facet = faces[(apart & -apart).bit_length() - 1]
+            plane = lat.plane(facet)
+            la = sum(map(mul, plane, lat.polytope.hv[a]))
             if not la:
-                raise RuntimeError(f"apex {a} lies on the plane of facet {vertex_list(self.facets[i])}")
+                raise RuntimeError(f"apex {a} lies on the plane of facet {vertex_list(facet)}")
             out.append((g, plane, la))
         self[fid] = out = tuple(out)
         return out
@@ -231,14 +223,14 @@ def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
 
 def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[Simplex, ...]:
     """The exterior lower set G_F of every maximal simplex F, in ``maximal``
-    order, at the homogenized point ``hx``: the vertices of F where the
-    point's barycentric coordinate is negative.
+    order, at the point ``hx`` in homogeneous coordinates: the vertices of F
+    where the point's barycentric coordinate is negative.
 
     Every maximal simplex is the apex set of a flag P = F_d > ... > F_0, each
     F_(i-1) a cover of F_i that misses its apex, so one depth-first walk of
     ``flag_steps`` reads them all. It carries an integer y in the span of
-    the face reached, c times the point in the simplex's homogenized
-    vertices, and the sign of c. At face F with apex a and cover G, the
+    the face reached, c times the point in the simplex's vertices' rows of
+    ``Polytope.hv``, and the sign of c. At face F with apex a and cover G, the
     plane l of a facet that holds G and misses a vanishes on the rest of the
     simplex: a's coefficient has the sign of l(y) l(a) c, and
     y' = l(a) y - l(y) a lies in G's span, with c' = l(a) c. A zero
@@ -249,7 +241,7 @@ def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[S
     face lattice.
     """
     steps = tri.flag_steps
-    faces, dims, apexes, hv = tri.lattice.faces, tri.lattice.dims, tri.apexes, steps.hv
+    faces, dims, apexes, hv = tri.lattice.faces, tri.lattice.dims, tri.apexes, tri.lattice.polytope.hv
     leaves: list[tuple[Simplex, Simplex]] = []
 
     def down(fid, y, flip, above, lower):

@@ -42,7 +42,8 @@ subsets one vertex set at a time, the reference for the facet set that
 gives the maximal simplices.
 
 ``ridge_planes`` builds the ridge-plane table of every maximal simplex, one
-``integer_planes_opposite`` elimination per simplex, and
+``integer_planes_opposite`` elimination per simplex (on the package's
+kernel ``_rref``), and
 ``side_test_lower_sets`` reads a point's exterior lower sets off it by one
 side test per facet: the reference for the flag walk of
 ``triangulation.exterior_lower_sets``. ``reference_ridge_planes`` builds the
@@ -102,10 +103,10 @@ from typing import Sequence
 from figurate.geometry import (
     GeometryError,
     Point,
+    _rref,
     canonical_plane,
     homogenize,
     integer_plane_through,
-    integer_planes_opposite,
     integer_side,
     point,
 )
@@ -626,6 +627,21 @@ class RidgePlanes:
 
     planes: dict[int, tuple[int, ...]]
     facets: dict[int, tuple[tuple[int, int, tuple[int, ...], int], ...]]
+
+
+def integer_planes_opposite(hpoints: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """A plane through all the points but point j, for each j, from one
+    elimination: on n points of length n as the rows of M, [M | I] leaves
+    D M^-1 on the right, whose column j is orthogonal to every point but
+    point j. Each is a nonzero multiple of ``integer_plane_through`` those
+    points; ``canonical_plane`` makes it equal. None when M is not square
+    or is singular."""
+    n = len(hpoints)
+    if len(hpoints[0]) == n:
+        _, pivots, rows = _rref([list(p) + [int(i == j) for j in range(n)] for i, p in enumerate(hpoints)])
+        if pivots[-1] < n:
+            return [[row[n + j] for row in rows] for j in range(n)]
+    return None
 
 
 def ridge_planes(tri: PointedTriangulation) -> RidgePlanes:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import figurate.partitions as partitions
 import figurate.pipeline as pipeline
 import figurate.triangulation as triangulation
 from figurate.cli import build_parser, main
@@ -86,6 +87,22 @@ def test_pipeline_reports_are_byte_identical(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "cross:4"])
+def test_the_three_load_paths_give_one_report(tmp_path, capsys, spec):
+    # the facet planes are made on first use, by the load-time check of gen's
+    # faces, and by the hull search of its vertices alone
+    faces, bare = tmp_path / "faces.json", tmp_path / "bare.json"
+    assert run(capsys, "gen", *spec.split(":"), "--out", str(faces))[0] == 0
+    data = json.loads(faces.read_text())
+    del data["faces"]
+    bare.write_text(json.dumps(data))
+    reports = [
+        run(capsys, "pipeline", *source, "--summary")
+        for source in (("--builtin", spec), ("--input", str(faces)), ("--input", str(bare)))
+    ]
+    assert reports[0][0] == 0 and reports[0] == reports[1] == reports[2]
 
 
 def test_pipeline_from_input_file(tmp_path, capsys):
@@ -306,6 +323,16 @@ def test_stage_failure_is_a_failed_pipeline_record(failing_construction, capsys)
         "record": "claim", "claim": "pipeline-stage", "polytope": "cube:2",
         "params": {"seed": 0, "n_max": 15}, "pass": False, "counterexample": {"error": _FORCED},
     }
+
+
+def test_no_generic_point_is_a_failed_pipeline_record(monkeypatch, capsys):
+    def never_generic(tri, hx):
+        raise triangulation.GenericityError("forced")
+
+    monkeypatch.setattr(partitions, "exterior_lower_sets", never_generic)
+    code, out, err = run(capsys, "pipeline", "--builtin", "square")
+    assert code == 1 and err == ""
+    assert json.loads(out) == _failed_stage("cube:2", "could not find a generic point")
 
 
 def test_stage_failure_of_sequence_exits_1(failing_construction, capsys):

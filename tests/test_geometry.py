@@ -12,7 +12,6 @@ from figurate.geometry import (
     homogenize,
     hull_coordinates,
     integer_plane_through,
-    integer_planes_opposite,
     integer_rank,
     integer_side,
     point,
@@ -26,6 +25,7 @@ from oracles import (
     Hyperplane,
     evaluate_functional,
     integer_plane,
+    integer_planes_opposite,
     reference_hull_coordinates,
     reference_hyperplane_through,
     reference_rank,

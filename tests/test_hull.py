@@ -13,18 +13,33 @@ three or more points, which are wrapped one dimension down.
 
 A point that is no vertex of the hull of the input is rejected when the
 input is loaded: ``figurate`` exits 2 naming the first such point.
+
+The lattice keeps the planes the hull search found. Each must be the
+canonical ``integer_plane_through`` the facet's homogenized vertices, as
+must the planes of supplied faces, made by the load-time check.
 """
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import and_
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from figurate.cli import main
-from figurate.geometry import homogenize, integer_rank, point
-from figurate.lattice import Polytope, enumerate_facets, parse_builtin, vertex_list
+from figurate.geometry import GeometryError, homogenize, integer_plane_through, integer_rank, point
+from figurate.lattice import (
+    Polytope,
+    enumerate_facets,
+    parse_builtin,
+    pick,
+    polytope_from_json,
+    polytope_from_vertices,
+    vertex_list,
+)
 from oracles import brute_force_facets
 from test_recursion import BUILTINS
 
@@ -78,6 +93,35 @@ def test_gift_wrapping_finds_the_builtin_facets(spec):
     assert [vs for _, vs in facets] == sorted((lattice.faces[i] for i in lattice.facet_ids()), key=vertex_list)
     if comb(len(p.vertices), p.dim) <= 500:
         assert facets == brute_force_facets(p)
+
+
+def _assert_the_lattice_keeps_canonical_facet_planes(lat):
+    p = lat.polytope
+    assert p.hv == tuple(map(homogenize, p.vertices))
+    assert sorted(lat.planes) == sorted(lat.faces[i] for i in lat.facet_ids())
+    for facet, plane in lat.planes.items():
+        assert plane == integer_plane_through(pick(facet, p.hv)), vertex_list(facet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rational_point_sets(), point_sets_with_a_flat()))
+def test_the_hull_planes_kept_by_the_lattice_are_canonical(points):
+    d = len(points[0])
+    assume(integer_rank([homogenize(q) for q in points]) == d + 1)
+    # keep the vertices: the points where the facets through them meet alone
+    facets = [vs for _, vs in enumerate_facets(Polytope("points", tuple(points), d))]
+    vertices = [q for i, q in enumerate(points) if reduce(and_, (vs for vs in facets if vs >> i & 1), -1) == 1 << i]
+    _assert_the_lattice_keeps_canonical_facet_planes(polytope_from_vertices("points", vertices))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path(__file__).parent.glob("*.json")))
+def test_the_facet_planes_of_every_json_input_are_canonical(name):
+    try:
+        lat = polytope_from_json(json.loads((Path(__file__).parent / name).read_text()))
+    except GeometryError:  # rejected when loaded
+        assert name == "square_diagonals_and_vertices.json"
+        return
+    _assert_the_lattice_keeps_canonical_facet_planes(lat)
 
 
 def _rational(rng):

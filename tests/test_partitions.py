@@ -147,6 +147,19 @@ def test_the_walk_raises_on_a_degenerate_point(square):
         exterior_lower_sets(square.tri, homogenize(mid))
 
 
+def test_the_search_gives_up_after_64_candidates(square, monkeypatch):
+    tried = []
+
+    def never_generic(tri, hx):
+        tried.append(hx)
+        raise GenericityError("forced")
+
+    monkeypatch.setattr(partitions, "exterior_lower_sets", never_generic)
+    with pytest.raises(RuntimeError, match=r"^could not find a generic point$"):
+        generic_point(square.tri)
+    assert len(tried) == 64
+
+
 def test_exterior_partition_simplex_single_interval():
     for d in range(1, 5):
         ext, _ = _partitions(_tri(f"simplex:{d}"))

@@ -10,7 +10,9 @@ large builtins, on random rational polytopes, on every JSON input here and
 under drawn vertex orders (``test_chain_property.py``). The table itself
 must equal the one kernel per ridge of ``reference_ridge_planes``. The
 search is checked against the full-scan search and visibility against ray
-casting.
+casting. The walks read the lattice's facet planes: each is made once per
+lattice, whatever the triangulation, and none by the walks on an input whose
+load made them.
 """
 import json
 from pathlib import Path
@@ -18,9 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-import figurate.triangulation as triangulation
+import figurate.lattice as lattice
 from figurate.geometry import barycenter, homogenize, point
-from figurate.lattice import Polytope, parse_builtin, polytope_from_json, polytope_from_vertices, vertex_list
+from figurate.lattice import Polytope, parse_builtin, pick, polytope_from_json, polytope_from_vertices, vertex_list
 from figurate.partitions import generic_point, visibility_partitions
 from figurate.triangulation import (
     GenericityError,
@@ -143,30 +145,49 @@ def test_visibility_matches_ray_casting(family, spec):
                 assert bool(iv.lower >> v & 1) == (hit == AT_OR_AFTER_Y), (spec, vertex_list(f), v)
 
 
-def test_one_elimination_and_one_plane_per_facet(monkeypatch):
-    calls = {"integer_planes_opposite": [], "integer_plane_through": []}
+def _planes_made(monkeypatch):
+    """The points of every ``integer_plane_through`` call made from ``figurate.lattice`` from now on."""
+    calls = []
+    original = lattice.integer_plane_through
 
-    def counted(name):
-        original = getattr(triangulation, name)
+    def count(hpoints):
+        calls.append(tuple(hpoints))
+        return original(hpoints)
 
-        def count(hpoints):
-            calls[name].append(tuple(hpoints))
-            return original(hpoints)
+    monkeypatch.setattr(lattice, "integer_plane_through", count)
+    return calls
 
-        monkeypatch.setattr(triangulation, name, count)
 
-    counted("integer_planes_opposite")
-    counted("integer_plane_through")
-    tri = _tri("cube:4")
+def _walk_three_points(tri):
     points = []
     for i in range(3):
-        gp = generic_point(tri, seed=i, avoid=tuple(p.x for p in points))
-        points.append(gp)
-        visibility_partitions(tri, gp)
-    assert tri.flag_steps is tri.flag_steps  # built once per triangulation
-    assert len(calls["integer_planes_opposite"]) == 1
-    through = calls["integer_plane_through"]
-    assert len(set(through)) == len(through) <= len(tri.lattice.facet_ids()) == 8
+        points.append(generic_point(tri, seed=i, avoid=tuple(p.x for p in points)))
+        visibility_partitions(tri, points[-1])
+
+
+def test_each_facet_plane_is_made_once_per_lattice(monkeypatch):
+    # two triangulations of one lattice, from opposite vertex orders, read one set of planes
+    calls = _planes_made(monkeypatch)
+    lat = parse_builtin("cube:4")
+    order = vertex_order(lat.polytope)
+    for apexes in (assign_apexes(lat, order), assign_apexes(lat, order[::-1])):
+        tri = build_pointed_triangulation(lat, apexes)
+        _walk_three_points(tri)
+        assert tri.flag_steps is tri.flag_steps  # built once per triangulation
+    hv = [homogenize(v) for v in lat.polytope.vertices]
+    assert sorted(calls) == sorted(pick(lat.faces[i], hv) for i in lat.facet_ids())  # all 8, once each
+
+
+@pytest.mark.parametrize("source", ["cube:4 by coordinates", "prism_sphere2_6.json"])
+def test_loaded_inputs_keep_the_planes_their_walks_read(monkeypatch, source):
+    # the hull search, or the load-time check of the supplied faces, made every plane
+    if source.endswith(".json"):
+        lat = polytope_from_json(json.loads((Path(__file__).parent / source).read_text()))
+    else:
+        lat = polytope_from_vertices("cube4", parse_builtin("cube:4").polytope.vertices)
+    calls = _planes_made(monkeypatch)
+    _walk_three_points(_triangulated(lat))
+    assert calls == []
 
 
 def _square_with_diagonal_faces():
