@@ -23,13 +23,16 @@ sets of them. Faces are read by id from ``FaceLattice.faces``, ``below``,
 ``with_vertex`` and ``covers``. Condition 2 reads only the apexes and is
 checked first; conditions 1 and 3 once on the whole complex, whose
 restriction to a face is that face's complex. Each check raises ``GenericityError`` where it finds a
-violation. One set of facets, each simplex less one vertex, gives the
-maximal simplices and closure under subsets.
+violation.
 
-Each maximal simplex is also the apex set of a flag of faces, so one walk
-down the flags reads a point's barycentric signs in all of them
-(``exterior_lower_sets``), one facet plane per step (``FlagSteps``), read
-from the lattice's ``planes``.
+The maximal simplices are the apex sets of the flags of faces from the
+polytope down to a vertex, each step a cover missing the apex: one walk
+over ``covers`` lists them (``_flag_leaves``). Closure under subsets is one
+mask test per vertex on the faces joined to it during the build
+(``_closed``), with a lookup of every simplex's facets only when it fails.
+One walk down the same flags reads a point's barycentric signs in all the
+maximal simplices (``exterior_lower_sets``), one facet plane per step
+(``FlagSteps``), read from the lattice's ``planes``.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
+from math import lcm
 from operator import and_, mul
 from typing import Sequence
 
@@ -58,8 +62,9 @@ class GenericityError(RuntimeError):
 @dataclass(frozen=True)
 class PointedTriangulation:
     """The polytope's own complex (each face's is its restriction to the face), its
-    ``interior``, the simplices inside no facet (the boundary is the rest), and whether it
-    is closed under subsets, read off the facet set that gives ``maximal``."""
+    ``interior``, the simplices inside no facet (the boundary is the rest), its
+    ``maximal`` simplices, the apex sets of the flags sorted by (size, vertices),
+    and whether it is ``closed`` under subsets."""
 
     lattice: FaceLattice
     apexes: Apexes
@@ -133,13 +138,20 @@ def vertex_order(polytope) -> tuple[int, ...]:
     |sum_{i<j} M'^i delta_i| <= (M' - 1)(1 + ... + M'^(j-1)) = M'^j - 1 < M'^j.
     Scaling by L > 0 keeps the order, and vertices are distinct, so the
     ranking is strict.
+
+    Both are read on the integer points L p, from the rows of ``Polytope.hv``:
+    the weights (L M)^j L^(n-1-j) give L^n times the value of p, the same
+    order and the same ties, with no ``Fraction`` arithmetic.
     """
-    verts = polytope.vertices
-    m = 1 + max((max(col) - min(col) for col in zip(*verts)), default=0)
-    weights = [m**j for j in range(polytope.ambient_dim)]
-    value = [sum(map(mul, weights, v)) for v in verts]
-    key = value.__getitem__ if len(set(value)) == len(value) else lambda i: verts[i][::-1]
-    return tuple(sorted(range(len(verts)), key=key))
+    hv = polytope.hv
+    den = lcm(*(h[0] for h in hv))
+    rows = [[den // h[0] * c for c in h[1:]] for h in hv]
+    lm = den + max((max(col) - min(col) for col in zip(*rows)), default=0)
+    n = polytope.ambient_dim
+    weights = [lm**j * den ** (n - 1 - j) for j in range(n)]
+    value = [sum(map(mul, weights, r)) for r in rows]
+    key = value.__getitem__ if len(set(value)) == len(value) else lambda i: rows[i][::-1]
+    return tuple(sorted(range(len(rows)), key=key))
 
 
 def assign_apexes(lattice: FaceLattice, order) -> Apexes:
@@ -170,26 +182,30 @@ def build_pointed_triangulation(lattice: FaceLattice, apexes: Apexes) -> Pointed
     pointed. Each simplex is built once, at its carrier (``_carried``); the
     disjoint union of what the faces carry equals the union of the faces'
     complexes only because condition 2 holds. The interior is what the top
-    face carries.
+    face carries, the maximal simplices the flags' apex sets
+    (``_flag_leaves``), and closure is tested on the faces joined to each
+    vertex (``_closed``).
     """
     verify_pointed(lattice, apexes)
-    carried = _carried(lattice, apexes)
+    carried, joined_to = _carried(lattice, apexes)
     simplices = frozenset(chain.from_iterable(carried))
     _verify_complex(lattice, apexes, carried, simplices)
     interior = frozenset(carried[-1])
-    maximal, closed = _maximal_and_closed(simplices)
-    return PointedTriangulation(lattice, apexes, simplices, interior, maximal, closed)
+    closed = _closed(lattice, joined_to, simplices)
+    return PointedTriangulation(lattice, apexes, simplices, interior, _flag_leaves(lattice, apexes), closed)
 
 
-def _carried(lattice: FaceLattice, apexes: Apexes) -> list[list[Simplex]]:
+def _carried(lattice: FaceLattice, apexes: Apexes) -> tuple[list[list[Simplex]], list[int]]:
     """The simplices each face carries, by face id: the empty simplex for the
     empty face, and for a face f with apex v, v joined to what each face g
-    carries, g below f, missing v and in no cover of f that holds v.
+    carries, g below f, missing v and in no cover of f that holds v. Beside
+    them, by vertex v, the face-id mask of every such g joined to v.
 
     Those g are one face-id mask, whose ids are read lowest bit first.
     """
     below, covers, with_vertex = lattice.below, lattice.covers, lattice.with_vertex
     carried: list[list[Simplex]] = [[0]]
+    joined_to = [0] * len(lattice.polytope.vertices)
     for fid in range(1, len(lattice)):
         v = apexes[fid]
         held = with_vertex[v]
@@ -200,25 +216,57 @@ def _carried(lattice: FaceLattice, apexes: Apexes) -> list[list[Simplex]]:
         bit = 1 << v
         joined: list[Simplex] = []
         rest = below[fid] & ~under
+        joined_to[v] |= rest
         while rest:
             low = rest & -rest
             joined.extend(map(bit.__or__, carried[low.bit_length() - 1]))
             rest ^= low
         carried.append(joined)
-    return carried
+    return carried, joined_to
 
 
-def _maximal_and_closed(complex_: Complex) -> tuple[tuple[Simplex, ...], bool]:
-    """The maximal simplices of a complex, sorted by (size, vertices), and its closure under
-    subsets, from one set of facets: the simplices that are no facet, and every facet a simplex."""
-    facets: set[Simplex] = set()
-    for s in complex_:
-        rest = s
-        while rest:
-            low = rest & -rest
-            facets.add(s ^ low)
-            rest ^= low
-    return tuple(sorted(complex_ - facets, key=_simplex_key)), facets <= complex_
+def _closed(lattice: FaceLattice, joined_to: Sequence[int], simplices: Complex) -> bool:
+    """Whether ``simplices``, what ``_carried`` built with the masks
+    ``joined_to``, is closed under subsets.
+
+    It is when the faces joined to each vertex v are a down-set, one AND per
+    joined face. By induction on size, a facet of a carried v | t, t carried
+    at g, is t or v | t' with t' a facet of t, carried at a face inside g (a
+    carrier is the smallest face holding what it carries), so joined to v
+    too. Under condition 2 the test always holds; only when it fails does
+    ``_closed_by_scan`` decide.
+    """
+    below = lattice.below
+    return all(not b & ~m for m in joined_to for b in pick(m, below)) or _closed_by_scan(simplices)
+
+
+def _closed_by_scan(complex_: Complex) -> bool:
+    """Closure under subsets by one lookup per facet of every simplex, the empty simplex included."""
+    return 0 in complex_ and all(s ^ 1 << v in complex_ for s in complex_ for v in vertex_list(s))
+
+
+def _flag_leaves(lattice: FaceLattice, apexes: Apexes) -> tuple[Simplex, ...]:
+    """The apex sets of the flags P = F_d > ... > F_0 from the polytope down
+    to a vertex, each F_(i-1) a cover of F_i that misses its apex, sorted by
+    (size, vertices): one walk over ``covers``.
+
+    Each has d + 1 vertices, the most a carried simplex has. The exterior
+    partition's check (``partitions.visibility_partitions``) certifies them
+    as the complex's maximal simplices: every leaf's interval lies in the
+    complex and every simplex is in exactly one of them, so none is missed
+    and none is listed twice.
+    """
+    covers, with_vertex, dims = lattice.covers, lattice.with_vertex, lattice.dims
+    leaves: list[Simplex] = []
+    stack = [(lattice.top, 0)]  # a face and the apexes above it
+    while stack:
+        fid, above = stack.pop()
+        a = apexes[fid]
+        if dims[fid]:
+            stack.extend((g, above | 1 << a) for g in covers[fid] if not with_vertex[a] >> g & 1)
+        else:
+            leaves.append(above | 1 << a)
+    return tuple(sorted(leaves, key=_simplex_key))
 
 
 def exterior_lower_sets(tri: PointedTriangulation, hx: Sequence[int]) -> tuple[Simplex, ...]:

@@ -24,7 +24,9 @@ references for the one mask test per face in ``verify_pointed``.
 ``reference_vertex_order`` ranks the vertices by the functional
 (1, M', M'^2, ...), M' = 1 + L * spread with L the lcm of the denominators,
 evaluated by ``evaluate_functional``: the reference for the tie-break of
-``vertex_order``. ``reference_assign_apexes`` takes each apex by a ``min``
+``vertex_order``. ``fraction_vertex_order`` is ``vertex_order`` on the
+``Fraction`` coordinates, the reference for its reading on the integer rows
+of ``Polytope.hv``. ``reference_assign_apexes`` takes each apex by a ``min``
 over the face's vertices by rank, the reference for the one pass down the
 ranking in ``assign_apexes``.
 
@@ -34,12 +36,13 @@ construction on vertex masks in ``build_pointed_triangulation``, which keeps
 only the polytope's complex; ``frozen`` and ``vertex_set`` turn the
 package's masks into those vertex sets, and ``to_mask`` turns a vertex set
 back. ``maximal_simplices`` scans every simplex against every vertex of the
-complex; ``reference_condition_1`` runs it on the complex of every face in
+complex, the reference for the flags' apex sets in ``tri.maximal``;
+``reference_condition_1`` runs it on the complex of every face in
 a per-face dict, the reference for the check of pointedness condition 1
 (one superset test, then a scan only to name the smallest violating
 simplex). ``is_simplicial_complex`` tests closure under
-subsets one vertex set at a time, the reference for the facet set that
-gives the maximal simplices.
+subsets one vertex set at a time, the reference for ``tri.closed`` and for
+the facet lookups of its fallback scan.
 
 ``ridge_planes`` builds the ridge-plane table of every maximal simplex, one
 ``integer_planes_opposite`` elimination per simplex (on the package's
@@ -470,6 +473,18 @@ def reference_vertex_order(polytope: Polytope) -> tuple[int, ...]:
     value = [evaluate_functional(c, v) for v in verts]
     assert len(set(value)) == len(value), "the M' functional ties"
     return tuple(sorted(range(len(verts)), key=value.__getitem__))
+
+
+def fraction_vertex_order(polytope: Polytope) -> tuple[int, ...]:
+    """The vertex indices sorted by (1, M, M^2, ...), M = 1 + the largest
+    per-coordinate spread, over ``Fraction`` coordinates where those values
+    are distinct, else by the coordinates read last to first."""
+    verts = polytope.vertices
+    m = 1 + max((max(col) - min(col) for col in zip(*verts)), default=0)
+    weights = [m**j for j in range(polytope.ambient_dim)]
+    value = [sum(map(mul, weights, v)) for v in verts]
+    key = value.__getitem__ if len(set(value)) == len(value) else lambda i: verts[i][::-1]
+    return tuple(sorted(range(len(verts)), key=key))
 
 
 def reference_assign_apexes(lattice: FaceLattice, order) -> Apexes:

@@ -12,7 +12,9 @@ from two generic points.
 
 The paper's theorem holds for every pointed triangulation, so every claim
 must also pass when the apexes come from any other ranking of the vertices,
-and the flag walk must read the same lower sets as the ridge-plane table.
+the flags' apex sets must be the scanned maximal simplices, closure must
+need no fallback scan, and the flag walk must read the same lower sets as
+the ridge-plane table.
 
 What settles h. The top apex, the first vertex of the order, is a vertex of
 every maximal simplex, and the triangulation is the cone from it over the
@@ -30,12 +32,20 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from figurate.lattice import polytope_from_vertices
+from figurate.lattice import polytope_from_vertices, vertex_list
 from figurate.partitions import generic_point
 from figurate.pipeline import run_pipeline
-from figurate.triangulation import assign_apexes, build_pointed_triangulation
-from oracles import reference_split, ridge_planes, side_test_lower_sets
-from test_pointed_masks import assert_built_once_at_the_carrier
+from figurate.triangulation import assign_apexes
+from oracles import (
+    frozen,
+    is_simplicial_complex,
+    maximal_simplices,
+    reference_split,
+    ridge_planes,
+    side_test_lower_sets,
+    to_mask,
+)
+from test_pointed_masks import assert_built_once_at_the_carrier, build_without_the_scan
 from test_recursion import _lattice
 
 _PARAMETER = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -109,7 +119,11 @@ def test_every_claim_holds_under_any_vertex_order(spec, data):
     assert not failed, failed[:1]
     assert records[0]["witness"]["apex_vertex"] == order[0]
     apexes = assign_apexes(lattice, order)
-    tri = build_pointed_triangulation(lattice, apexes)
+    tri = build_without_the_scan(lattice, apexes)
+    simplices = frozen(tri.simplices)
+    scanned = sorted(map(to_mask, maximal_simplices(simplices)), key=lambda s: (s.bit_count(), vertex_list(s)))
+    assert tri.maximal == tuple(scanned)
+    assert tri.closed and is_simplicial_complex(simplices)
     assert (tri.simplices - tri.interior, tri.interior) == reference_split(tri)
     assert_built_once_at_the_carrier(lattice, apexes)
     table = ridge_planes(tri)

@@ -2,11 +2,15 @@
 certificate and the recursion once.
 
 The maximal simplices come from construction: no scan of the complex for
-them runs in the pipeline. Both partitions of a point come from one stage,
-which verifies each of them once. Options after the lattice are
-keyword-only. When one sequence method disagrees, both sequence claims fail
-and name the first n and every method's value there.
+them, and no fallback scan for closure, runs in the pipeline. A tampered
+list of maximal simplices fails a stage, in the flag walk or in the
+partition check, and never reaches a passing report. Both partitions of a
+point come from one stage, which verifies each of them once. Options after
+the lattice are keyword-only. When one sequence method disagrees, both
+sequence claims fail and name the first n and every method's value there.
 """
+import json
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -42,6 +46,7 @@ def calls(monkeypatch):
     _count(monkeypatch, calls, "verify_partition", partitions, pipeline)
     _count(monkeypatch, calls, "face_number_sequences", sequences, pipeline)
     _count(monkeypatch, calls, "maximal_simplices", oracles, triangulation, pipeline)
+    _count(monkeypatch, calls, "_closed_by_scan", triangulation)
     return calls
 
 
@@ -120,3 +125,51 @@ def test_a_sequence_mismatch_names_the_first_n_and_every_method(monkeypatch, nam
             "counterexample": {"n": 4, **values},
         }
     assert [c for c, r in records.items() if not r["pass"]] == ["sequence-three-way", "interior-four-way"]
+
+
+def _build_then(monkeypatch, change):
+    """Make the pipeline's triangulation ``change(tri)`` of the one it builds."""
+    build = pipeline.build_pointed_triangulation
+    monkeypatch.setattr(pipeline, "build_pointed_triangulation", lambda lattice, apexes: change(build(lattice, apexes)))
+
+
+# one leaf of cube:3 dropped, or a facet of one, no maximal simplex, added
+_TAMPERED = [
+    (lambda m: m[1:], r"the apex flags end in 6 simplices, not in the 5 maximal ones"),
+    (lambda m: m[:-1], r"the apex flags end in 6 simplices, not in the 5 maximal ones"),
+    (lambda m: m + (m[0] & m[0] - 1,), r"maximal simplex \[1, 3, 7\] is the apex set of no flag"),
+]
+
+
+@pytest.mark.parametrize("change, error", _TAMPERED)
+def test_tampered_maximal_simplices_fail_the_flag_walk(monkeypatch, capsys, change, error):
+    _build_then(monkeypatch, lambda tri: replace(tri, maximal=change(tri.maximal)))
+    assert main(["pipeline", "--builtin", "cube:3", "--summary"]) == 1
+    *claims, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    [stage] = claims
+    assert stage["claim"] == "pipeline-stage" and not stage["pass"]
+    assert re.fullmatch(error, stage["counterexample"]["error"])
+    assert summary["failed"] == ["pipeline-stage"]
+
+
+@pytest.mark.parametrize("change", [change for change, _ in _TAMPERED])
+def test_tampered_maximal_simplices_fail_the_partition_check(cube3, change):
+    # with a certificate tampered to match, past the flag walk's own check,
+    # the exterior partition misses or covers twice
+    tri = cube3.tri
+    for gp in cube3.generic_points:
+        lower = dict(zip(tri.maximal, gp.certificate))
+        maximal = change(tri.maximal)
+        certificate = tuple(lower.get(f, 0) for f in maximal)
+        with pytest.raises(RuntimeError, match=r"^exterior intervals failed to partition their target: "):
+            partitions.visibility_partitions(replace(tri, maximal=maximal), GenericPoint(gp.x, certificate))
+
+
+def test_a_full_simplex_on_the_boundary_fails_the_euler_stage(monkeypatch, capsys):
+    # the boundary's f-vector is f less e: a maximal simplex left out of the
+    # interior is a boundary simplex with d + 1 vertices
+    _build_then(monkeypatch, lambda tri: replace(tri, interior=tri.interior - {tri.maximal[0]}))
+    assert main(["pipeline", "--builtin", "cube:3"]) == 1
+    [stage] = map(json.loads, capsys.readouterr().out.splitlines())
+    assert stage["claim"] == "pipeline-stage"
+    assert stage["counterexample"] == {"error": "boundary simplices with 4 vertices: 1"}

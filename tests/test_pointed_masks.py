@@ -1,14 +1,16 @@
 """Pointed triangulations built on vertex masks, checked against frozenset oracles.
 
 ``build_pointed_triangulation`` must give the polytope's complex and its
-maximal simplices of the frozenset construction in ``oracles.py``, and the
+maximal simplices of the frozenset construction in ``oracles.py``, the
+oracle's closure verdict with no fallback scan, and the
 interior of the facet-mask split, on every builtin of dimension
 at most 5, on polytopes given only by rational coordinates (cube:3 in Q^4
 among them), on the prism over one, whose facets are no simplices, and on
 simplex:9, pyramid:simplex:8, cube:6, cross:6 and prism:cube:5. On the
 builtins, the large ones and ``sphere2_6.json``, each simplex is built once,
-at its carrier found by a scan over every face, and what the faces inside a
-face carry is the oracle's complex of that face. Wrong ``faces`` are
+at its carrier found by a scan over every face, the faces joined to each
+vertex are the carriers of what it was joined to, a down-set, and what the
+faces inside a face carry is the oracle's complex of that face. Wrong ``faces`` are
 rejected when the lattice is built, with a message that names the face or
 vertex: each check of the load-time face-lattice test has a case, and so
 does a face that lists a vertex twice. The per-face pointedness check must
@@ -27,6 +29,7 @@ import re
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -40,6 +43,7 @@ from figurate.triangulation import (
 )
 from oracles import (
     frozen,
+    is_simplicial_complex,
     per_face_scan,
     pointedness_violation,
     reference_carriers,
@@ -49,7 +53,7 @@ from oracles import (
     to_mask,
     vertex_set,
 )
-from test_lattice_oracle import LARGE
+from test_lattice_oracle import JSON, LARGE
 from test_recursion import BUILTINS
 
 _SQUARE = tuple(point(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -155,26 +159,46 @@ def test_wrong_faces_are_rejected(spec):
     assert str(caught.value) == f"faces of {spec!r} are not a face lattice: {detail}"
 
 
-@pytest.mark.parametrize("spec", BUILTINS + ["sphere2_6.json", "cube3_in_q4.json", "prism_sphere2_6.json"] + LARGE)
+def build_without_the_scan(lattice, apexes):
+    """The triangulation, built while counting the fallback closure scans:
+    there must be none."""
+    scans = []
+    with mock.patch.object(triangulation, "_closed_by_scan", scans.append):
+        tri = build_pointed_triangulation(lattice, apexes)
+    assert not scans
+    return tri
+
+
+@pytest.mark.parametrize("spec", BUILTINS + JSON + LARGE)
 def test_mask_construction_equals_the_frozenset_construction(spec):
     lattice = _lattice(spec)
     apexes = assign_apexes(lattice, vertex_order(lattice.polytope))
-    tri = build_pointed_triangulation(lattice, apexes)
+    tri = build_without_the_scan(lattice, apexes)
     _, simplices, maximal = reference_pointed_complexes(lattice, apexes)
     assert type(tri.simplices) is frozenset and frozen(tri.simplices) == simplices
+    # the flags' apex sets are the scanned maximal simplices, and the mask
+    # test of closure gives the oracle's verdict with no fallback scan
     assert tuple(map(vertex_set, tri.maximal)) == maximal
+    assert tri.closed and is_simplicial_complex(simplices)
     assert (tri.simplices - tri.interior, tri.interior) == reference_split(tri)
-    # one facet set gives the maximal simplices and closure under subsets
-    assert tri.closed
 
 
 def assert_built_once_at_the_carrier(lattice, apexes):
-    """Each simplex is carried by exactly one face, its brute-force carrier."""
-    carried = triangulation._carried(lattice, apexes)
+    """Each simplex is carried by exactly one face, its brute-force carrier.
+    The faces joined to each vertex v are the carriers of the t in every
+    carried v | t, and form a down-set."""
+    carried, joined_to = triangulation._carried(lattice, apexes)
     built = [(s, fid) for fid, simplices in enumerate(carried) for s in simplices]
     at = dict(built)
     assert len(at) == len(built)
     assert at == reference_carriers(lattice, at)
+    joined = [set() for _ in joined_to]
+    for fid, simplices in enumerate(carried[1:], 1):
+        v = apexes[fid]
+        joined[v].update(at[s ^ 1 << v] for s in simplices)
+    assert [set(pick(mask, range(len(lattice)))) for mask in joined_to] == joined
+    for mask in joined_to:
+        assert all(not lattice.below[g] & ~mask for g in pick(mask, range(len(lattice))))
     return carried
 
 
@@ -201,7 +225,7 @@ def test_the_whole_complex_check_raises_as_the_per_face_scan(family, spec):
     # simplex is missing
     b = family[spec]
     lattice, apexes = b.lattice, b.apexes
-    carried = triangulation._carried(lattice, apexes)
+    carried, _ = triangulation._carried(lattice, apexes)
     every = sorted(b.tri.simplices)
     rng = random.Random(spec)
 

@@ -27,6 +27,7 @@ from figurate.triangulation import (
 from oracles import (
     affinely_independent,
     evaluate_functional,
+    fraction_vertex_order,
     frozen,
     is_pure,
     is_simplicial_complex,
@@ -41,7 +42,7 @@ from oracles import (
     unverified_triangulation,
     vertex_set,
 )
-from test_lattice_oracle import LARGE
+from test_lattice_oracle import LARGE, SPECS, _lattice
 from test_recursion import BUILTINS
 
 
@@ -61,7 +62,14 @@ def test_vertex_order_trivial_cases():
 def test_vertex_order_breaks_a_tie_by_coordinates_read_last_to_first():
     # spread-based weights collide here: (1/2, 0).(1, 3/2) == (0, 1/3).(1, 3/2)
     tricky = Polytope("tricky", (point(["1/2", "0"]), point(["0", "1/3"]), point(["0", "0"])), 2)
-    assert vertex_order(tricky) == (2, 0, 1) == reference_vertex_order(tricky)
+    assert vertex_order(tricky) == (2, 0, 1) == reference_vertex_order(tricky) == fraction_vertex_order(tricky)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_vertex_order_on_integer_rows_equals_the_fraction_order(spec):
+    # L^n times each value keeps the order and the ties; seed_tie7.json ties
+    polytope = _lattice(spec).polytope
+    assert vertex_order(polytope) == fraction_vertex_order(polytope)
 
 
 _COORD = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -98,6 +106,7 @@ def test_vertex_order_is_strict_and_breaks_ties_like_the_scaled_functional(pts):
     poly = Polytope("points", tuple(pts), len(pts[0]))
     order = vertex_order(poly)
     assert sorted(order) == list(range(len(pts)))
+    assert order == fraction_vertex_order(poly)
     spread = max(max(col) - min(col) for col in zip(*pts))
     first = [evaluate_functional(tuple((1 + spread) ** j for j in range(len(pts[0]))), p) for p in pts]
     separates = len(set(first)) == len(first)
@@ -313,20 +322,42 @@ def test_family_complexes_are_simplicial_and_pure(family):
 
 
 @pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square"])
-def test_maximal_and_closure_from_one_facet_set_match_the_scans(family, spec):
-    # drop simplices from the complex: a dropped facet breaks closure, and
-    # what it was a facet of no longer hides the simplices below it
+def test_the_closure_scan_matches_the_oracle_on_dropped_simplices(family, spec):
+    # drop simplices from the complex: a dropped facet of a simplex left in
+    # breaks closure, a dropped maximal simplex does not
     simplices = family[spec].tri.simplices
     rng = random.Random(spec)
     verdicts = []
     for trial in range(40):
         bad = simplices - set(rng.sample(sorted(simplices), 1 + trial % 3))
-        maximal, closed = triangulation._maximal_and_closed(bad)
+        closed = triangulation._closed_by_scan(bad)
         assert closed == is_simplicial_complex(frozen(bad)), (spec, trial)
-        scanned = sorted(maximal_simplices(frozen(bad)), key=lambda s: (len(s), sorted(s)))
-        assert list(map(vertex_set, maximal)) == scanned, (spec, trial)
         verdicts.append(closed)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:3", "pyramid:square", "prism:triangle"])
+def test_joined_masks_that_are_no_down_sets_reach_the_scan(family, monkeypatch, spec):
+    b = family[spec]
+    lattice, simplices = b.lattice, b.tri.simplices
+    _, joined_to = triangulation._carried(lattice, b.apexes)
+    scan, scans = triangulation._closed_by_scan, []
+    monkeypatch.setattr(triangulation, "_closed_by_scan", lambda c: scans.append(c) or scan(c))
+    assert triangulation._closed(lattice, joined_to, simplices) and not scans
+    # the test certifies the complex its masks built: with down-sets it
+    # passes, and no scan runs, whatever complex is passed
+    edge = next(s for s in simplices if s.bit_count() == 2)
+    assert triangulation._closed(lattice, joined_to, simplices - {edge}) and not scans
+    # a nonempty face without the empty face below it is no down-set, so the
+    # scan decides, on a closed complex and on one missing an edge
+    for v in range(len(lattice.polytope.vertices)):
+        hand_made = list(joined_to)
+        hand_made[v] = 1 << lattice.top
+        for complex_ in (simplices, simplices - {edge}):
+            scans.clear()
+            assert triangulation._closed(lattice, hand_made, complex_) == is_simplicial_complex(frozen(complex_))
+            assert scans == [complex_]
+    assert not is_simplicial_complex(frozen(simplices - {edge}))
 
 
 def test_all_simplices_affinely_independent(family):
